@@ -25,16 +25,23 @@ func benchScale() ptemagnet.Scale { return ptemagnet.QuickScale() }
 // metric identical to a serial run.
 var benchEngine = ptemagnet.NewEngine(0)
 
-func benchCtx() context.Context { return context.Background() }
+// runExperiment runs one registered experiment at the bench scale and seed
+// through benchEngine and returns its typed result.
+func runExperiment[R ptemagnet.ExperimentResult](b *testing.B, name string) R {
+	b.Helper()
+	r, err := ptemagnet.RunExperiment(context.Background(), name,
+		ptemagnet.WithEngine(benchEngine), ptemagnet.WithScale(benchScale()), ptemagnet.WithSeed(benchSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r.(R)
+}
 
 // BenchmarkTable1_FragmentationEffects regenerates Table 1 (§3.3): pagerank
 // colocated with stress-ng versus standalone on the default kernel.
 func BenchmarkTable1_FragmentationEffects(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunTable1Ctx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.Table1Result](b, "table1")
 		slowdown := float64(r.Colocated.Task.SteadyCycles)/float64(r.Isolation.Task.SteadyCycles) - 1
 		b.ReportMetric(slowdown*100, "slowdown_%")
 		b.ReportMetric(r.Colocated.Task.Frag.Mean, "frag_colocated")
@@ -48,7 +55,7 @@ func BenchmarkTable1_FragmentationEffects(b *testing.B) {
 // fragmentation means.)
 func BenchmarkFig5_HostPTFragmentation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		def, mag, err := ptemagnet.RunScenarioPair(ptemagnet.Scenario{
+		def, mag, err := ptemagnet.RunScenarioPairCtx(context.Background(), ptemagnet.Scenario{
 			Benchmark: "pagerank", Corunners: []string{"objdet"},
 			Scale: benchScale(), Seed: benchSeed,
 		})
@@ -65,10 +72,7 @@ func BenchmarkFig5_HostPTFragmentation(b *testing.B) {
 // full benchmark suite.
 func BenchmarkFig6_SpeedupWithObjdet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunObjdetSuiteCtx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.SuiteResult](b, "objdet-suite")
 		b.ReportMetric(r.GeomeanSpeedup, "geomean_speedup_%")
 		max := 0.0
 		for _, e := range r.Entries {
@@ -84,10 +88,7 @@ func BenchmarkFig6_SpeedupWithObjdet(b *testing.B) {
 // improvement under the full Table 3 co-runner combination.
 func BenchmarkFig7_SpeedupWithCombination(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunCombinationSuiteCtx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.SuiteResult](b, "combination-suite")
 		b.ReportMetric(r.GeomeanSpeedup, "geomean_speedup_%")
 	}
 }
@@ -96,10 +97,7 @@ func BenchmarkFig7_SpeedupWithCombination(b *testing.B) {
 // objdet, PTEMagnet versus default, hardware-counter changes.
 func BenchmarkTable4_HardwareMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunTable4Ctx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.Table4Result](b, "table4")
 		speedup := float64(r.Default.Task.SteadyCycles)/float64(r.Magnet.Task.SteadyCycles) - 1
 		b.ReportMetric(speedup*100, "speedup_%")
 		walkReduction := 1 - float64(r.Magnet.Walk.WalkCycles)/float64(r.Default.Walk.WalkCycles)
@@ -111,7 +109,7 @@ func BenchmarkTable4_HardwareMetrics(b *testing.B) {
 // (real workload) and the sparse adversary.
 func BenchmarkSec62_ReservationWaste(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		real, err := ptemagnet.RunScenario(ptemagnet.Scenario{
+		real, err := ptemagnet.RunScenarioCtx(context.Background(), ptemagnet.Scenario{
 			Benchmark: "pagerank", Corunners: []string{"objdet"},
 			Policy: ptemagnet.PolicyPTEMagnet,
 			Scale:  benchScale(), Seed: benchSeed,
@@ -119,7 +117,7 @@ func BenchmarkSec62_ReservationWaste(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		adv, err := ptemagnet.RunScenario(ptemagnet.Scenario{
+		adv, err := ptemagnet.RunScenarioCtx(context.Background(), ptemagnet.Scenario{
 			Benchmark: "sparse", Policy: ptemagnet.PolicyPTEMagnet,
 			Scale: benchScale(), Seed: benchSeed,
 		})
@@ -135,10 +133,7 @@ func BenchmarkSec62_ReservationWaste(b *testing.B) {
 // touch every page of a huge array under both policies.
 func BenchmarkSec64_AllocationLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunSec64Ctx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.Sec64Result](b, "sec64")
 		b.ReportMetric(r.ImprovementPct, "improvement_%")
 		b.ReportMetric(float64(r.BuddyCallsDefault)/float64(r.BuddyCallsMagnet), "buddy_call_ratio")
 	}
@@ -148,10 +143,7 @@ func BenchmarkSec64_AllocationLatency(b *testing.B) {
 // design choice (8 pages = one cache block of PTEs).
 func BenchmarkAblation_Granularity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunGranularityCtx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.GranularityResult](b, "granularity")
 		for _, e := range r.Entries {
 			if e.GroupPages == 8 {
 				b.ReportMetric(e.Frag, "frag_at_8_pages")
@@ -165,7 +157,7 @@ func BenchmarkAblation_Granularity(b *testing.B) {
 // against a coarse table lock under concurrent faults (§4.2).
 func BenchmarkAblation_PaRTLocking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := ptemagnet.RunLockingAblation(8, 5000)
+		r := runExperiment[ptemagnet.LockingResult](b, "locking")
 		b.ReportMetric(r.FineNsPerOp, "fine_ns/fault")
 		b.ReportMetric(r.CoarseNsPerOp, "coarse_ns/fault")
 	}
@@ -174,10 +166,7 @@ func BenchmarkAblation_PaRTLocking(b *testing.B) {
 // BenchmarkAblation_ReclaimWatermark sweeps the §4.3 reclaim threshold.
 func BenchmarkAblation_ReclaimWatermark(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunReclaimSweepCtx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.ReclaimResult](b, "reclaim")
 		b.ReportMetric(float64(r.Entries[0].ReclaimedReservations), "reclaimed_at_0.3")
 		b.ReportMetric(float64(r.Entries[3].ReclaimedReservations), "reclaimed_at_0.9")
 	}
@@ -187,10 +176,7 @@ func BenchmarkAblation_ReclaimWatermark(b *testing.B) {
 // (related work §7) with PTEMagnet as colocation pressure rises.
 func BenchmarkBaseline_CAPaging(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunCAPagingComparisonCtx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.CAPagingResult](b, "capaging")
 		last := r.Entries[len(r.Entries)-1]
 		b.ReportMetric(last.FragCA, "combo_frag_capaging")
 		b.ReportMetric(last.FragMagnet, "combo_frag_ptemagnet")
@@ -201,10 +187,7 @@ func BenchmarkBaseline_CAPaging(b *testing.B) {
 // PTEMagnet across colocation levels.
 func BenchmarkBaseline_THP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunTHPComparisonCtx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.THPResult](b, "thp")
 		b.ReportMetric(r.Entries[0].THPCoverage*100, "solo_thp_coverage_%")
 		b.ReportMetric(r.Entries[len(r.Entries)-1].THPCoverage*100, "combo_thp_coverage_%")
 	}
@@ -243,7 +226,7 @@ func benchPipeline(b *testing.B, legacy bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := m.Run(ptemagnet.RunOptions{}); err != nil {
+		if err := m.RunWith(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,10 +245,7 @@ func BenchmarkPipelineFacadeAdapter(b *testing.B) { benchPipeline(b, true) }
 // five-level paging (the §2.5 migration: nested walks grow to 35 accesses).
 func BenchmarkExtension_FiveLevelPaging(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := ptemagnet.RunFiveLevelComparisonCtx(benchCtx(), benchEngine, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runExperiment[ptemagnet.FiveLevelResult](b, "fivelevel")
 		b.ReportMetric(r.Entries[0].SpeedupMagnet, "speedup_4level_%")
 		b.ReportMetric(r.Entries[1].SpeedupMagnet, "speedup_5level_%")
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-exp all|table1|fig5|fig6|fig7|table4|sec62|sec64|ablation|multitenant|migration|chaos]
+//	experiments [-exp all|table1|fig5|fig6|fig7|table4|sec62|sec64|ablation|multitenant|migration|chaos|overcommit]
 //	            [-quick] [-seed N] [-parallel N] [-progress] [-vms N] [-list]
 //	            [-telemetry run.jsonl] [-telemetry-csv run.csv]
 //	            [-heartbeat 30s] [-pprof localhost:6060]
@@ -17,8 +17,9 @@
 // -exp multitenant runs the multi-VM sweep (2/4/8 VMs on one shared host,
 // plus a VM-churn scenario); -exp migration the live-migration sweep; -exp
 // chaos the fault-injection-and-recovery sweep (default vs PTEMagnet under
-// escalating deterministic fault rates, plus mid-migration OOM-and-retry).
-// All three are opt-in, not part of "all". -vms narrows the multitenant
+// escalating deterministic fault rates, plus mid-migration OOM-and-retry);
+// -exp overcommit the ballooned-host sweep (1.25×–2× oversubscription).
+// All four are opt-in, not part of "all". -vms narrows the multitenant
 // sweep to one VM count.
 //
 // fig5 and fig6 come from the same runs (the objdet suite) and print

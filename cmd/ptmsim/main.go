@@ -183,10 +183,3 @@ func printResult(r sim.Result) {
 			r.UnusedMax, r.UnusedMean, r.FootprintPages)
 	}
 }
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,7 @@ func run(colocated bool) (ptemagnet.TaskReport, uint64, uint64) {
 	// §3.3 methodology: the co-runner stops the moment pagerank finishes
 	// allocating, so the steady phase has no cache contention — only the
 	// fragmentation the hog caused survives.
-	if err := m.Run(ptemagnet.RunOptions{StopCorunnersAtPrimaryInit: true}); err != nil {
+	if err := m.RunWith(context.Background(), ptemagnet.WithStopCorunnersAtInit(true)); err != nil {
 		log.Fatal(err)
 	}
 	walk := m.Observe().Steady.Walker

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -133,7 +134,7 @@ func run(policy ptemagnet.AllocPolicy) (uint64, float64) {
 	if _, err := m.AddTask(noisy, ptemagnet.RoleCorunner); err != nil {
 		log.Fatal(err)
 	}
-	if err := m.Run(ptemagnet.RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	rep := m.Report()[0]

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 		Seed:      1,
 	}
 
-	stock, magnet, err := ptemagnet.RunScenarioPair(scenario)
+	stock, magnet, err := ptemagnet.RunScenarioPairCtx(context.Background(), scenario)
 	if err != nil {
 		log.Fatal(err)
 	}

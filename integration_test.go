@@ -1,6 +1,7 @@
 package ptemagnet_test
 
 import (
+	"context"
 	"testing"
 
 	"ptemagnet"
@@ -38,7 +39,7 @@ func TestIntegrationFrameConservation(t *testing.T) {
 				FootprintBytes: 4 << 20, Seed: 6}), vm.RoleCorunner); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Run(vm.RunOptions{}); err != nil {
+			if err := m.RunWith(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			mem := m.Guest().Memory()
@@ -80,7 +81,7 @@ func TestIntegrationTranslationCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(vm.RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	proc := task.Process()
@@ -113,7 +114,7 @@ func TestIntegrationTranslationCoherence(t *testing.T) {
 // bit for bit — the property that lets seeds stand in for repeat runs.
 func TestIntegrationDeterminism(t *testing.T) {
 	run := func() ptemagnet.ScenarioResult {
-		r, err := ptemagnet.RunScenario(ptemagnet.Scenario{
+		r, err := ptemagnet.RunScenarioCtx(context.Background(), ptemagnet.Scenario{
 			Benchmark: "omnetpp", Corunners: []string{"objdet", "pyaes"},
 			Policy: ptemagnet.PolicyPTEMagnet,
 			Scale:  ptemagnet.QuickScale(), Seed: 33,

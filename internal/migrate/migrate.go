@@ -177,11 +177,6 @@ func (r *Report) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Counter(prefix+"log_overflows", func() uint64 { return r.LogOverflows })
 }
 
-// Migrate is MigrateCtx with a background context.
-func Migrate(src *vm.Guest, dst *vm.Machine, opts Options) (Report, error) {
-	return MigrateCtx(context.Background(), src, dst, opts)
-}
-
 // MigrateCtx live-migrates src onto dst with pre-copy semantics and
 // returns the migration's accounting. On success src is a live guest of
 // dst (same kernel, same walker with cumulative counters, same tasks,

@@ -17,15 +17,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
-	"ptemagnet/internal/balloon"
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/faults"
 	"ptemagnet/internal/guestos"
-	"ptemagnet/internal/migrate"
 	"ptemagnet/internal/obs"
-	"ptemagnet/internal/vm"
 )
 
 // DefaultChaosRetry is the retry policy the chaos sweep applies when
@@ -35,26 +31,21 @@ func DefaultChaosRetry() engine.RetryPolicy {
 	return engine.RetryPolicy{MaxAttempts: 3, Retryable: faults.IsTransient}
 }
 
-// chaosJob is one sweep scenario: a workload run (base) or a migration
-// (mig), with the fault campaign to arm.
+// chaosJob is one sweep scenario: the run to make (a workload run or a
+// migration) and the fault campaign to arm on it.
 type chaosJob struct {
-	name      string
-	cfg       faults.Config
-	base      Scenario
-	migration bool
-	mig       MigrationScenario
-	// balloon arms the host's pressure controller, giving the host-oom
-	// chaos site a third outcome besides retry and fail: the injected OOM
-	// is absorbed in-run by the balloon-then-retry path (degradation).
-	balloon bool
+	name string
+	cfg  faults.Config
+	spec runSpec
 }
 
-// fingerprint hashes the job's full configuration (telemetry identity).
-func (j chaosJob) fingerprint() string {
-	if j.migration {
-		return obs.Fingerprint(fmt.Sprintf("%+v|%+v", j.mig, j.cfg))
-	}
-	return obs.Fingerprint(fmt.Sprintf("%+v|%+v", j.base, j.cfg))
+// newChaosJob declares a chaos job running sp under cfg. config is the
+// scenario sp was declared from; with cfg it makes up the telemetry
+// fingerprint.
+func newChaosJob(name string, cfg faults.Config, config any, sp runSpec) chaosJob {
+	sp.identity = name
+	sp.fingerprint = obs.Fingerprint(fmt.Sprintf("%+v|%+v", config, cfg))
+	return chaosJob{name: name, cfg: cfg, spec: sp}
 }
 
 // chaosState accumulates what failed attempts of one scenario left
@@ -171,27 +162,26 @@ func chaosFaultLevels(seed int64, override faults.Config) []struct {
 // then the migration fault scenarios.
 func chaosJobs(sc Scale, seed int64, override faults.Config) []chaosJob {
 	var jobs []chaosJob
-	policies := []struct {
-		name   string
-		policy guestos.AllocPolicy
-	}{
-		{"default", guestos.PolicyDefault},
-		{"ptemagnet", guestos.PolicyPTEMagnet},
+	// workload declares a colocated pagerank+stress-ng run. balloon arms
+	// the host's pressure controller, giving the host-oom site a third
+	// outcome besides retry and fail: the injected OOM is absorbed in-run
+	// by the balloon-then-retry path (degradation).
+	workload := func(name string, policy guestos.AllocPolicy, cfg faults.Config, balloon bool) {
+		base := Scenario{
+			Benchmark: "pagerank",
+			Corunners: []string{"stress-ng"},
+			Policy:    policy,
+			Scale:     sc,
+			Seed:      engine.DeriveSeed(seed, "chaos/"+name),
+		}
+		sp := base.spec()
+		sp.machine.balloon = balloon
+		jobs = append(jobs, newChaosJob(name, cfg, base, sp))
 	}
+	policies := []guestos.AllocPolicy{guestos.PolicyDefault, guestos.PolicyPTEMagnet}
 	for _, p := range policies {
 		for _, lvl := range chaosFaultLevels(seed, override) {
-			name := p.name + "/" + lvl.name
-			jobs = append(jobs, chaosJob{
-				name: name,
-				cfg:  lvl.cfg,
-				base: Scenario{
-					Benchmark: "pagerank",
-					Corunners: []string{"stress-ng"},
-					Policy:    p.policy,
-					Scale:     sc,
-					Seed:      engine.DeriveSeed(seed, "chaos/"+name),
-				},
-			})
+			workload(p.String()+"/"+lvl.name, p, lvl.cfg, false)
 		}
 	}
 	// Balloon-armed host OOM: the same injected host OOM as "heavy", but
@@ -199,21 +189,10 @@ func chaosJobs(sc Scale, seed int64, override faults.Config) []chaosJob {
 	// balloon-then-retry path and the attempt completes — outcome
 	// "degraded" rather than recovery-by-retry.
 	for _, p := range policies {
-		name := p.name + "/oom-absorb"
+		name := p.String() + "/oom-absorb"
 		cfg := faults.Config{HostOOMs: 1, HostOOMSpan: 128}
 		cfg.Seed = engine.DeriveSeed(seed, "chaos/faults/"+name)
-		jobs = append(jobs, chaosJob{
-			name:    name,
-			cfg:     cfg,
-			balloon: true,
-			base: Scenario{
-				Benchmark: "pagerank",
-				Corunners: []string{"stress-ng"},
-				Policy:    p.policy,
-				Scale:     sc,
-				Seed:      engine.DeriveSeed(seed, "chaos/"+name),
-			},
-		})
+		workload(name, p, cfg, true)
 	}
 	// Mid-migration faults: a destination OOM at round 1 with the dirty
 	// log forced to overflow (exercising the PR 8 rescan path on the
@@ -229,54 +208,24 @@ func chaosJobs(sc Scale, seed int64, override faults.Config) []chaosJob {
 	for _, mj := range migJobs {
 		cfg := mj.cfg
 		cfg.Seed = engine.DeriveSeed(seed, "chaos/faults/"+mj.name)
-		jobs = append(jobs, chaosJob{
-			name:      mj.name,
-			cfg:       cfg,
-			migration: true,
-			mig: MigrationScenario{
-				Policy: guestos.PolicyPTEMagnet,
-				Scale:  sc,
-				Seed:   engine.DeriveSeed(seed, "chaos/"+mj.name),
-			},
-		})
+		mig := MigrationScenario{
+			Policy: guestos.PolicyPTEMagnet,
+			Scale:  sc,
+			Seed:   engine.DeriveSeed(seed, "chaos/"+mj.name),
+		}
+		jobs = append(jobs, newChaosJob(mj.name, cfg, mig, mig.spec()))
 	}
 	return jobs
 }
 
-// emitChaosRecord appends the faults.* and retry.* counter groups to the
-// run's registry and emits one RunRecord. Only chaos runs register these
-// groups, so zero-plan telemetry keeps its pre-injection schema.
-func emitChaosRecord(ctx context.Context, stop func() time.Duration, j chaosJob, plan *faults.Plan, st *chaosState, reg *obs.Registry) {
-	c := obs.CollectorFrom(ctx)
-	if c == nil {
-		return
-	}
-	plan.RegisterObs(reg, "faults.")
-	attempt := uint64(plan.Attempt())
-	failures := uint64(st.failures)
-	priorInjected := st.injected
-	reg.Counter("retry.attempt", func() uint64 { return attempt })
-	reg.Counter("retry.prior_failures", func() uint64 { return failures })
-	reg.Counter("retry.prior_injected", func() uint64 { return priorInjected })
-	rec := obs.RunRecord{
-		Set:         "adhoc",
-		Scenario:    j.name,
-		Fingerprint: j.fingerprint(),
-		ElapsedMS:   stop().Milliseconds(),
-		Counters:    reg.Snapshot(),
-	}
-	if info, ok := engine.ScenarioInfoFrom(ctx); ok {
-		rec.Set, rec.Scenario = info.Set, info.Scenario
-	}
-	c.Add(rec)
-}
-
 // runChaosJob executes one attempt of a chaos job: materialize the
-// attempt's plan, arm it, run, and record what was injected. Failures —
-// including injected host OOMs surfacing as walker panics — are folded
-// into st before returning, so the retry history survives the attempt.
+// attempt's plan, arm it, run, and record what was injected, appending
+// the faults.* and retry.* counter groups to the RunRecord (only chaos
+// runs register them, so zero-plan telemetry keeps its pre-injection
+// schema). Failures — including injected host OOMs surfacing as walker
+// panics — are folded into st before returning, so the retry history
+// survives the attempt.
 func runChaosJob(ctx context.Context, j chaosJob, st *chaosState) (res ChaosRunResult, err error) {
-	stop := engine.StartTimer()
 	plan := faults.NewPlan(j.cfg, engine.AttemptFrom(ctx))
 	defer func() {
 		if p := recover(); p != nil {
@@ -291,83 +240,34 @@ func runChaosJob(ctx context.Context, j chaosJob, st *chaosState) (res ChaosRunR
 			st.injected += plan.InjectedTotal()
 		}
 	}()
-	if j.migration {
-		return runChaosMigration(ctx, stop, j, plan, st)
+	sp := j.spec
+	sp.plan = plan
+	attempt, failures, priorInjected := uint64(plan.Attempt()), uint64(st.failures), st.injected
+	sp.extra = func(reg *obs.Registry) {
+		plan.RegisterObs(reg, "faults.")
+		reg.Counter("retry.attempt", func() uint64 { return attempt })
+		reg.Counter("retry.prior_failures", func() uint64 { return failures })
+		reg.Counter("retry.prior_injected", func() uint64 { return priorInjected })
 	}
-	var mod func(*vm.Config)
-	if j.balloon {
-		mod = func(cfg *vm.Config) { cfg.Balloon = balloon.Config{Enabled: true} }
-	}
-	m, err := buildMachine(j.base, mod)
+	o, err := run(ctx, sp)
 	if err != nil {
 		return ChaosRunResult{}, err
 	}
-	m.InstallFaultPlan(plan)
-	sampleEvery := j.base.Scale.Accesses / 64
-	if sampleEvery == 0 {
-		sampleEvery = 1024
-	}
-	if err := m.RunWith(ctx, vm.WithSampleEvery(sampleEvery)); err != nil {
-		return ChaosRunResult{}, err
-	}
-	report := m.Observe()
 	res = ChaosRunResult{
-		Name:         j.name,
-		Injected:     plan.InjectedTotal(),
-		Absorbed:     plan.AbsorbedHostOOMs(),
-		Frag:         report.Tasks[0].Frag.Mean,
-		SteadyCycles: report.Tasks[0].SteadyCycles,
+		Name:     j.name,
+		Injected: plan.InjectedTotal(),
+		Absorbed: plan.AbsorbedHostOOMs(),
 	}
-	emitChaosRecord(ctx, stop, j, plan, st, m.Registry())
-	return res, nil
-}
-
-// runChaosMigration is the migration arm of runChaosJob: pause the
-// source at a quarter of its budget, migrate with the plan armed (source
-// dirty log + migrate round hooks), and finish on the destination.
-func runChaosMigration(ctx context.Context, stop func() time.Duration, j chaosJob, plan *faults.Plan, st *chaosState) (ChaosRunResult, error) {
-	src, err := migrationSource(j.mig)
-	if err != nil {
-		return ChaosRunResult{}, err
+	if o.guest == nil {
+		res.Frag = o.report.Tasks[0].Frag.Mean
+		res.SteadyCycles = o.report.Tasks[0].SteadyCycles
+		return res, nil
 	}
-	dst, err := migrationDestination(j.mig)
-	if err != nil {
-		return ChaosRunResult{}, err
-	}
-	src.InstallFaultPlan(plan)
-	pauseAt := j.mig.Scale.Accesses / 4
-	if err := src.RunWith(ctx, vm.WithStopAtAccesses(pauseAt)); err != nil {
-		return ChaosRunResult{}, err
-	}
-	if src.PendingPrimaries() == 0 {
-		return ChaosRunResult{}, fmt.Errorf("sim: source finished before the migration point (accesses %d)", pauseAt)
-	}
-	g := src.Guests()[0]
-	rep, err := migrate.MigrateCtx(ctx, g, dst, migrate.Options{
-		RoundAccesses:   j.mig.Scale.Accesses / 16,
-		DirtyLogEntries: j.mig.DirtyLogEntries,
-		Faults:          plan,
-	})
-	if err != nil {
-		return ChaosRunResult{}, err
-	}
-	if err := dst.RunWith(ctx); err != nil {
-		return ChaosRunResult{}, err
-	}
-	res := ChaosRunResult{
-		Name:         j.name,
-		Migration:    true,
-		Injected:     plan.InjectedTotal(),
-		Frag:         guestFrag(g).Mean,
-		Rounds:       rep.Rounds,
-		LogOverflows: rep.LogOverflows,
-		Downtime:     rep.DowntimeAccesses,
-	}
-	if obs.CollectorFrom(ctx) != nil {
-		reg := dst.Registry()
-		rep.RegisterObs(reg, "migrate.")
-	}
-	emitChaosRecord(ctx, stop, j, plan, st, dst.Registry())
+	res.Migration = true
+	res.Frag = guestFrag(o.guest).Mean
+	res.Rounds = o.migration.Rounds
+	res.LogOverflows = o.migration.LogOverflows
+	res.Downtime = o.migration.DowntimeAccesses
 	return res, nil
 }
 
@@ -412,7 +312,7 @@ func ChaosSet(sc Scale, seed int64, override faults.Config, retry engine.RetryPo
 				}
 				out.Rows = append(out.Rows, ChaosRunResult{
 					Name:      j.name,
-					Migration: j.migration,
+					Migration: j.spec.migrateTo != nil,
 					Attempts:  st.failures,
 					Injected:  st.injected,
 					Failed:    true,
@@ -421,10 +321,4 @@ func ChaosSet(sc Scale, seed int64, override faults.Config, retry engine.RetryPo
 			return out, res.FailedErr()
 		},
 	}
-}
-
-// RunChaosCtx runs the chaos sweep through the given engine. Even on
-// error the result carries every completed row (partial results).
-func RunChaosCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64, override faults.Config, retry engine.RetryPolicy) (ChaosResult, error) {
-	return engine.Execute(ctx, e, ChaosSet(sc, seed, override, retry))
 }

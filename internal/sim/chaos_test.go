@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -11,75 +10,7 @@ import (
 	"ptemagnet/internal/faults"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/obs"
-	"ptemagnet/internal/vm"
 )
-
-// collectChaosRecords runs the chaos sweep through an engine with the
-// given worker count and returns the collected RunRecords, timing zeroed.
-func collectChaosRecords(t *testing.T, workers int) []obs.RunRecord {
-	t.Helper()
-	c := &obs.Collector{}
-	ctx := obs.WithCollector(context.Background(), c)
-	set := ChaosSet(QuickScale(), testSeed, faults.Config{}, engine.RetryPolicy{})
-	if _, err := engine.Execute(ctx, engine.New(workers), set); err != nil {
-		t.Fatal(err)
-	}
-	recs := c.Records()
-	for i := range recs {
-		recs[i].ElapsedMS = 0
-	}
-	return recs
-}
-
-// TestChaosTelemetryDeterministicAcrossWorkerCounts extends the
-// determinism contract to the fault-injected sweep: injections are keyed
-// to simulated event counts, so the chaos RunRecord JSONL — faults.* and
-// retry.* counters included — must be byte-identical for 1 and 4 workers.
-func TestChaosTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run determinism check")
-	}
-	serial := collectChaosRecords(t, 1)
-	parallel := collectChaosRecords(t, 4)
-
-	var a, b bytes.Buffer
-	if err := obs.WriteJSONL(&a, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteJSONL(&b, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("chaos RunRecord JSONL differs between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s",
-			a.String(), b.String())
-	}
-
-	// The chaos records must carry the faults.* and retry.* counter
-	// groups, and a recovered scenario's winning record must show the
-	// retry history (attempt 1 after one failed attempt).
-	var sawFaulted, sawRetried bool
-	for _, rec := range serial {
-		if _, ok := rec.Counters.Get("faults.injected_total"); !ok {
-			t.Fatalf("record %s/%s missing faults.injected_total", rec.Set, rec.Scenario)
-		}
-		attempt, ok := rec.Counters.Get("retry.attempt")
-		if !ok {
-			t.Fatalf("record %s/%s missing retry.attempt", rec.Set, rec.Scenario)
-		}
-		if n, _ := rec.Counters.Get("faults.injected_total"); n > 0 {
-			sawFaulted = true
-		}
-		if attempt > 0 {
-			if n, _ := rec.Counters.Get("retry.prior_failures"); n == 0 {
-				t.Errorf("record %s/%s: attempt %d with no prior failures", rec.Set, rec.Scenario, attempt)
-			}
-			sawRetried = true
-		}
-	}
-	if !sawFaulted || !sawRetried {
-		t.Errorf("sweep exercised injection=%v retry=%v, want both", sawFaulted, sawRetried)
-	}
-}
 
 // TestChaosRetryEquivalence pins the recovery contract at machine level:
 // a retried attempt (attempt index at FailAttempts, so its plan is
@@ -127,7 +58,7 @@ func TestChaosJobRetryFlow(t *testing.T) {
 		Scale:     QuickScale(),
 		Seed:      testSeed,
 	}
-	j := chaosJob{name: "t", cfg: faults.Config{Seed: 9, HostOOMs: 1, HostOOMSpan: 64, FailAttempts: 1}, base: base}
+	j := newChaosJob("t", faults.Config{Seed: 9, HostOOMs: 1, HostOOMSpan: 64, FailAttempts: 1}, base, base.spec())
 	st := &chaosState{}
 
 	_, err := runChaosJob(context.Background(), j, st)
@@ -206,12 +137,7 @@ func TestChaosForcedDirtyLogOverflowHitsRescan(t *testing.T) {
 	// An oversized dirty log keeps organic overflows out of the picture,
 	// so every observed overflow is a forced one.
 	mig := MigrationScenario{Policy: guestos.PolicyPTEMagnet, Scale: QuickScale(), Seed: testSeed, DirtyLogEntries: 1 << 20}
-	j := chaosJob{
-		name:      "dirtylog",
-		cfg:       faults.Config{Seed: 2, DirtyLogOverflowEvery: 64, FailAttempts: 1},
-		migration: true,
-		mig:       mig,
-	}
+	j := newChaosJob("dirtylog", faults.Config{Seed: 2, DirtyLogOverflowEvery: 64, FailAttempts: 1}, mig, mig.spec())
 	forced, err := runChaosJob(context.Background(), j, &chaosState{})
 	if err != nil {
 		t.Fatal(err)
@@ -232,29 +158,5 @@ func TestChaosForcedDirtyLogOverflowHitsRescan(t *testing.T) {
 	if clean.LogOverflows >= forced.LogOverflows {
 		t.Errorf("forced run overflowed %d times, clean run %d — forcing had no effect",
 			forced.LogOverflows, clean.LogOverflows)
-	}
-}
-
-// TestVMRunOptsMatchDeprecatedStruct pins satellite parity between the
-// options vocabulary and the deprecated RunOptions struct: the same run
-// expressed both ways lands on identical counters.
-func TestVMRunOptsMatchDeprecatedStruct(t *testing.T) {
-	s := Scenario{Benchmark: "gcc", Scale: QuickScale(), Seed: testSeed}
-	m1, err := BuildMachine(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m1.RunWith(context.Background(), vm.WithSampleEvery(2048), vm.WithStopAtAccesses(50_000)); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := BuildMachine(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.RunContext(context.Background(), vm.RunOptions{SampleEvery: 2048, StopAtAccesses: 50_000}); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := m1.Registry().Snapshot(), m2.Registry().Snapshot(); !reflect.DeepEqual(a, b) {
-		t.Errorf("options run diverges from struct run:\noptions: %+v\nstruct:  %+v", a, b)
 	}
 }

@@ -8,35 +8,10 @@ import (
 	"ptemagnet/internal/engine"
 )
 
-// TestObjdetSuiteDeterministicAcrossWorkerCounts is the engine's
-// determinism regression test: the objdet suite (the Figures 5/6
-// measurement) must reduce to byte-identical output whether its scenarios
-// run serially or through a 4-worker pool. Scenario seeds are fixed at
-// set-declaration time and results are keyed by name, so worker count and
-// completion order must not leak into any metric.
-func TestObjdetSuiteDeterministicAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run determinism check")
-	}
-	serial, err := RunObjdetSuiteCtx(context.Background(), engine.New(1), QuickScale(), testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunObjdetSuiteCtx(context.Background(), engine.New(4), QuickScale(), testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("objdet suite differs between 1 and 4 workers:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	if s, p := serial.String(), parallel.String(); s != p {
-		t.Errorf("rendered suite output not byte-identical:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", s, p)
-	}
-}
-
 // TestSuiteDeterministicAcrossRepeatedRuns runs the same reduced set
-// twice with different worker counts and asserts equality — catching
-// any hidden shared state between runs as well as order sensitivity.
+// twice in one process with different worker counts and asserts equality
+// — catching any hidden shared state between runs as well as order
+// sensitivity.
 func TestSuiteDeterministicAcrossRepeatedRuns(t *testing.T) {
 	set := func() engine.Set[Result, SuiteResult] {
 		return SuiteSet([]string{"gcc", "xz"}, []string{"objdet"}, QuickScale(), testSeed, 2)
@@ -54,21 +29,5 @@ func TestSuiteDeterministicAcrossRepeatedRuns(t *testing.T) {
 	}
 	if f, s := first.String(), second.String(); f != s {
 		t.Errorf("rendered output not byte-identical:\n--- first ---\n%s--- second ---\n%s", f, s)
-	}
-}
-
-// TestTable1DeterministicParallel pins the same contract on a set whose
-// reduce reads specific named results rather than aggregating.
-func TestTable1DeterministicParallel(t *testing.T) {
-	a, err := RunTable1Ctx(context.Background(), engine.New(1), QuickScale(), testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTable1Ctx(context.Background(), engine.New(4), QuickScale(), testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("Table 1 differs between 1 and 4 workers")
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -11,14 +10,9 @@ import (
 	"ptemagnet/internal/nested"
 )
 
-// scenarioJob adapts one sim scenario to an engine scenario: the closure
-// captures the fully specified Scenario (including its seed) at set
-// declaration time, so the result depends only on the declaration, never
-// on execution order.
+// scenarioJob declares one single-VM scenario of a set.
 func scenarioJob(name string, s Scenario) engine.Scenario[Result] {
-	return engine.Scenario[Result]{Name: name, Run: func(ctx context.Context) (Result, error) {
-		return RunCtx(ctx, s)
-	}}
+	return job(name, s.spec(), s.result)
 }
 
 // pairJobs declares the default-vs-PTEMagnet pair of s under
@@ -115,11 +109,6 @@ func Table1Set(sc Scale, seed int64) engine.Set[Result, Table1Result] {
 			return r, nil
 		},
 	}
-}
-
-// RunTable1Ctx reproduces Table 1 through the given engine.
-func RunTable1Ctx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (Table1Result, error) {
-	return engine.Execute(ctx, e, Table1Set(sc, seed))
 }
 
 func dataMemServed(r Result) uint64 {
@@ -235,12 +224,6 @@ func SuiteSet(benchmarks, corunners []string, sc Scale, seed int64, repeats int)
 	}
 }
 
-// runSuite executes a suite set on the default engine (tests and the
-// compatibility wrappers below).
-func runSuite(benchmarks []string, corunners []string, sc Scale, seed int64, repeats int) (SuiteResult, error) {
-	return engine.Execute(context.Background(), nil, SuiteSet(benchmarks, corunners, sc, seed, repeats))
-}
-
 // ObjdetSuiteSet declares the Figures 5/6 suite: every benchmark
 // colocated with objdet, averaged over SuiteRepeats seeds.
 func ObjdetSuiteSet(sc Scale, seed int64) engine.Set[Result, SuiteResult] {
@@ -251,16 +234,6 @@ func ObjdetSuiteSet(sc Scale, seed int64) engine.Set[Result, SuiteResult] {
 // colocated with the full Table 3 co-runner combination.
 func CombinationSuiteSet(sc Scale, seed int64) engine.Set[Result, SuiteResult] {
 	return SuiteSet(Benchmarks, Corunners, sc, seed, SuiteRepeats)
-}
-
-// RunObjdetSuiteCtx reproduces Figures 5 and 6 through the given engine.
-func RunObjdetSuiteCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (SuiteResult, error) {
-	return engine.Execute(ctx, e, ObjdetSuiteSet(sc, seed))
-}
-
-// RunCombinationSuiteCtx reproduces Figure 7 through the given engine.
-func RunCombinationSuiteCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (SuiteResult, error) {
-	return engine.Execute(ctx, e, CombinationSuiteSet(sc, seed))
 }
 
 // String renders the suite as the two paper charts: fragmentation (Fig 5)
@@ -317,11 +290,6 @@ func Table4Set(sc Scale, seed int64) engine.Set[Result, Table4Result] {
 			return r, nil
 		},
 	}
-}
-
-// RunTable4Ctx reproduces Table 4 through the given engine.
-func RunTable4Ctx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (Table4Result, error) {
-	return engine.Execute(ctx, e, Table4Set(sc, seed))
 }
 
 // String renders the comparison.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -71,11 +70,6 @@ func Sec62Set(sc Scale, seed int64) engine.Set[Result, Sec62Result] {
 			return out, res.FailedErr()
 		},
 	}
-}
-
-// RunSec62Ctx reproduces the §6.2 study through the given engine.
-func RunSec62Ctx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (Sec62Result, error) {
-	return engine.Execute(ctx, e, Sec62Set(sc, seed))
 }
 
 func sec62Entry(name string, res Result) Sec62Entry {
@@ -153,11 +147,6 @@ func Sec64Set(sc Scale, seed int64) engine.Set[Result, Sec64Result] {
 	}
 }
 
-// RunSec64Ctx reproduces the §6.4 microbenchmark through the given engine.
-func RunSec64Ctx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (Sec64Result, error) {
-	return engine.Execute(ctx, e, Sec64Set(sc, seed))
-}
-
 // Speedup uses whole-run cycles here: the entire microbenchmark is the
 // measurement (there is no steady phase).
 func (r Sec64Result) String() string {
@@ -233,11 +222,6 @@ func GranularitySet(sc Scale, seed int64) engine.Set[Result, GranularityResult] 
 			return out, res.FailedErr()
 		},
 	}
-}
-
-// RunGranularityCtx runs the sweep through the given engine.
-func RunGranularityCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (GranularityResult, error) {
-	return engine.Execute(ctx, e, GranularitySet(sc, seed))
 }
 
 // String renders the sweep.
@@ -366,11 +350,6 @@ func ReclaimSweepSet(sc Scale, seed int64) engine.Set[Result, ReclaimResult] {
 			return out, res.FailedErr()
 		},
 	}
-}
-
-// RunReclaimSweepCtx runs the sweep through the given engine.
-func RunReclaimSweepCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (ReclaimResult, error) {
-	return engine.Execute(ctx, e, ReclaimSweepSet(sc, seed))
 }
 
 // String renders the sweep.
@@ -524,11 +503,6 @@ func CAPagingSet(sc Scale, seed int64) engine.Set[Result, CAPagingResult] {
 	}
 }
 
-// RunCAPagingComparisonCtx runs the comparison through the given engine.
-func RunCAPagingComparisonCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (CAPagingResult, error) {
-	return engine.Execute(ctx, e, CAPagingSet(sc, seed))
-}
-
 // String renders the comparison.
 func (r CAPagingResult) String() string {
 	var b strings.Builder
@@ -643,11 +617,6 @@ func THPSet(sc Scale, seed int64) engine.Set[Result, THPResult] {
 	}
 }
 
-// RunTHPComparisonCtx runs the comparison through the given engine.
-func RunTHPComparisonCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (THPResult, error) {
-	return engine.Execute(ctx, e, THPSet(sc, seed))
-}
-
 // String renders the comparison.
 func (r THPResult) String() string {
 	var b strings.Builder
@@ -716,11 +685,6 @@ func FiveLevelSet(sc Scale, seed int64) engine.Set[Result, FiveLevelResult] {
 			return out, res.FailedErr()
 		},
 	}
-}
-
-// RunFiveLevelComparisonCtx runs the comparison through the given engine.
-func RunFiveLevelComparisonCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (FiveLevelResult, error) {
-	return engine.Execute(ctx, e, FiveLevelSet(sc, seed))
 }
 
 // String renders the comparison.
@@ -804,11 +768,6 @@ func LowPressureSet(sc Scale, seed int64) engine.Set[Result, LowPressureResult] 
 			return out, res.FailedErr()
 		},
 	}
-}
-
-// RunLowPressureCtx runs the study through the given engine.
-func RunLowPressureCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (LowPressureResult, error) {
-	return engine.Execute(ctx, e, LowPressureSet(sc, seed))
 }
 
 // String renders the study.

@@ -8,11 +8,9 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"ptemagnet/internal/cache"
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/metrics"
@@ -81,53 +79,25 @@ func (r MigrationRunResult) PostWalkCyclesPerAccess() float64 {
 	return float64(r.PostWalk.WalkCycles) / float64(r.PostAccesses)
 }
 
-// migrationSource assembles the source machine: the paper's colocation
-// (pagerank primary, stress-ng fragmenter) inside one guest.
-func migrationSource(s MigrationScenario) (*vm.Machine, error) {
-	return BuildMachine(Scenario{
-		Benchmark: "pagerank",
-		Corunners: []string{"stress-ng"},
-		Policy:    s.Policy,
-		Scale:     s.Scale,
-		Seed:      s.Seed,
-	})
-}
-
-// migrationDestination assembles the destination host: same sizing and
-// quantum as the source so the adopted guest's tasks interleave under the
-// same schedule, plus one default-policy pressure tenant that keeps the
-// host busy while the migrated guest finishes.
-func migrationDestination(s MigrationScenario) (*vm.Machine, error) {
-	hc := vm.HostConfig{
-		HostMemBytes: s.Scale.HostMemBytes,
-		// Quantum 2 matches BuildMachine: aggressive fault interleaving.
-		Quantum: 2,
+// spec declares the move: the paper's colocation (pagerank primary,
+// stress-ng fragmenter) in one guest, migrated onto a destination host of
+// the same sizing and quantum, so the adopted guest's tasks interleave
+// under the same schedule, beside one default-policy pressure tenant that
+// keeps the host busy while the migrated guest finishes.
+func (s MigrationScenario) spec() runSpec {
+	sp := Scenario{Benchmark: "pagerank", Corunners: []string{"stress-ng"}, Policy: s.Policy, Scale: s.Scale, Seed: s.Seed}.spec()
+	sp.identity, sp.fingerprint = s.Identity(), s.Fingerprint()
+	sp.migrateTo = &machineSpec{
+		memBytes: s.Scale.HostMemBytes,
+		scale:    s.Scale,
+		tenants: []tenant{{
+			// A seed far outside the source's per-corunner ladder.
+			cfg:       vm.GuestConfig{MemBytes: s.Scale.GuestMemBytes, Policy: guestos.PolicyDefault, Seed: s.Seed + 500},
+			corunners: []string{"stress-ng"},
+		}},
 	}
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(8)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
-		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
-		}
-		hc.Cache = cc
-	}
-	hc.Guests = []vm.GuestConfig{{
-		MemBytes: s.Scale.GuestMemBytes,
-		Policy:   guestos.PolicyDefault,
-		// A seed far outside the source's per-corunner ladder.
-		Seed: s.Seed + 500,
-	}}
-	m, err := vm.NewHost(hc)
-	if err != nil {
-		return nil, err
-	}
-	pressure := TenantSpec{Corunners: []string{"stress-ng"}}
-	if err := populateGuest(m.Guests()[0], pressure, s.Scale, s.Seed+500); err != nil {
-		return nil, err
-	}
-	return m, nil
+	sp.dirtyLogEntries = s.DirtyLogEntries
+	return sp
 }
 
 // guestFrag combines host-PT fragmentation over every process of a guest.
@@ -140,65 +110,19 @@ func guestFrag(g *vm.Guest) metrics.FragReport {
 	return frag
 }
 
-// RunMigrationScenarioCtx executes one migration scenario: run the source
-// to a quarter of its access budget, pre-copy-migrate the guest onto a
-// busy destination host, finish the run there, and measure what the move
-// cost (copy rounds, downtime) and what it preserved (fragmentation).
-// When the context carries an obs.Collector it emits one RunRecord with
-// the destination machine's counters plus the migrate.* counter group —
-// the same telemetry contract as RunCtx.
-func RunMigrationScenarioCtx(ctx context.Context, s MigrationScenario) (MigrationRunResult, error) {
-	stop := engine.StartTimer()
-	src, err := migrationSource(s)
-	if err != nil {
-		return MigrationRunResult{}, err
+// result reduces a finished migration run: what the move cost (copy
+// rounds, downtime) and what it preserved (fragmentation).
+func (s MigrationScenario) result(o outcome) MigrationRunResult {
+	final := o.guest.Snapshot()
+	return MigrationRunResult{
+		Scenario:     s,
+		Migration:    o.migration,
+		FragBefore:   o.fragBefore,
+		FragAfter:    guestFrag(o.guest),
+		PostWalk:     final.Walker.Delta(o.adopted.Walker),
+		PostAccesses: final.Accesses - o.adopted.Accesses,
+		Report:       o.report,
 	}
-	dst, err := migrationDestination(s)
-	if err != nil {
-		return MigrationRunResult{}, err
-	}
-	pauseAt := s.Scale.Accesses / 4
-	if err := src.RunWith(ctx, vm.WithStopAtAccesses(pauseAt)); err != nil {
-		return MigrationRunResult{}, err
-	}
-	if src.PendingPrimaries() == 0 {
-		return MigrationRunResult{}, fmt.Errorf("sim: source finished before the migration point (accesses %d)", pauseAt)
-	}
-	g := src.Guests()[0]
-	res := MigrationRunResult{Scenario: s, FragBefore: guestFrag(g)}
-	rep, err := migrate.MigrateCtx(ctx, g, dst, migrate.Options{
-		RoundAccesses:   s.Scale.Accesses / 16,
-		DirtyLogEntries: s.DirtyLogEntries,
-	})
-	if err != nil {
-		return MigrationRunResult{}, err
-	}
-	res.Migration = rep
-	adopted := g.Snapshot()
-	if err := dst.RunWith(ctx); err != nil {
-		return MigrationRunResult{}, err
-	}
-	final := g.Snapshot()
-	res.PostWalk = final.Walker.Delta(adopted.Walker)
-	res.PostAccesses = final.Accesses - adopted.Accesses
-	res.FragAfter = guestFrag(g)
-	res.Report = dst.Observe()
-	if c := obs.CollectorFrom(ctx); c != nil {
-		reg := dst.Registry()
-		res.Migration.RegisterObs(reg, "migrate.")
-		rec := obs.RunRecord{
-			Set:         "adhoc",
-			Scenario:    s.Identity(),
-			Fingerprint: s.Fingerprint(),
-			ElapsedMS:   stop().Milliseconds(),
-			Counters:    reg.Snapshot(),
-		}
-		if info, ok := engine.ScenarioInfoFrom(ctx); ok {
-			rec.Set, rec.Scenario = info.Set, info.Scenario
-		}
-		c.Add(rec)
-	}
-	return res, nil
 }
 
 // migrationJobNames is the sweep's declared job order: the default
@@ -228,9 +152,7 @@ func MigrationSet(sc Scale, seed int64) engine.Set[MigrationRunResult, Migration
 	var jobs []engine.Scenario[MigrationRunResult]
 	for _, name := range migrationJobNames {
 		s := migrationJobScenario(name, sc, seed)
-		jobs = append(jobs, engine.Scenario[MigrationRunResult]{Name: name, Run: func(ctx context.Context) (MigrationRunResult, error) {
-			return RunMigrationScenarioCtx(ctx, s)
-		}})
+		jobs = append(jobs, job(name, s.spec(), s.result))
 	}
 	return engine.Set[MigrationRunResult, MigrationResult]{
 		Name:      "migration",
@@ -248,11 +170,6 @@ func MigrationSet(sc Scale, seed int64) engine.Set[MigrationRunResult, Migration
 			return out, nil
 		},
 	}
-}
-
-// RunMigrationCtx runs the migration sweep through the given engine.
-func RunMigrationCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (MigrationResult, error) {
-	return engine.Execute(ctx, e, MigrationSet(sc, seed))
 }
 
 // String renders the sweep as one table.

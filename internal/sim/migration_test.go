@@ -1,13 +1,11 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
-	"ptemagnet/internal/obs"
 )
 
 // migrationTestScale keeps the three-scenario sweep fast: each scenario
@@ -31,7 +29,7 @@ func migrationTestScale() Scale {
 // stays packed), and the undersized dirty log forces rescans without
 // changing the outcome.
 func TestMigrationSweep(t *testing.T) {
-	res, err := RunMigrationCtx(context.Background(), nil, migrationTestScale(), testSeed)
+	res, err := engine.Execute(context.Background(), nil, MigrationSet(migrationTestScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,47 +81,5 @@ func TestMigrationSweep(t *testing.T) {
 	}
 	if res.String() == "" {
 		t.Error("empty rendering")
-	}
-}
-
-// TestMigrationRecordsDeterministic extends the telemetry determinism
-// contract to the migration sweep: identical JSONL for 1 and 4 workers
-// once elapsed_ms is zeroed, with the migrate.* counter group present.
-func TestMigrationRecordsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run determinism check")
-	}
-	collect := func(workers int) []obs.RunRecord {
-		c := &obs.Collector{}
-		ctx := obs.WithCollector(context.Background(), c)
-		if _, err := engine.Execute(ctx, engine.New(workers), MigrationSet(migrationTestScale(), testSeed)); err != nil {
-			t.Fatal(err)
-		}
-		recs := c.Records()
-		for i := range recs {
-			recs[i].ElapsedMS = 0
-		}
-		return recs
-	}
-	serial := collect(1)
-	parallel := collect(4)
-	if len(serial) != len(migrationJobNames) {
-		t.Fatalf("collected %d records, want %d", len(serial), len(migrationJobNames))
-	}
-	for _, rec := range serial {
-		if v, ok := rec.Counters.Get("migrate.pages_copied"); !ok || v == 0 {
-			t.Errorf("%s: migrate.pages_copied = %d, %v", rec.Scenario, v, ok)
-		}
-	}
-	var a, b bytes.Buffer
-	if err := obs.WriteJSONL(&a, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteJSONL(&b, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("migration RunRecord JSONL differs between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s",
-			a.String(), b.String())
 	}
 }

@@ -7,11 +7,9 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"ptemagnet/internal/cache"
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/metrics"
@@ -82,70 +80,34 @@ type MultiResult struct {
 	PrimaryFragMean float64
 }
 
-// BuildMultiMachine assembles the shared host and every tenant's guest
-// stack and tasks without running — for callers that need to inspect or
-// trace before Run.
-func BuildMultiMachine(s MultiScenario) (*vm.Machine, error) {
-	if len(s.Tenants) == 0 {
-		return nil, fmt.Errorf("sim: multi-tenant scenario needs at least one tenant")
-	}
-	hc := vm.HostConfig{
-		HostMemBytes: s.Scale.HostMemBytes,
-		// Quantum 2 matches BuildMachine: aggressive fault interleaving.
-		Quantum: 2,
-	}
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(8)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
-		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
-		}
-		hc.Cache = cc
+// spec declares the shared host with every tenant's guest (per-guest
+// kernel seeds derived from the scenario seed, mirroring the per-corunner
+// seed ladder) and, with Churn, the boot/kill schedule.
+func (s MultiScenario) spec() runSpec {
+	sp := runSpec{
+		identity:    s.Identity(),
+		fingerprint: s.Fingerprint(),
+		machine:     machineSpec{memBytes: s.Scale.HostMemBytes, scale: s.Scale},
+		sampleEvery: s.SampleEvery,
 	}
 	for i, t := range s.Tenants {
-		hc.Guests = append(hc.Guests, vm.GuestConfig{
-			MemBytes: s.Scale.GuestMemBytes,
-			Policy:   t.Policy,
-			// Distinct per-guest kernel seeds derived from the scenario
-			// seed, mirroring the per-corunner seed ladder.
-			Seed: s.Seed + int64(i)*10,
+		sp.machine.tenants = append(sp.machine.tenants, tenant{
+			cfg:       vm.GuestConfig{MemBytes: s.Scale.GuestMemBytes, Policy: t.Policy, Seed: s.Seed + int64(i)*10},
+			primary:   t.Primary,
+			corunners: t.Corunners,
 		})
 	}
-	m, err := vm.NewHost(hc)
-	if err != nil {
-		return nil, err
+	if s.Churn {
+		sp.events = churnEvents(s)
 	}
-	for i, t := range s.Tenants {
-		if err := populateGuest(m.Guests()[i], t, s.Scale, s.Seed+int64(i)*10); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return sp
 }
 
-// populateGuest adds one tenant's tasks to its guest.
-func populateGuest(g *vm.Guest, t TenantSpec, sc Scale, seed int64) error {
-	if t.Primary != "" {
-		prog, err := NewBenchmark(t.Primary, sc, seed)
-		if err != nil {
-			return err
-		}
-		if _, err := g.AddTask(prog, vm.RolePrimary); err != nil {
-			return err
-		}
-	}
-	for i, name := range t.Corunners {
-		co, err := NewCorunner(name, sc, seed+int64(i)+100)
-		if err != nil {
-			return err
-		}
-		if _, err := g.AddTask(co, vm.RoleCorunner); err != nil {
-			return err
-		}
-	}
-	return nil
+// result reduces a finished run to the cross-VM measurements.
+func (s MultiScenario) result(o outcome) MultiResult {
+	res := MultiResult{Scenario: s, Report: o.report}
+	res.PrimarySteadyCycles, res.PrimaryFragMean = primaryTotals(o.report)
+	return res
 }
 
 // churnEvents builds the deterministic boot/kill schedule: boot a
@@ -158,18 +120,18 @@ func churnEvents(s MultiScenario) []vm.RunEvent {
 			victim = i
 		}
 	}
+	boot := tenant{
+		cfg:       vm.GuestConfig{MemBytes: s.Scale.GuestMemBytes, Policy: guestos.PolicyDefault, Seed: s.Seed + 9000},
+		corunners: []string{"stress-ng"},
+	}
 	events := []vm.RunEvent{{
 		AtAccesses: s.Scale.Accesses / 4,
 		Do: func(m *vm.Machine) error {
-			g, err := m.AddGuest(vm.GuestConfig{
-				MemBytes: s.Scale.GuestMemBytes,
-				Policy:   guestos.PolicyDefault,
-				Seed:     s.Seed + 9000,
-			})
+			g, err := m.AddGuest(boot.cfg)
 			if err != nil {
 				return err
 			}
-			return populateGuest(g, TenantSpec{Corunners: []string{"stress-ng"}}, s.Scale, s.Seed+9000)
+			return boot.populate(g, s.Scale)
 		},
 	}}
 	if victim >= 0 {
@@ -182,55 +144,6 @@ func churnEvents(s MultiScenario) []vm.RunEvent {
 		})
 	}
 	return events
-}
-
-// RunMultiCtx executes one multi-tenant scenario under a cancellable
-// context, emitting one RunRecord (with per-guest vm<i>.* counters) when
-// the context carries an obs.Collector — the same telemetry contract as
-// RunCtx.
-func RunMultiCtx(ctx context.Context, s MultiScenario) (MultiResult, error) {
-	stop := engine.StartTimer()
-	m, err := BuildMultiMachine(s)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	sampleEvery := s.SampleEvery
-	if sampleEvery == 0 {
-		sampleEvery = s.Scale.Accesses / 64
-		if sampleEvery == 0 {
-			sampleEvery = 1024
-		}
-	}
-	opts := []vm.RunOpt{vm.WithSampleEvery(sampleEvery)}
-	if s.Churn {
-		opts = append(opts, vm.WithEvents(churnEvents(s)...))
-	}
-	if err := m.RunWith(ctx, opts...); err != nil {
-		return MultiResult{}, err
-	}
-	report := m.Observe()
-	res := MultiResult{Scenario: s, Report: report}
-	for _, tr := range report.Tasks {
-		res.PrimarySteadyCycles += tr.SteadyCycles
-		res.PrimaryFragMean += tr.Frag.Mean
-	}
-	if len(report.Tasks) > 0 {
-		res.PrimaryFragMean /= float64(len(report.Tasks))
-	}
-	if c := obs.CollectorFrom(ctx); c != nil {
-		rec := obs.RunRecord{
-			Set:         "adhoc",
-			Scenario:    s.Identity(),
-			Fingerprint: s.Fingerprint(),
-			ElapsedMS:   stop().Milliseconds(),
-			Counters:    m.Registry().Snapshot(),
-		}
-		if info, ok := engine.ScenarioInfoFrom(ctx); ok {
-			rec.Set, rec.Scenario = info.Set, info.Scenario
-		}
-		c.Add(rec)
-	}
-	return res, nil
 }
 
 // MultiTenantVMCounts are the VM packings the set sweeps, mirroring
@@ -299,26 +212,24 @@ func MultiTenantSet(sc Scale, seed int64, vmCounts []int) engine.Set[MultiResult
 	}
 	vmCounts = append([]int(nil), vmCounts...)
 	var jobs []engine.Scenario[MultiResult]
-	job := func(name string, s MultiScenario) engine.Scenario[MultiResult] {
-		return engine.Scenario[MultiResult]{Name: name, Run: func(ctx context.Context) (MultiResult, error) {
-			return RunMultiCtx(ctx, s)
-		}}
+	add := func(name string, s MultiScenario) {
+		jobs = append(jobs, job(name, s.spec(), s.result))
 	}
 	for _, n := range vmCounts {
 		for _, magnet := range []bool{false, true} {
-			jobs = append(jobs, job(multiTenantJobName(n, magnet), MultiScenario{
+			add(multiTenantJobName(n, magnet), MultiScenario{
 				Tenants: multiTenants(n, magnet),
 				Scale:   sc,
 				Seed:    seed,
-			}))
+			})
 		}
 	}
-	jobs = append(jobs, job("churn", MultiScenario{
+	add("churn", MultiScenario{
 		Tenants: multiTenants(3, true),
 		Churn:   true,
 		Scale:   sc,
 		Seed:    seed,
-	}))
+	})
 	return engine.Set[MultiResult, MultiTenantResult]{
 		Name:      "multitenant",
 		Scenarios: jobs,
@@ -343,11 +254,6 @@ func MultiTenantSet(sc Scale, seed int64, vmCounts []int) engine.Set[MultiResult
 			return out, nil
 		},
 	}
-}
-
-// RunMultiTenantCtx runs the multi-tenant sweep through the given engine.
-func RunMultiTenantCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64, vmCounts []int) (MultiTenantResult, error) {
-	return engine.Execute(ctx, e, MultiTenantSet(sc, seed, vmCounts))
 }
 
 // String renders the sweep as one table plus the churn summary.

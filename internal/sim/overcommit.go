@@ -10,13 +10,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/balloon"
-	"ptemagnet/internal/cache"
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/metrics"
@@ -36,7 +34,7 @@ type OvercommitScenario struct {
 	// NumVMs is the tenant count (even slots primaries, odd pressure).
 	NumVMs int
 	// Scale sizes the workloads; guest and host memory are derived from
-	// it per role (see overcommitTenants), not taken verbatim.
+	// it per role (see spec), not taken verbatim.
 	Scale Scale
 	Seed  int64
 	// SampleEvery forwards to the §6.2 gauge (0 = a sensible default).
@@ -50,23 +48,7 @@ func (s OvercommitScenario) Fingerprint() string {
 
 // Identity returns a human-readable label.
 func (s OvercommitScenario) Identity() string {
-	return fmt.Sprintf("oc%d/%s", s.RatioPct, policyLabel(s.Policy))
-}
-
-func policyLabel(p guestos.AllocPolicy) string {
-	if p == guestos.PolicyPTEMagnet {
-		return "ptemagnet"
-	}
-	return "default"
-}
-
-// overcommitTenant pairs a tenant spec with its role-derived guest size:
-// primaries get 1.5× their dataset, pressure guests 1.5× their co-runner
-// footprint, so the declared total tracks what the workloads actually
-// touch rather than one uniform oversized figure.
-type overcommitTenant struct {
-	spec     TenantSpec
-	memBytes uint64
+	return fmt.Sprintf("oc%d/%s", s.RatioPct, s.Policy)
 }
 
 // pageAlign rounds n up to a whole number of pages.
@@ -74,33 +56,25 @@ func pageAlign(n uint64) uint64 {
 	return (n + arch.PageSize - 1) / arch.PageSize * arch.PageSize
 }
 
-// overcommitTenants builds the tenant list and per-role sizing.
-func overcommitTenants(s OvercommitScenario) []overcommitTenant {
-	tenants := make([]overcommitTenant, 0, s.NumVMs)
-	for i := 0; i < s.NumVMs; i++ {
-		if i%2 == 0 {
-			tenants = append(tenants, overcommitTenant{
-				spec:     TenantSpec{Policy: s.Policy, Primary: "pagerank"},
-				memBytes: pageAlign(s.Scale.DatasetBytes * 3 / 2),
-			})
-		} else {
-			tenants = append(tenants, overcommitTenant{
-				spec:     TenantSpec{Policy: guestos.PolicyDefault, Corunners: []string{"objdet"}},
-				memBytes: pageAlign(s.Scale.CorunnerFootprint * 3 / 2),
-			})
-		}
-	}
-	return tenants
-}
-
-// overcommitHostBytes derives the host size that puts the combined guest
-// memory at RatioPct percent of it.
-func overcommitHostBytes(tenants []overcommitTenant, ratioPct int) uint64 {
+// spec declares the oversubscribed host, balloon controller armed, with
+// role-derived guest sizes: primaries get 1.5× their dataset, pressure
+// guests 1.5× their co-runner footprint, so the declared total tracks
+// what the workloads actually touch rather than one uniform oversized
+// figure. The host is sized to put that total at RatioPct percent of it.
+func (s OvercommitScenario) spec() runSpec {
+	ms := machineSpec{scale: s.Scale, balloon: true}
 	var combined uint64
-	for _, t := range tenants {
-		combined += t.memBytes
+	for i := 0; i < s.NumVMs; i++ {
+		t := tenant{cfg: vm.GuestConfig{MemBytes: pageAlign(s.Scale.DatasetBytes * 3 / 2), Policy: s.Policy}, primary: "pagerank"}
+		if i%2 == 1 {
+			t = tenant{cfg: vm.GuestConfig{MemBytes: pageAlign(s.Scale.CorunnerFootprint * 3 / 2), Policy: guestos.PolicyDefault}, corunners: []string{"objdet"}}
+		}
+		t.cfg.Seed = s.Seed + int64(i)*10
+		ms.tenants = append(ms.tenants, t)
+		combined += t.cfg.MemBytes
 	}
-	return pageAlign(combined * 100 / uint64(ratioPct))
+	ms.memBytes = pageAlign(combined * 100 / uint64(s.RatioPct))
+	return runSpec{identity: s.Identity(), fingerprint: s.Fingerprint(), machine: ms, sampleEvery: s.SampleEvery}
 }
 
 // BuildOvercommitMachine assembles the oversubscribed host — balloon
@@ -112,40 +86,7 @@ func BuildOvercommitMachine(s OvercommitScenario) (*vm.Machine, error) {
 	if s.RatioPct < 100 {
 		return nil, fmt.Errorf("sim: overcommit ratio %d%% is not overcommitted", s.RatioPct)
 	}
-	tenants := overcommitTenants(s)
-	hc := vm.HostConfig{
-		HostMemBytes: overcommitHostBytes(tenants, s.RatioPct),
-		// Quantum 2 matches BuildMachine: aggressive fault interleaving.
-		Quantum: 2,
-		Balloon: balloon.Config{Enabled: true},
-	}
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(8)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
-		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
-		}
-		hc.Cache = cc
-	}
-	for i, t := range tenants {
-		hc.Guests = append(hc.Guests, vm.GuestConfig{
-			MemBytes: t.memBytes,
-			Policy:   t.spec.Policy,
-			Seed:     s.Seed + int64(i)*10,
-		})
-	}
-	m, err := vm.NewHost(hc)
-	if err != nil {
-		return nil, err
-	}
-	for i, t := range tenants {
-		if err := populateGuest(m.Guests()[i], t.spec, s.Scale, s.Seed+int64(i)*10); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return s.spec().machine.build()
 }
 
 // OvercommitRunResult is one overcommit job's outcome. A Failed row
@@ -175,58 +116,21 @@ type OvercommitResult struct {
 	Rows   []OvercommitRunResult
 }
 
-// RunOvercommitScenarioCtx executes one overcommit job, emitting one
-// RunRecord (balloon.* counters included) when the context carries a
-// collector — the same telemetry contract as RunMultiCtx.
-func RunOvercommitScenarioCtx(ctx context.Context, s OvercommitScenario) (OvercommitRunResult, error) {
-	stop := engine.StartTimer()
-	m, err := BuildOvercommitMachine(s)
-	if err != nil {
-		return OvercommitRunResult{}, err
-	}
-	sampleEvery := s.SampleEvery
-	if sampleEvery == 0 {
-		sampleEvery = s.Scale.Accesses / 64
-		if sampleEvery == 0 {
-			sampleEvery = 1024
-		}
-	}
-	if err := m.RunWith(ctx, vm.WithSampleEvery(sampleEvery)); err != nil {
-		return OvercommitRunResult{}, err
-	}
-	report := m.Observe()
+// result reduces a finished run to the job's row.
+func (s OvercommitScenario) result(o outcome) OvercommitRunResult {
 	res := OvercommitRunResult{
 		Name:         s.Identity(),
 		RatioPct:     s.RatioPct,
-		Policy:       policyLabel(s.Policy),
-		HostMemBytes: overcommitHostBytes(overcommitTenants(s), s.RatioPct),
-		HostFragMean: report.HostFrag.Mean,
-		Balloon:      m.Balloon().Snapshot(),
+		Policy:       s.Policy.String(),
+		HostMemBytes: o.m.HostConfig().HostMemBytes,
+		HostFragMean: o.report.HostFrag.Mean,
+		Balloon:      o.m.Balloon().Snapshot(),
 	}
-	for _, t := range overcommitTenants(s) {
-		res.CombinedGuestBytes += t.memBytes
+	for _, g := range o.m.Guests() {
+		res.CombinedGuestBytes += g.Config().MemBytes
 	}
-	for _, tr := range report.Tasks {
-		res.PrimarySteadyCycles += tr.SteadyCycles
-		res.PrimaryFragMean += tr.Frag.Mean
-	}
-	if len(report.Tasks) > 0 {
-		res.PrimaryFragMean /= float64(len(report.Tasks))
-	}
-	if c := obs.CollectorFrom(ctx); c != nil {
-		rec := obs.RunRecord{
-			Set:         "adhoc",
-			Scenario:    s.Identity(),
-			Fingerprint: s.Fingerprint(),
-			ElapsedMS:   stop().Milliseconds(),
-			Counters:    m.Registry().Snapshot(),
-		}
-		if info, ok := engine.ScenarioInfoFrom(ctx); ok {
-			rec.Set, rec.Scenario = info.Set, info.Scenario
-		}
-		c.Add(rec)
-	}
-	return res, nil
+	res.PrimarySteadyCycles, res.PrimaryFragMean = primaryTotals(o.report)
+	return res
 }
 
 // OvercommitRatios are the oversubscription levels the set sweeps.
@@ -241,11 +145,8 @@ const overcommitNumVMs = 4
 // failed jobs become failed rows, completed rows stand, and the errors
 // ride alongside via Results.FailedErr.
 func OvercommitSet(sc Scale, seed int64) engine.Set[OvercommitRunResult, OvercommitResult] {
-	type ocJob struct {
-		name string
-		s    OvercommitScenario
-	}
-	var jobs []ocJob
+	var jobs []OvercommitScenario
+	var scenarios []engine.Scenario[OvercommitRunResult]
 	for _, ratio := range OvercommitRatios {
 		for _, policy := range []guestos.AllocPolicy{guestos.PolicyDefault, guestos.PolicyPTEMagnet} {
 			s := OvercommitScenario{
@@ -253,47 +154,32 @@ func OvercommitSet(sc Scale, seed int64) engine.Set[OvercommitRunResult, Overcom
 				RatioPct: ratio,
 				NumVMs:   overcommitNumVMs,
 				Scale:    sc,
-				Seed:     engine.DeriveSeed(seed, "overcommit/"+fmt.Sprintf("oc%d/%s", ratio, policyLabel(policy))),
+				Seed:     engine.DeriveSeed(seed, fmt.Sprintf("overcommit/oc%d/%s", ratio, policy)),
 			}
-			jobs = append(jobs, ocJob{name: s.Identity(), s: s})
+			jobs = append(jobs, s)
+			scenarios = append(scenarios, job(s.Identity(), s.spec(), s.result))
 		}
-	}
-	var scenarios []engine.Scenario[OvercommitRunResult]
-	for _, j := range jobs {
-		j := j
-		scenarios = append(scenarios, engine.Scenario[OvercommitRunResult]{
-			Name: j.name,
-			Run: func(ctx context.Context) (OvercommitRunResult, error) {
-				return RunOvercommitScenarioCtx(ctx, j.s)
-			},
-		})
 	}
 	return engine.Set[OvercommitRunResult, OvercommitResult]{
 		Name:      "overcommit",
 		Scenarios: scenarios,
 		Reduce: func(res engine.Results[OvercommitRunResult]) (OvercommitResult, error) {
 			out := OvercommitResult{NumVMs: overcommitNumVMs}
-			for _, j := range jobs {
-				if row, ok := res.Get(j.name); ok {
+			for _, s := range jobs {
+				if row, ok := res.Get(s.Identity()); ok {
 					out.Rows = append(out.Rows, row)
 					continue
 				}
 				out.Rows = append(out.Rows, OvercommitRunResult{
-					Name:     j.name,
-					RatioPct: j.s.RatioPct,
-					Policy:   policyLabel(j.s.Policy),
+					Name:     s.Identity(),
+					RatioPct: s.RatioPct,
+					Policy:   s.Policy.String(),
 					Failed:   true,
 				})
 			}
 			return out, res.FailedErr()
 		},
 	}
-}
-
-// RunOvercommitCtx runs the overcommit sweep through the given engine.
-// Even on error the result carries every completed row.
-func RunOvercommitCtx(ctx context.Context, e *engine.Engine, sc Scale, seed int64) (OvercommitResult, error) {
-	return engine.Execute(ctx, e, OvercommitSet(sc, seed))
 }
 
 // row pairs for the def→mag comparison in String.

@@ -1,77 +1,13 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"ptemagnet/internal/engine"
-	"ptemagnet/internal/obs"
 )
-
-// collectOvercommit runs the overcommit sweep through an engine with the
-// given worker count, returning the reduced result and the collected
-// RunRecords with timing zeroed.
-func collectOvercommit(t *testing.T, workers int) (OvercommitResult, []obs.RunRecord) {
-	t.Helper()
-	c := &obs.Collector{}
-	ctx := obs.WithCollector(context.Background(), c)
-	res, err := engine.Execute(ctx, engine.New(workers), OvercommitSet(QuickScale(), testSeed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := c.Records()
-	for i := range recs {
-		recs[i].ElapsedMS = 0
-	}
-	return res, recs
-}
-
-// TestOvercommitTelemetryDeterministicAcrossWorkerCounts extends the
-// determinism contract to the overcommitted host: balloon decisions are
-// keyed to event counts, so both the rendered table and the RunRecord
-// JSONL — balloon.* counters included — must be byte-identical for 1 and
-// 4 workers.
-func TestOvercommitTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run determinism check")
-	}
-	serialRes, serial := collectOvercommit(t, 1)
-	parallelRes, parallel := collectOvercommit(t, 4)
-
-	if serialRes.String() != parallelRes.String() {
-		t.Errorf("rendered sweep differs between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s",
-			serialRes.String(), parallelRes.String())
-	}
-	var a, b bytes.Buffer
-	if err := obs.WriteJSONL(&a, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteJSONL(&b, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("overcommit RunRecord JSONL differs between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s",
-			a.String(), b.String())
-	}
-
-	// Every record must carry the balloon counter group, and the sweep as
-	// a whole must show real balloon work (the higher ratios cannot fit
-	// without it).
-	var unbacked uint64
-	for _, rec := range serial {
-		n, ok := rec.Counters.Get("balloon.unbacked_frames")
-		if !ok {
-			t.Fatalf("record %s/%s missing balloon.unbacked_frames", rec.Set, rec.Scenario)
-		}
-		unbacked += n
-	}
-	if unbacked == 0 {
-		t.Error("no record shows any unbacked frame — the sweep never ballooned")
-	}
-}
 
 // TestOvercommitCompletesWithoutOOM pins the acceptance bar: every
 // configuration up to 2× completes with zero surfaced OOMError, the
@@ -79,7 +15,7 @@ func TestOvercommitTelemetryDeterministicAcrossWorkerCounts(t *testing.T) {
 // fragmentation no worse than the default allocator's under the same
 // pressure.
 func TestOvercommitCompletesWithoutOOM(t *testing.T) {
-	res, err := RunOvercommitCtx(context.Background(), nil, QuickScale(), testSeed)
+	res, err := engine.Execute(context.Background(), nil, OvercommitSet(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatalf("overcommitted sweep surfaced an error: %v", err)
 	}

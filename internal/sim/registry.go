@@ -1,10 +1,10 @@
 // The experiment registry: one table describing every runnable experiment
 // (name, display title, selector tags, paper notes) with a uniform
-// context-first entry point. cmd/experiments dispatches through it instead
-// of hard-coding one call site per experiment, and new experiments are
-// added by appending one entry here. The typed RunXxxCtx functions remain
-// the primary API for programmatic callers; the registry adapts them to a
-// common signature for name-driven dispatch.
+// context-first entry point, RunExperiment. cmd/experiments dispatches
+// through it instead of hard-coding one call site per experiment, and new
+// experiments are added by appending one entry here. Each entry binds the
+// experiment's engine set constructor; callers type-assert the returned
+// ExperimentResult to the experiment's typed result.
 package sim
 
 import (
@@ -38,18 +38,6 @@ type ExperimentInfo struct {
 	// sweeps (multitenant, migration, chaos, overcommit) are excluded so
 	// the default output stays stable.
 	InAll bool
-}
-
-// ExperimentOptions carries the optional knobs of RunExperimentOpts.
-//
-// Deprecated: use RunExperiment's functional options (WithEngine,
-// WithVMCounts) instead.
-type ExperimentOptions struct {
-	// Engine runs the experiment's scenarios (nil = default settings).
-	Engine *engine.Engine
-	// VMCounts narrows the multitenant sweep (nil = the full sweep);
-	// ignored by every other experiment.
-	VMCounts []int
 }
 
 // DefaultSeed is the seed RunExperiment uses when WithSeed is absent —
@@ -126,11 +114,12 @@ type experiment struct {
 	run  func(ctx context.Context, p runParams) (ExperimentResult, error)
 }
 
-// engineRun adapts the common RunXxxCtx shape to the registry signature.
-func engineRun[T ExperimentResult](f func(context.Context, *engine.Engine, Scale, int64) (T, error)) func(context.Context, runParams) (ExperimentResult, error) {
+// set binds an experiment's engine set constructor to the registry
+// signature: declare the set at the run's scale and seed, execute it
+// through the run's engine.
+func set[T any, R ExperimentResult](declare func(Scale, int64) engine.Set[T, R]) func(context.Context, runParams) (ExperimentResult, error) {
 	return func(ctx context.Context, p runParams) (ExperimentResult, error) {
-		r, err := f(ctx, p.eng, p.scale, p.seed)
-		return r, err
+		return engine.Execute(ctx, p.eng, declare(p.scale, p.seed))
 	}
 }
 
@@ -140,7 +129,7 @@ func engineRun[T ExperimentResult](f func(context.Context, *engine.Engine, Scale
 var experiments = []experiment{
 	{
 		info: ExperimentInfo{Name: "table1", Title: "Table 1 (§3.3)", InAll: true},
-		run:  engineRun(RunTable1Ctx),
+		run:  set(Table1Set),
 	},
 	{
 		info: ExperimentInfo{
@@ -153,7 +142,7 @@ var experiments = []experiment{
 			Tags:  []string{"fig5", "fig6"},
 			InAll: true,
 		},
-		run: engineRun(RunObjdetSuiteCtx),
+		run: set(ObjdetSuiteSet),
 	},
 	{
 		info: ExperimentInfo{
@@ -165,7 +154,7 @@ var experiments = []experiment{
 			Tags:  []string{"fig7"},
 			InAll: true,
 		},
-		run: engineRun(RunCombinationSuiteCtx),
+		run: set(CombinationSuiteSet),
 	},
 	{
 		info: ExperimentInfo{
@@ -174,23 +163,23 @@ var experiments = []experiment{
 			Tags:  []string{"fig6"},
 			InAll: true,
 		},
-		run: engineRun(RunLowPressureCtx),
+		run: set(LowPressureSet),
 	},
 	{
 		info: ExperimentInfo{Name: "table4", Title: "Table 4 (§6.3)", InAll: true},
-		run:  engineRun(RunTable4Ctx),
+		run:  set(Table4Set),
 	},
 	{
 		info: ExperimentInfo{Name: "sec62", Title: "Section 6.2 (reservation waste)", InAll: true},
-		run:  engineRun(RunSec62Ctx),
+		run:  set(Sec62Set),
 	},
 	{
 		info: ExperimentInfo{Name: "sec64", Title: "Section 6.4 (allocation latency)", InAll: true},
-		run:  engineRun(RunSec64Ctx),
+		run:  set(Sec64Set),
 	},
 	{
 		info: ExperimentInfo{Name: "granularity", Title: "Ablation: reservation granularity", Tags: []string{"ablation"}, InAll: true},
-		run:  engineRun(RunGranularityCtx),
+		run:  set(GranularitySet),
 	},
 	{
 		info: ExperimentInfo{Name: "locking", Title: "Ablation: PaRT locking", Tags: []string{"ablation"}, InAll: true},
@@ -202,19 +191,19 @@ var experiments = []experiment{
 	},
 	{
 		info: ExperimentInfo{Name: "reclaim", Title: "Ablation: reclaim watermark", Tags: []string{"ablation"}, InAll: true},
-		run:  engineRun(RunReclaimSweepCtx),
+		run:  set(ReclaimSweepSet),
 	},
 	{
 		info: ExperimentInfo{Name: "fivelevel", Title: "Extension: five-level paging", Tags: []string{"ablation"}, InAll: true},
-		run:  engineRun(RunFiveLevelComparisonCtx),
+		run:  set(FiveLevelSet),
 	},
 	{
 		info: ExperimentInfo{Name: "thp", Title: "Baseline: transparent huge pages vs PTEMagnet", Tags: []string{"ablation"}, InAll: true},
-		run:  engineRun(RunTHPComparisonCtx),
+		run:  set(THPSet),
 	},
 	{
 		info: ExperimentInfo{Name: "capaging", Title: "Baseline: CA paging vs PTEMagnet", Tags: []string{"ablation"}, InAll: true},
-		run:  engineRun(RunCAPagingComparisonCtx),
+		run:  set(CAPagingSet),
 	},
 	{
 		info: ExperimentInfo{Name: "threshold", Title: "Ablation: enable threshold", Tags: []string{"ablation"}, InAll: true},
@@ -226,27 +215,22 @@ var experiments = []experiment{
 	{
 		info: ExperimentInfo{Name: "multitenant", Title: "Multi-tenant host (N VMs, shared host)"},
 		run: func(ctx context.Context, p runParams) (ExperimentResult, error) {
-			r, err := RunMultiTenantCtx(ctx, p.eng, p.scale, p.seed, p.vmCounts)
-			return r, err
+			return engine.Execute(ctx, p.eng, MultiTenantSet(p.scale, p.seed, p.vmCounts))
 		},
 	},
 	{
 		info: ExperimentInfo{Name: "migration", Title: "Live migration (dirty-page log, pre-copy)"},
-		run: func(ctx context.Context, p runParams) (ExperimentResult, error) {
-			r, err := RunMigrationCtx(ctx, p.eng, p.scale, p.seed)
-			return r, err
-		},
+		run:  set(MigrationSet),
 	},
 	{
 		info: ExperimentInfo{Name: "chaos", Title: "Chaos: fault injection & recovery (default vs PTEMagnet)"},
 		run: func(ctx context.Context, p runParams) (ExperimentResult, error) {
-			r, err := RunChaosCtx(ctx, p.eng, p.scale, p.seed, p.faults, p.retry)
-			return r, err
+			return engine.Execute(ctx, p.eng, ChaosSet(p.scale, p.seed, p.faults, p.retry))
 		},
 	},
 	{
 		info: ExperimentInfo{Name: "overcommit", Title: "Overcommit: watermark ballooning (default vs PTEMagnet, 1.25×–2×)"},
-		run:  engineRun(RunOvercommitCtx),
+		run:  set(OvercommitSet),
 	},
 }
 
@@ -311,12 +295,4 @@ func RunExperiment(ctx context.Context, name string, opts ...RunOpt) (Experiment
 		}
 	}
 	return nil, fmt.Errorf("sim: unknown experiment %q", name)
-}
-
-// RunExperimentOpts is the pre-options positional entry point.
-//
-// Deprecated: use RunExperiment with WithEngine, WithVMCounts, WithScale
-// and WithSeed options.
-func RunExperimentOpts(ctx context.Context, name string, opts ExperimentOptions, sc Scale, seed int64) (ExperimentResult, error) {
-	return RunExperiment(ctx, name, WithEngine(opts.Engine), WithVMCounts(opts.VMCounts...), WithScale(sc), WithSeed(seed))
 }

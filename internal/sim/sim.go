@@ -12,9 +12,7 @@ import (
 	"sort"
 	"strings"
 
-	"ptemagnet/internal/cache"
 	"ptemagnet/internal/core"
-	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/metrics"
 	"ptemagnet/internal/nested"
@@ -209,121 +207,67 @@ type Result struct {
 
 // BuildMachine assembles the machine and tasks for a scenario without
 // running it — for callers that need to attach a tracer or inspect state
-// before Run.
+// before RunWith.
 func BuildMachine(s Scenario) (*vm.Machine, error) {
-	return buildMachine(s, nil)
+	return s.spec().machine.build()
 }
 
-// buildMachine is BuildMachine with a final configuration hook: mod, when
-// non-nil, edits the assembled vm.Config before the machine is built.
-// Internal callers use it for knobs deliberately kept out of Scenario
-// (whose %+v rendering is a frozen telemetry fingerprint).
-func buildMachine(s Scenario, mod func(*vm.Config)) (*vm.Machine, error) {
-	cfg := vm.DefaultConfig()
-	cfg.HostMemBytes = s.Scale.HostMemBytes
-	cfg.GuestMemBytes = s.Scale.GuestMemBytes
-	cfg.Policy = s.Policy
-	cfg.Magnet = s.Magnet
-	cfg.EnableThresholdBytes = s.EnableThresholdBytes
-	cfg.ReclaimWatermark = s.ReclaimWatermark
-	cfg.Seed = s.Seed
-	cfg.PTLevels = s.PTLevels
-	// Quantum 2: aggressive fault interleaving, approximating truly
-	// concurrent threads on separate cores (calibrated against Table 1).
-	cfg.Quantum = 2
-	if s.Scale.LLCBytes != 0 || s.Scale.L2Bytes != 0 {
-		cc := cache.DefaultConfig(cfg.NumCPUs)
-		if s.Scale.LLCBytes != 0 {
-			cc.LLC.SizeBytes = s.Scale.LLCBytes
-		}
-		if s.Scale.L2Bytes != 0 {
-			cc.L2.SizeBytes = s.Scale.L2Bytes
-		}
-		cfg.Cache = cc
+// spec declares the scenario's machine: one guest running the benchmark
+// beside its co-runners.
+func (s Scenario) spec() runSpec {
+	return runSpec{
+		identity:    s.Identity(),
+		fingerprint: s.Fingerprint(),
+		machine: machineSpec{
+			memBytes: s.Scale.HostMemBytes,
+			scale:    s.Scale,
+			ptLevels: s.PTLevels,
+			tenants: []tenant{{
+				cfg: vm.GuestConfig{
+					MemBytes:             s.Scale.GuestMemBytes,
+					Policy:               s.Policy,
+					Magnet:               s.Magnet,
+					EnableThresholdBytes: s.EnableThresholdBytes,
+					ReclaimWatermark:     s.ReclaimWatermark,
+					Seed:                 s.Seed,
+				},
+				primary:   s.Benchmark,
+				corunners: s.Corunners,
+			}},
+		},
+		sampleEvery:         s.SampleEvery,
+		stopCorunnersAtInit: s.StopCorunnersAtInit,
 	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	m, err := vm.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := NewBenchmark(s.Benchmark, s.Scale, s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.AddTask(prog, vm.RolePrimary); err != nil {
-		return nil, err
-	}
-	for i, name := range s.Corunners {
-		co, err := NewCorunner(name, s.Scale, s.Seed+int64(i)+100)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.AddTask(co, vm.RoleCorunner); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }
 
-// RunCtx executes one scenario under a cancellable context. Each call
-// builds its own machine, so concurrent RunCtx calls (the engine's
-// parallel runner) share no mutable state.
-//
-// When the context carries an obs.Collector (obs.WithCollector), RunCtx
-// emits one RunRecord per run: the scenario identity (from the engine's
-// ScenarioInfo when executing inside a set), the configuration
-// fingerprint, the wall-clock time measured through engine.StartTimer,
-// and the machine's full counter registry.
-func RunCtx(ctx context.Context, s Scenario) (Result, error) {
-	stop := engine.StartTimer()
-	m, err := BuildMachine(s)
-	if err != nil {
-		return Result{}, err
-	}
-	task := m.Tasks()[0]
-	sampleEvery := s.SampleEvery
-	if sampleEvery == 0 {
-		sampleEvery = s.Scale.Accesses / 64
-		if sampleEvery == 0 {
-			sampleEvery = 1024
-		}
-	}
-	if err := m.RunWith(ctx,
-		vm.WithStopCorunnersAtInit(s.StopCorunnersAtInit),
-		vm.WithSampleEvery(sampleEvery)); err != nil {
-		return Result{}, err
-	}
-	report := m.Observe()
+// result reduces a finished run to the scenario's measurements.
+func (s Scenario) result(o outcome) Result {
+	proc := o.m.Tasks()[0].Process()
 	res := Result{
 		Scenario:       s,
-		Report:         report,
-		Task:           report.Tasks[0],
-		Walk:           report.Steady.Walker,
-		Guest:          report.Whole.Guest,
-		UnusedMax:      m.UnusedSeries().Max(),
-		UnusedMean:     m.UnusedSeries().Mean(),
-		FootprintPages: task.Process().RSS(),
+		Report:         o.report,
+		Task:           o.report.Tasks[0],
+		Walk:           o.report.Steady.Walker,
+		Guest:          o.report.Whole.Guest,
+		UnusedMax:      o.m.UnusedSeries().Max(),
+		UnusedMean:     o.m.UnusedSeries().Mean(),
+		FootprintPages: proc.RSS(),
+		LargeMappings:  proc.PageTable().LargeMappings(),
 	}
-	if part := task.Process().Part(); part != nil {
+	if part := proc.Part(); part != nil {
 		res.MagnetStats = part.Snapshot()
 	}
-	res.LargeMappings = task.Process().PageTable().LargeMappings()
-	if c := obs.CollectorFrom(ctx); c != nil {
-		rec := obs.RunRecord{
-			Set:         "adhoc",
-			Scenario:    s.Identity(),
-			Fingerprint: s.Fingerprint(),
-			ElapsedMS:   stop().Milliseconds(),
-			Counters:    m.Registry().Snapshot(),
-		}
-		if info, ok := engine.ScenarioInfoFrom(ctx); ok {
-			rec.Set, rec.Scenario = info.Set, info.Scenario
-		}
-		c.Add(rec)
+	return res
+}
+
+// RunCtx executes one scenario under a cancellable context, emitting one
+// RunRecord when the context carries an obs.Collector (see run).
+func RunCtx(ctx context.Context, s Scenario) (Result, error) {
+	o, err := run(ctx, s.spec())
+	if err != nil {
+		return Result{}, err
 	}
-	return res, nil
+	return s.result(o), nil
 }
 
 // Speedup returns the percentage improvement of this result over base,

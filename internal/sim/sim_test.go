@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
 )
 
@@ -74,7 +75,7 @@ func TestRunPairPoliciesDiffer(t *testing.T) {
 }
 
 func TestTable1ShapeHolds(t *testing.T) {
-	r, err := RunTable1Ctx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, Table1Set(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestObjdetSuiteQuick(t *testing.T) {
 		t.Skip("suite run in full mode only")
 	}
 	// Two benchmarks are enough to validate the suite mechanics.
-	r, err := runSuite([]string{"pagerank", "xz"}, []string{"objdet"}, QuickScale(), testSeed, 1)
+	r, err := engine.Execute(context.Background(), nil, SuiteSet([]string{"pagerank", "xz"}, []string{"objdet"}, QuickScale(), testSeed, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestObjdetSuiteQuick(t *testing.T) {
 }
 
 func TestTable4ShapeHolds(t *testing.T) {
-	r, err := RunTable4Ctx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, Table4Set(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestSec62Quick(t *testing.T) {
 }
 
 func TestSec64Quick(t *testing.T) {
-	r, err := RunSec64Ctx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, Sec64Set(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestGranularityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep run in full mode only")
 	}
-	r, err := RunGranularityCtx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, GranularitySet(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestLockingAblation(t *testing.T) {
 }
 
 func TestReclaimSweepQuick(t *testing.T) {
-	r, err := RunReclaimSweepCtx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, ReclaimSweepSet(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestCAPagingComparisonQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison run in full mode only")
 	}
-	r, err := RunCAPagingComparisonCtx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, CAPagingSet(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestTHPComparisonQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison run in full mode only")
 	}
-	r, err := RunTHPComparisonCtx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, THPSet(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestFiveLevelComparisonQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison run in full mode only")
 	}
-	r, err := RunFiveLevelComparisonCtx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, FiveLevelSet(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,9 +408,9 @@ func TestObjdetSuiteSingleRepeatSmoke(t *testing.T) {
 		t.Skip("suite run in full mode only")
 	}
 	// Exercise the public suite entry points over a reduced benchmark
-	// list is not possible (they are fixed); a one-benchmark runSuite
+	// list is not possible (they are fixed); a one-benchmark SuiteSet
 	// with repeats=2 covers the averaging path instead.
-	r, err := runSuite([]string{"gcc"}, []string{"objdet"}, QuickScale(), testSeed, 2)
+	r, err := engine.Execute(context.Background(), nil, SuiteSet([]string{"gcc"}, []string{"objdet"}, QuickScale(), testSeed, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestRunSec62SmokeSubset(t *testing.T) {
 	saved := Benchmarks
 	Benchmarks = []string{"gcc"}
 	defer func() { Benchmarks = saved }()
-	r, err := RunSec62Ctx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, Sec62Set(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestLowPressureQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("study run in full mode only")
 	}
-	r, err := RunLowPressureCtx(context.Background(), nil, QuickScale(), testSeed)
+	r, err := engine.Execute(context.Background(), nil, LowPressureSet(QuickScale(), testSeed))
 	if err != nil {
 		t.Fatal(err)
 	}

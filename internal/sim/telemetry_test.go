@@ -28,10 +28,10 @@ func collectSuiteRecords(t *testing.T, workers int) []obs.RunRecord {
 }
 
 // TestRunRecordsDeterministicAcrossWorkerCounts is the telemetry arm of
-// the determinism contract: the JSONL emitted for a set must be
-// byte-identical whether its scenarios run serially or through a 4-worker
-// pool, once elapsed_ms (the one sanctioned nondeterministic field) is
-// excluded.
+// the determinism contract on a suite set built directly rather than
+// through the registry: the JSONL and CSV emitted must be byte-identical
+// whether its scenarios run serially or through a 4-worker pool, once
+// elapsed_ms (the one sanctioned nondeterministic field) is excluded.
 func TestRunRecordsDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism check")

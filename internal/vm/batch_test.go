@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -72,7 +73,7 @@ func buildColocated(t *testing.T, legacy bool) (*Machine, *streamTracer) {
 func TestBatchedRunMatchesAdapterRun(t *testing.T) {
 	run := func(legacy bool) ([]TaskReport, any, any, *streamTracer) {
 		m, tr := buildColocated(t, legacy)
-		if err := m.Run(RunOptions{SampleEvery: 64}); err != nil {
+		if err := m.RunWith(context.Background(), WithSampleEvery(64)); err != nil {
 			t.Fatal(err)
 		}
 		return m.Report(), m.Observe().Steady.Walker, m.Guest().Snapshot(), tr
@@ -113,7 +114,7 @@ func TestMaxAccessesBoundary(t *testing.T) {
 	}
 	// One solo task executes exactly Quantum accesses per round; a budget of
 	// exactly one round must already trip the guard.
-	if err := m.Run(RunOptions{MaxAccesses: 8}); err == nil {
+	if err := m.RunWith(context.Background(), WithMaxAccesses(8)); err == nil {
 		t.Fatal("budget of one round not enforced")
 	}
 	if m.totalAccesses != 8 {
@@ -198,7 +199,7 @@ func benchLoop(b *testing.B, legacy bool) {
 		b.StopTimer()
 		m := benchMachine(b, legacy)
 		b.StartTimer()
-		if err := m.Run(RunOptions{}); err != nil {
+		if err := m.RunWith(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		total += m.totalAccesses

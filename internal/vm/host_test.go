@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestHostConfigSingleGuestEquivalence(t *testing.T) {
 		if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 2 << 20, Seed: 7}), RoleCorunner); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(RunOptions{SampleEvery: 512}); err != nil {
+		if err := m.RunWith(context.Background(), WithSampleEvery(512)); err != nil {
 			t.Fatal(err)
 		}
 		return m, m.Observe()
@@ -86,7 +87,7 @@ func runTwoGuests(t *testing.T) *Machine {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -198,7 +199,7 @@ func TestGuestChurn(t *testing.T) {
 			return nil
 		}},
 	}
-	if err := m.Run(RunOptions{Events: events}); err != nil {
+	if err := m.RunWith(context.Background(), WithEvents(events...)); err != nil {
 		t.Fatal(err)
 	}
 	if bootSeen != 2 {
@@ -252,7 +253,7 @@ func TestGuestChurnDeterministic(t *testing.T) {
 			m.DestroyGuest(m.Guests()[1])
 			return nil
 		}}}
-		if err := m.Run(RunOptions{Events: events}); err != nil {
+		if err := m.RunWith(context.Background(), WithEvents(events...)); err != nil {
 			t.Fatal(err)
 		}
 		return m.Observe()

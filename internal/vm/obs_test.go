@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,7 +23,7 @@ func runSmallMachine(t *testing.T, policy guestos.AllocPolicy) *Machine {
 	if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 2 << 20, Seed: 8}), RoleCorunner); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -44,7 +45,7 @@ func TestCountersMonotonicWithinRun(t *testing.T) {
 	if _, err := m.AddTask(workload.NewPagerank(smallGraph(7)), RolePrimary); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := m.Registry().Snapshot()

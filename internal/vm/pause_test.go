@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -30,18 +31,15 @@ func buildPausable(t *testing.T) *Machine {
 // execute access-for-access what one uninterrupted run executes — including
 // the co-runner stop latch, which must not re-arm across a resume.
 func TestStopAtAccessesPauseResume(t *testing.T) {
-	opts := RunOptions{StopCorunnersAtPrimaryInit: true}
-
+	ctx := context.Background()
 	whole := buildPausable(t)
-	if err := whole.Run(opts); err != nil {
+	if err := whole.RunWith(ctx, WithStopCorunnersAtInit(true)); err != nil {
 		t.Fatal(err)
 	}
 
 	sliced := buildPausable(t)
 	for sliced.PendingPrimaries() > 0 {
-		o := opts
-		o.StopAtAccesses = sliced.TotalAccesses() + 1000
-		if err := sliced.Run(o); err != nil {
+		if err := sliced.RunWith(ctx, WithStopCorunnersAtInit(true), WithStopAtAccesses(sliced.TotalAccesses()+1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +57,7 @@ func TestStopAtAccessesPauseResume(t *testing.T) {
 // first round, so a migration round that requests no progress gets none.
 func TestStopAtAccessesAlreadyReached(t *testing.T) {
 	m := buildPausable(t)
-	if err := m.Run(RunOptions{StopAtAccesses: 500}); err != nil {
+	if err := m.RunWith(context.Background(), WithStopAtAccesses(500)); err != nil {
 		t.Fatal(err)
 	}
 	at := m.TotalAccesses()
@@ -69,7 +67,7 @@ func TestStopAtAccessesAlreadyReached(t *testing.T) {
 	if m.PendingPrimaries() == 0 {
 		t.Fatal("tiny paused run already finished; shrink the slice")
 	}
-	if err := m.Run(RunOptions{StopAtAccesses: at}); err != nil {
+	if err := m.RunWith(context.Background(), WithStopAtAccesses(at)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.TotalAccesses(); got != at {

@@ -539,7 +539,7 @@ type Machine struct {
 	balloon *balloon.Controller
 
 	// corunnersStopped latches StopCorunnersAtPrimaryInit across
-	// pause/resume boundaries (RunOptions.StopAtAccesses): once co-runners
+	// pause/resume boundaries (WithStopAtAccesses): once co-runners
 	// stop at the primary-init boundary they stay stopped for the machine's
 	// lifetime, so a paused-and-resumed run schedules exactly the quanta an
 	// uninterrupted run would.
@@ -744,7 +744,7 @@ func (m *Machine) Walker() *nested.Walker { return m.guests[0].walker }
 // UnusedSeries returns the sampled §6.2 gauge.
 func (m *Machine) UnusedSeries() *metrics.Series { return &m.unusedSeries }
 
-// SetTracer installs an event-stream recorder for subsequent Run calls
+// SetTracer installs an event-stream recorder for subsequent RunWith calls
 // (nil disables tracing).
 func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
@@ -838,37 +838,7 @@ func WithEvents(events ...RunEvent) RunOpt {
 	return func(c *runConfig) { c.events = append(c.events, events...) }
 }
 
-// RunOptions control a Run.
-//
-// Deprecated: use RunWith with the RunOpt options (WithStopCorunnersAtInit,
-// WithSampleEvery, WithMaxAccesses, WithStopAtAccesses, WithEvents).
-type RunOptions struct {
-	// StopCorunnersAtPrimaryInit kills co-runner tasks the moment every
-	// primary finishes initialization — the §3.3 Table 1 methodology
-	// (fragmentation is left behind; LLC contention is removed).
-	StopCorunnersAtPrimaryInit bool
-	// SampleEvery samples the unused-reserved-pages gauge (§6.2) every N
-	// total accesses. Zero disables sampling.
-	SampleEvery uint64
-	// MaxAccesses aborts a runaway run (safety net). Zero → no limit.
-	MaxAccesses uint64
-	// StopAtAccesses pauses the run once the machine-global access count
-	// reaches this value, checked between scheduler rounds like Events.
-	// The run returns nil with primaries unfinished; a later Run call
-	// resumes from the exact scheduler state, and the combined execution
-	// is access-for-access identical to one uninterrupted run. The live
-	// migration engine interleaves pre-copy rounds with guest execution
-	// through this. Zero disables pausing.
-	StopAtAccesses uint64
-	// Events fire between scheduler rounds, in slice order, once each,
-	// when the machine-global access count reaches AtAccesses — the hook
-	// VM-churn scenarios use to boot and kill guests mid-run. Because
-	// events are keyed to the deterministic access count and run on the
-	// scheduler goroutine, a churn run is as reproducible as a static one.
-	Events []RunEvent
-}
-
-// RunEvent is one scheduled mid-run action (see RunOptions.Events).
+// RunEvent is one scheduled mid-run action (see WithEvents).
 type RunEvent struct {
 	// AtAccesses is the machine-global access count at or after which the
 	// event fires (checked between rounds).
@@ -896,28 +866,7 @@ func (m *Machine) RunWith(ctx context.Context, opts ...RunOpt) error {
 	return m.runWith(ctx, cfg)
 }
 
-// Run interleaves all tasks until every primary finishes.
-//
-// Deprecated: use RunWith.
-func (m *Machine) Run(opts RunOptions) error {
-	return m.RunContext(context.Background(), opts)
-}
-
-// RunContext is Run with cancellation.
-//
-// Deprecated: use RunWith.
-func (m *Machine) RunContext(ctx context.Context, opts RunOptions) error {
-	return m.runWith(ctx, runConfig{
-		stopCorunnersAtPrimaryInit: opts.StopCorunnersAtPrimaryInit,
-		sampleEvery:                opts.SampleEvery,
-		maxAccesses:                opts.MaxAccesses,
-		stopAtAccesses:             opts.StopAtAccesses,
-		events:                     opts.Events,
-	})
-}
-
-// runWith is the scheduler loop behind RunWith and the deprecated
-// RunOptions entry points.
+// runWith is the scheduler loop behind RunWith.
 func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 	if countPrimaries(m.tasks) == 0 {
 		return fmt.Errorf("vm: no primary task")
@@ -1000,8 +949,7 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 func (m *Machine) TotalAccesses() uint64 { return m.totalAccesses }
 
 // PendingPrimaries returns how many primary tasks have not finished. A
-// paused run (RunOptions.StopAtAccesses) left work behind iff this is
-// nonzero.
+// paused run (WithStopAtAccesses) left work behind iff this is nonzero.
 func (m *Machine) PendingPrimaries() int { return len(m.pendingPrimaries()) }
 
 // HostConfig returns the machine's resolved host configuration.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"testing"
 
 	"ptemagnet/internal/arch"
@@ -34,7 +35,7 @@ func TestRunSoloBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if task.Accesses == 0 || task.Cycles == 0 {
@@ -67,7 +68,7 @@ func TestRunWithoutPrimaryFails(t *testing.T) {
 	if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 1 << 20}), RoleCorunner); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(RunOptions{}); err == nil {
+	if err := m.RunWith(context.Background()); err == nil {
 		t.Fatal("run without primary succeeded")
 	}
 }
@@ -76,7 +77,7 @@ func TestCorunnersStopWhenPrimaryFinishes(t *testing.T) {
 	m, _ := New(smallConfig(guestos.PolicyDefault))
 	prim, _ := m.AddTask(workload.NewGCC(workload.SpecConfig{FootprintBytes: 4 << 20, Accesses: 20_000, Seed: 1}), RolePrimary)
 	co, _ := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 1 << 20, Seed: 2}), RoleCorunner)
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !prim.done {
@@ -94,7 +95,7 @@ func TestStopCorunnersAtPrimaryInit(t *testing.T) {
 		m, _ := New(smallConfig(guestos.PolicyDefault))
 		p, _ := m.AddTask(workload.NewPagerank(smallGraph(3)), RolePrimary)
 		co, _ := m.AddTask(workload.NewStressNG(workload.CorunnerConfig{FootprintBytes: 4 << 20, Seed: 4}), RoleCorunner)
-		if err := m.Run(RunOptions{StopCorunnersAtPrimaryInit: stop}); err != nil {
+		if err := m.RunWith(context.Background(), WithStopCorunnersAtInit(stop)); err != nil {
 			t.Fatal(err)
 		}
 		return p.Accesses, co.Accesses
@@ -118,7 +119,7 @@ func TestMagnetEliminatesFragmentationUnderColocation(t *testing.T) {
 		if _, err := m.AddTask(workload.NewStressNG(workload.CorunnerConfig{FootprintBytes: 8 << 20, Seed: 6}), RoleCorunner); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(RunOptions{}); err != nil {
+		if err := m.RunWith(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return m.Report()[0].Frag.Mean
@@ -148,7 +149,7 @@ func TestMagnetImprovesColocatedPerformance(t *testing.T) {
 		if _, err := m.AddTask(workload.NewObjdet(workload.CorunnerConfig{FootprintBytes: 8 << 20, Seed: 8}), RoleCorunner); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(RunOptions{}); err != nil {
+		if err := m.RunWith(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return m.Report()[0].SteadyCycles
@@ -164,7 +165,7 @@ func TestUnusedGaugeSampling(t *testing.T) {
 	cfg := smallConfig(guestos.PolicyPTEMagnet)
 	m, _ := New(cfg)
 	m.AddTask(workload.NewSparse(4<<20), RolePrimary)
-	if err := m.Run(RunOptions{SampleEvery: 16}); err != nil {
+	if err := m.RunWith(context.Background(), WithSampleEvery(16)); err != nil {
 		t.Fatal(err)
 	}
 	series := m.UnusedSeries()
@@ -181,7 +182,7 @@ func TestUnusedGaugeSampling(t *testing.T) {
 func TestMaxAccessesGuard(t *testing.T) {
 	m, _ := New(smallConfig(guestos.PolicyDefault))
 	m.AddTask(workload.NewPagerank(smallGraph(9)), RolePrimary)
-	if err := m.Run(RunOptions{MaxAccesses: 100}); err == nil {
+	if err := m.RunWith(context.Background(), WithMaxAccesses(100)); err == nil {
 		t.Fatal("budget exceeded without error")
 	}
 }
@@ -189,7 +190,7 @@ func TestMaxAccessesGuard(t *testing.T) {
 func TestDataServedSumsToAccesses(t *testing.T) {
 	m, _ := New(smallConfig(guestos.PolicyDefault))
 	task, _ := m.AddTask(workload.NewXZ(workload.SpecConfig{FootprintBytes: 4 << 20, Accesses: 20_000, Seed: 1}), RolePrimary)
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var served uint64
@@ -232,7 +233,7 @@ func TestCostModelFaultCosts(t *testing.T) {
 func TestSteadyCacheHits(t *testing.T) {
 	m, _ := New(smallConfig(guestos.PolicyDefault))
 	m.AddTask(workload.NewGCC(workload.SpecConfig{FootprintBytes: 2 << 20, Accesses: 10_000, Seed: 3}), RolePrimary)
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	full := m.Snapshot().Cache.Hits
@@ -264,7 +265,7 @@ func TestTracerReceivesEveryAccess(t *testing.T) {
 	task, _ := m.AddTask(workload.NewGCC(workload.SpecConfig{FootprintBytes: 2 << 20, Accesses: 5000, Seed: 2}), RolePrimary)
 	rec := &recordingTracer{}
 	m.SetTracer(PerAccess(rec))
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if uint64(rec.accesses) != task.Accesses {
@@ -286,7 +287,7 @@ func TestTracerReceivesEveryAccess(t *testing.T) {
 func TestTHPThroughMachine(t *testing.T) {
 	m, _ := New(smallConfig(guestos.PolicyTHP))
 	task, _ := m.AddTask(workload.NewPagerank(smallGraph(4)), RolePrimary)
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if task.Process().PageTable().LargeMappings() == 0 {
@@ -303,7 +304,7 @@ func TestTHPThroughMachine(t *testing.T) {
 func TestCAPagingThroughMachine(t *testing.T) {
 	m, _ := New(smallConfig(guestos.PolicyCAPaging))
 	m.AddTask(workload.NewPagerank(smallGraph(4)), RolePrimary)
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if m.Guest().Snapshot().Faults[guestos.FaultCAHit] == 0 {
@@ -319,7 +320,7 @@ func TestFiveLevelThroughMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	task, _ := m.AddTask(workload.NewGCC(workload.SpecConfig{FootprintBytes: 2 << 20, Accesses: 10_000, Seed: 6}), RolePrimary)
-	if err := m.Run(RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if task.Process().PageTable().Levels() != 5 {

@@ -24,8 +24,8 @@
 //     structure, usable against any frame allocator.
 //   - NewMachine assembles the full simulated platform (host + VM + guest
 //     kernel + caches + nested walker) for custom experiments.
-//   - RunScenario / the Run* experiment functions reproduce the paper's
-//     tables and figures (see EXPERIMENTS.md).
+//   - RunExperiment reproduces the paper's tables and figures by name
+//     (see EXPERIMENTS.md); RunScenarioCtx runs one scenario.
 //
 // See examples/ for runnable programs and DESIGN.md for the system
 // inventory.
@@ -159,10 +159,6 @@ type (
 	Machine = vm.Machine
 	// MachineConfig sizes the platform.
 	MachineConfig = vm.Config
-	// RunOptions controls a Machine.Run.
-	//
-	// Deprecated: use Machine.RunWith with MachineRunOpt options.
-	RunOptions = vm.RunOptions
 	// MachineRunOpt configures a Machine.RunWith (functional options:
 	// WithEvents, WithSampleEvery, WithStopAtAccesses, WithMaxAccesses,
 	// WithStopCorunnersAtInit).
@@ -312,7 +308,7 @@ type (
 // API shape — Snapshot() T to read its counters, T.Delta(prev T) for
 // windowed measurement — and Report aggregates them all: walker + cache +
 // TLB + guest kernel + both buddy allocators + per-task fragmentation.
-// Run*Ctx entry points return it in ScenarioResult.Report; Machine.Observe
+// RunScenarioCtx returns it in ScenarioResult.Report; Machine.Observe
 // produces one for custom experiments. The scattered per-subsystem
 // accessors that predated this shape (Machine.SteadyWalkStats, the
 // cache/TLB getter methods) are gone; Snapshot/Observe are the only
@@ -327,15 +323,15 @@ type (
 	CounterRegistry = obs.Registry
 	// CounterSnapshot is an ordered point-in-time counter reading.
 	CounterSnapshot = obs.Snapshot
-	// RunRecord is the per-scenario telemetry record emitted by the
-	// Run*Ctx functions when a RunCollector is attached to the context.
+	// RunRecord is the per-scenario telemetry record emitted by every
+	// scenario run while a RunCollector is attached to the context.
 	RunRecord = obs.RunRecord
 	// RunCollector accumulates RunRecords across concurrent scenarios.
 	RunCollector = obs.Collector
 )
 
-// WithRunCollector returns a context that makes every Run*Ctx scenario
-// executed under it emit a RunRecord to c.
+// WithRunCollector returns a context that makes every scenario executed
+// under it (RunScenarioCtx, RunExperiment) emit a RunRecord to c.
 func WithRunCollector(ctx context.Context, c *RunCollector) context.Context {
 	return obs.WithCollector(ctx, c)
 }
@@ -347,7 +343,7 @@ var (
 	WriteRunRecordsCSV   = obs.WriteCSV
 )
 
-// Benchmark and co-runner names accepted by RunScenario.
+// Benchmark and co-runner names accepted in a Scenario.
 var (
 	// Benchmarks lists the paper's eight evaluated benchmarks.
 	Benchmarks = sim.Benchmarks
@@ -356,26 +352,15 @@ var (
 )
 
 // RunScenarioCtx executes one scenario on a freshly assembled machine under
-// a cancellable context. The Ctx forms are the primary API; the non-Ctx
-// names are conveniences that pass context.Background().
+// a cancellable context.
 func RunScenarioCtx(ctx context.Context, s Scenario) (ScenarioResult, error) {
 	return sim.RunCtx(ctx, s)
-}
-
-// RunScenario is RunScenarioCtx with a background context.
-func RunScenario(s Scenario) (ScenarioResult, error) {
-	return sim.RunCtx(context.Background(), s)
 }
 
 // RunScenarioPairCtx runs a scenario under the default policy and under
 // PTEMagnet, returning (default, ptemagnet).
 func RunScenarioPairCtx(ctx context.Context, s Scenario) (ScenarioResult, ScenarioResult, error) {
 	return sim.RunPairCtx(ctx, s)
-}
-
-// RunScenarioPair is RunScenarioPairCtx with a background context.
-func RunScenarioPair(s Scenario) (ScenarioResult, ScenarioResult, error) {
-	return sim.RunPairCtx(context.Background(), s)
 }
 
 // Scenario-execution engine: experiment sets run through a bounded worker
@@ -393,33 +378,12 @@ type (
 )
 
 // NewEngine returns an engine with the given worker count (<= 0 means
-// GOMAXPROCS). A nil *Engine is also accepted by the RunXxxCtx functions
-// and behaves like NewEngine(0).
+// GOMAXPROCS). WithEngine(nil) behaves like NewEngine(0).
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
 // DeriveSeed maps a base seed and a scenario name to a per-scenario seed
 // independent of worker count and completion order.
 func DeriveSeed(base int64, name string) int64 { return engine.DeriveSeed(base, name) }
-
-// Context-aware experiment entry points — the primary API. Each RunXxxCtx
-// variant runs its scenarios through the given engine's worker pool (nil
-// means default settings) and honours ctx cancellation; the reduced result
-// is identical for any worker count. The non-Ctx RunXxx forms further down
-// are one-line conveniences over these.
-var (
-	RunTable1Ctx              = sim.RunTable1Ctx
-	RunObjdetSuiteCtx         = sim.RunObjdetSuiteCtx
-	RunCombinationSuiteCtx    = sim.RunCombinationSuiteCtx
-	RunTable4Ctx              = sim.RunTable4Ctx
-	RunSec62Ctx               = sim.RunSec62Ctx
-	RunSec64Ctx               = sim.RunSec64Ctx
-	RunGranularityCtx         = sim.RunGranularityCtx
-	RunReclaimSweepCtx        = sim.RunReclaimSweepCtx
-	RunCAPagingComparisonCtx  = sim.RunCAPagingComparisonCtx
-	RunTHPComparisonCtx       = sim.RunTHPComparisonCtx
-	RunFiveLevelComparisonCtx = sim.RunFiveLevelComparisonCtx
-	RunLowPressureCtx         = sim.RunLowPressureCtx
-)
 
 // DefaultScale returns the calibrated experiment sizing (1/256 of the
 // paper's 16GB-dataset setup); QuickScale a fast variant for smoke tests.
@@ -428,7 +392,9 @@ func DefaultScale() Scale { return sim.DefaultScale() }
 // QuickScale returns a reduced sizing for fast runs.
 func QuickScale() Scale { return sim.QuickScale() }
 
-// Experiment result types (returned by the Run* entry points below).
+// Experiment result types: RunExperiment returns the named experiment's
+// result as an ExperimentResult; type-assert it to read the fields
+// (r.(Table1Result), r.(SuiteResult), ...).
 type (
 	// Table1Result compares colocated vs standalone execution (§3.3).
 	Table1Result = sim.Table1Result
@@ -458,87 +424,9 @@ type (
 	ThresholdResult = sim.ThresholdResult
 )
 
-// Paper experiment entry points, non-Ctx convenience forms (see
-// EXPERIMENTS.md for the mapping to tables and figures). Each is a one-line
-// wrapper passing context.Background() and the default engine to its
-// primary RunXxxCtx counterpart above.
-
-// RunTable1 reproduces Table 1 (§3.3 fragmentation effects).
-func RunTable1(sc Scale, seed int64) (Table1Result, error) {
-	return sim.RunTable1Ctx(context.Background(), nil, sc, seed)
-}
-
-// RunObjdetSuite reproduces Figures 5 and 6 (§6.1, objdet co-runner).
-func RunObjdetSuite(sc Scale, seed int64) (SuiteResult, error) {
-	return sim.RunObjdetSuiteCtx(context.Background(), nil, sc, seed)
-}
-
-// RunCombinationSuite reproduces Figure 7 (§6.1, all co-runners).
-func RunCombinationSuite(sc Scale, seed int64) (SuiteResult, error) {
-	return sim.RunCombinationSuiteCtx(context.Background(), nil, sc, seed)
-}
-
-// RunTable4 reproduces Table 4 (§6.3 hardware metrics).
-func RunTable4(sc Scale, seed int64) (Table4Result, error) {
-	return sim.RunTable4Ctx(context.Background(), nil, sc, seed)
-}
-
-// RunSec62 reproduces the §6.2 reservation-waste study.
-func RunSec62(sc Scale, seed int64) (Sec62Result, error) {
-	return sim.RunSec62Ctx(context.Background(), nil, sc, seed)
-}
-
-// RunSec64 reproduces the §6.4 allocation-latency microbenchmark.
-func RunSec64(sc Scale, seed int64) (Sec64Result, error) {
-	return sim.RunSec64Ctx(context.Background(), nil, sc, seed)
-}
-
-// RunGranularity sweeps the reservation granularity (§4 ablation).
-func RunGranularity(sc Scale, seed int64) (GranularityResult, error) {
-	return sim.RunGranularityCtx(context.Background(), nil, sc, seed)
-}
-
-// RunReclaimSweep sweeps the reclaim watermark (§4.3 ablation).
-func RunReclaimSweep(sc Scale, seed int64) (ReclaimResult, error) {
-	return sim.RunReclaimSweepCtx(context.Background(), nil, sc, seed)
-}
-
-// RunCAPagingComparison contrasts best-effort contiguity (CA paging,
-// related work §7) with PTEMagnet's eager reservation.
-func RunCAPagingComparison(sc Scale, seed int64) (CAPagingResult, error) {
-	return sim.RunCAPagingComparisonCtx(context.Background(), nil, sc, seed)
-}
-
-// RunTHPComparison contrasts transparent huge pages (§2.3) with PTEMagnet
-// across colocation levels.
-func RunTHPComparison(sc Scale, seed int64) (THPResult, error) {
-	return sim.RunTHPComparisonCtx(context.Background(), nil, sc, seed)
-}
-
-// RunFiveLevelComparison measures PTEMagnet under the five-level paging
-// migration the paper's §2.5 anticipates.
-func RunFiveLevelComparison(sc Scale, seed int64) (FiveLevelResult, error) {
-	return sim.RunFiveLevelComparisonCtx(context.Background(), nil, sc, seed)
-}
-
-// RunLowPressure verifies the §6.1 overhead-freedom claim on
-// low-TLB-pressure applications.
-func RunLowPressure(sc Scale, seed int64) (LowPressureResult, error) {
-	return sim.RunLowPressureCtx(context.Background(), nil, sc, seed)
-}
-
-// Synchronous ablations (no scenario engine underneath — these run inline).
-var (
-	// RunLockingAblation covers the §4.2 locking-granularity choice.
-	RunLockingAblation = sim.RunLockingAblation
-	// RunThresholdDemo demonstrates the §4.4 enable threshold.
-	RunThresholdDemo = sim.RunThresholdDemo
-)
-
-// Experiment registry: every experiment above is also registered under a
-// canonical name for uniform, name-driven dispatch (cmd/experiments runs
-// entirely through it). The typed RunXxx functions remain the primary API;
-// the registry is for tools that select experiments at runtime.
+// Experiment registry: every experiment is registered under a canonical
+// name, and RunExperiment is the one way to run it (cmd/experiments runs
+// entirely through it).
 type (
 	// ExperimentInfo describes one registered experiment (name, display
 	// title, selector tags, paper notes).
@@ -546,12 +434,6 @@ type (
 	// ExperimentResult is the reduced output of one experiment; render it
 	// with String.
 	ExperimentResult = sim.ExperimentResult
-	// ExperimentOptions carries RunExperimentOpts' optional knobs (engine,
-	// multitenant VM counts).
-	//
-	// Deprecated: use RunExperiment's functional options (WithEngine,
-	// WithVMCounts).
-	ExperimentOptions = sim.ExperimentOptions
 	// ExperimentRunOpt configures a RunExperiment call (functional
 	// options: WithScale, WithSeed, WithEngine, WithVMCounts,
 	// WithFaultPlan, WithRetry, WithCollector).
@@ -565,10 +447,6 @@ var (
 	// MatchExperiments resolves a selector ("all", a name, or a tag like
 	// "fig6") to the experiments it runs.
 	MatchExperiments = sim.MatchExperiments
-	// RunExperimentOpts runs one experiment by name with explicit options.
-	//
-	// Deprecated: use RunExperiment with functional options.
-	RunExperimentOpts = sim.RunExperimentOpts
 )
 
 // Experiment run options (RunExperiment).
@@ -628,23 +506,9 @@ type (
 // memory while receiving the guest image; the migration rolled back.
 var ErrDestinationOOM = migrate.ErrDestinationOOM
 
-// Migration entry points.
-var (
-	// MigrateGuestCtx live-migrates a guest onto a destination machine
-	// under a cancellable context — the primary API.
-	MigrateGuestCtx = migrate.MigrateCtx
-	// MigrateGuest is MigrateGuestCtx with a background context.
-	MigrateGuest = migrate.Migrate
-	// RunMigrationScenarioCtx executes one migration scenario end to end.
-	RunMigrationScenarioCtx = sim.RunMigrationScenarioCtx
-	// RunMigrationCtx runs the migration sweep through an engine.
-	RunMigrationCtx = sim.RunMigrationCtx
-)
-
-// RunMigration runs the migration sweep with default settings.
-func RunMigration(sc Scale, seed int64) (MigrationResult, error) {
-	return sim.RunMigrationCtx(context.Background(), nil, sc, seed)
-}
+// MigrateGuestCtx live-migrates a guest onto a destination machine under a
+// cancellable context.
+var MigrateGuestCtx = migrate.MigrateCtx
 
 // Deterministic fault injection & recovery (DESIGN.md §11): seed-derived
 // fault plans armed on a Machine's allocation, host-fault, dirty-log and
@@ -684,15 +548,7 @@ var (
 	IsFaultTransient = faults.IsTransient
 	// DefaultChaosRetry is the chaos sweep's default retry policy.
 	DefaultChaosRetry = sim.DefaultChaosRetry
-	// RunChaosCtx runs the chaos sweep through an engine.
-	RunChaosCtx = sim.RunChaosCtx
 )
-
-// RunChaos runs the chaos sweep with default settings (built-in fault
-// ladder, default retry policy).
-func RunChaos(sc Scale, seed int64) (ChaosResult, error) {
-	return sim.RunChaosCtx(context.Background(), nil, sc, seed, FaultConfig{}, RetryPolicy{})
-}
 
 // Host memory overcommit (DESIGN.md §12): a watermark-driven balloon
 // controller that relieves host pressure by inflating per-guest balloon
@@ -707,30 +563,15 @@ type (
 	// BalloonController is the host-side pressure controller itself,
 	// reachable via Machine.Balloon.
 	BalloonController = balloon.Controller
-	// OvercommitScenario configures one cell of the overcommit sweep.
-	OvercommitScenario = sim.OvercommitScenario
 	// OvercommitRunResult is one overcommit scenario's measurement.
 	OvercommitRunResult = sim.OvercommitRunResult
 	// OvercommitResult covers the -exp overcommit sweep.
 	OvercommitResult = sim.OvercommitResult
 )
 
-// Overcommit entry points.
-var (
-	// OvercommitRatios is the sweep's declared-memory ratios, in percent.
-	OvercommitRatios = sim.OvercommitRatios
-	// BuildOvercommitMachine assembles one overcommitted multi-VM machine.
-	BuildOvercommitMachine = sim.BuildOvercommitMachine
-	// RunOvercommitScenarioCtx executes one overcommit scenario end to end.
-	RunOvercommitScenarioCtx = sim.RunOvercommitScenarioCtx
-	// RunOvercommitCtx runs the overcommit sweep through an engine.
-	RunOvercommitCtx = sim.RunOvercommitCtx
-)
-
-// RunOvercommit runs the overcommit sweep with default settings.
-func RunOvercommit(sc Scale, seed int64) (OvercommitResult, error) {
-	return sim.RunOvercommitCtx(context.Background(), nil, sc, seed)
-}
+// OvercommitRatios is the overcommit sweep's declared-memory ratios, in
+// percent.
+var OvercommitRatios = sim.OvercommitRatios
 
 // Tracing: record a machine's event stream to a compact binary format and
 // analyze it offline.

@@ -1,6 +1,7 @@
 package ptemagnet_test
 
 import (
+	"context"
 	"testing"
 
 	"ptemagnet"
@@ -67,7 +68,7 @@ func TestMachineFacadeSmoke(t *testing.T) {
 	if _, err := m.AddTask(prog, ptemagnet.RolePrimary); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(ptemagnet.RunOptions{}); err != nil {
+	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Report()) != 1 {
@@ -76,7 +77,7 @@ func TestMachineFacadeSmoke(t *testing.T) {
 }
 
 func TestScenarioFacadeSmoke(t *testing.T) {
-	res, err := ptemagnet.RunScenario(ptemagnet.Scenario{
+	res, err := ptemagnet.RunScenarioCtx(context.Background(), ptemagnet.Scenario{
 		Benchmark: "xz",
 		Policy:    ptemagnet.PolicyPTEMagnet,
 		Scale:     ptemagnet.QuickScale(),
