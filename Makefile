@@ -7,8 +7,10 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# gofmt is a gate: any unformatted file (listed by gofmt -l) fails vet.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # ptmlint enforces the determinism and address-hygiene contracts of
 # DESIGN.md §6 (detrange, noclock, seedflow, archconst, statshape,

@@ -208,11 +208,11 @@ func (s stepOnly) InitDone() bool                                  { return s.p.
 func benchPipeline(b *testing.B, legacy bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := ptemagnet.DefaultMachineConfig()
-		cfg.HostMemBytes = 256 << 20
-		cfg.GuestMemBytes = 128 << 20
-		cfg.Quantum = 256
-		m, err := ptemagnet.NewMachine(cfg)
+		m, err := ptemagnet.NewHostMachine(ptemagnet.HostMachineConfig{
+			HostMemBytes: 256 << 20,
+			Quantum:      256,
+			Guests:       []ptemagnet.TenantConfig{{MemBytes: 128 << 20}},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

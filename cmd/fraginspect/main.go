@@ -112,22 +112,13 @@ func main() {
 	dumpWalkHistogram(rep)
 }
 
-// buildMachine assembles either the legacy single-VM colocation machine or
-// an n-VM host: the primary's guest (vm0) gets the chosen policy, pressure
-// guests run the default allocator, each with its own kernel seed. A
-// nonzero overcommit ratio (percent) shrinks the host so the guests'
-// combined memory oversubscribes it and arms the balloon controller,
-// making ballooned-out frames appear in the layout dump.
+// buildMachine assembles an n-VM host (n = 1 is same-guest colocation):
+// the primary's guest (vm0) gets the chosen policy, pressure guests run
+// the default allocator, each with its own kernel seed. A nonzero
+// overcommit ratio (percent) shrinks the host so the guests' combined
+// memory oversubscribes it and arms the balloon controller, making
+// ballooned-out frames appear in the layout dump.
 func buildMachine(sc sim.Scale, pol guestos.AllocPolicy, seed int64, n, overcommitPct int) (*vm.Machine, error) {
-	if n == 1 {
-		cfg := vm.DefaultConfig()
-		cfg.HostMemBytes = sc.HostMemBytes
-		cfg.GuestMemBytes = sc.GuestMemBytes
-		cfg.Policy = pol
-		cfg.Seed = seed
-		cfg.Quantum = 2
-		return vm.New(cfg)
-	}
 	hc := vm.HostConfig{HostMemBytes: sc.HostMemBytes, Quantum: 2}
 	guestMem := func(int) uint64 { return sc.GuestMemBytes }
 	if overcommitPct > 0 {
@@ -225,8 +216,8 @@ func dumpJSON(m *vm.Machine, pol guestos.AllocPolicy, rep vm.Report) {
 			Histogram:      frag.Histogram[:],
 		})
 	}
-	out.Buddy = buddyJSON(m.Guest().Memory().Buddy())
-	out.Buddy.BalloonFrames = m.Guest().BalloonPages()
+	out.Buddy = buddyJSON(m.Guests()[0].Kernel().Memory().Buddy())
+	out.Buddy.BalloonFrames = m.Guests()[0].Kernel().BalloonPages()
 	if gs := m.Guests(); len(gs) > 1 {
 		for _, g := range gs {
 			if !g.Alive() {
@@ -308,7 +299,8 @@ func dumpProcess(m *vm.Machine, task *vm.Task) {
 
 func dumpBuddies(m *vm.Machine, rep vm.Report) {
 	if len(m.Guests()) == 1 {
-		dumpBuddy("guest", m.Guest().Memory().Buddy(), rep.Whole.GuestBuddy, m.Guest())
+		k := m.Guests()[0].Kernel()
+		dumpBuddy("guest", k.Memory().Buddy(), rep.Whole.GuestBuddy, k)
 		return
 	}
 	for _, g := range m.Guests() {

@@ -18,17 +18,18 @@ import (
 // run executes pagerank (optionally colocated) and reports its steady-state
 // cycles plus the walker's host-dimension behaviour.
 func run(colocated bool) (ptemagnet.TaskReport, uint64, uint64) {
-	cfg := ptemagnet.DefaultMachineConfig()
-	cfg.HostMemBytes = 128 << 20
-	cfg.GuestMemBytes = 64 << 20
-	cfg.Quantum = 2 // aggressive fault interleaving across vCPUs
-	cfg.Seed = 7
+	cfg := ptemagnet.HostMachineConfig{
+		HostMemBytes: 128 << 20,
+		NumCPUs:      8,
+		Quantum:      2, // aggressive fault interleaving across vCPUs
+		Guests:       []ptemagnet.TenantConfig{{MemBytes: 64 << 20, Seed: 7}},
+	}
 	// Shrink the caches along with the 12MB dataset so the footprint-to-
 	// LLC ratio stays in the regime the paper studies (16GB vs 25MB).
 	cfg.Cache = ptemagnet.DefaultCacheConfig(cfg.NumCPUs)
 	cfg.Cache.L2.SizeBytes = 64 << 10
 	cfg.Cache.LLC.SizeBytes = 128 << 10
-	m, err := ptemagnet.NewMachine(cfg)
+	m, err := ptemagnet.NewHostMachine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -113,16 +113,16 @@ func (k *kvstore) Step(env ptemagnet.Env) (ptemagnet.Access, bool) {
 }
 
 func run(policy ptemagnet.AllocPolicy) (uint64, float64) {
-	cfg := ptemagnet.DefaultMachineConfig()
-	cfg.HostMemBytes = 128 << 20
-	cfg.GuestMemBytes = 64 << 20
-	cfg.Policy = policy
-	cfg.Quantum = 2
-	cfg.Seed = 21
+	cfg := ptemagnet.HostMachineConfig{
+		HostMemBytes: 128 << 20,
+		NumCPUs:      8,
+		Quantum:      2,
+		Guests:       []ptemagnet.TenantConfig{{MemBytes: 64 << 20, Policy: policy, Seed: 21}},
+	}
 	cfg.Cache = ptemagnet.DefaultCacheConfig(cfg.NumCPUs)
 	cfg.Cache.L2.SizeBytes = 64 << 10
 	cfg.Cache.LLC.SizeBytes = 128 << 10
-	m, err := ptemagnet.NewMachine(cfg)
+	m, err := ptemagnet.NewHostMachine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

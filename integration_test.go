@@ -22,12 +22,10 @@ func TestIntegrationFrameConservation(t *testing.T) {
 	} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
-			cfg := vm.DefaultConfig()
-			cfg.HostMemBytes = 128 << 20
-			cfg.GuestMemBytes = 64 << 20
-			cfg.Policy = policy
-			cfg.Seed = 5
-			m, err := vm.New(cfg)
+			m, err := vm.NewHost(vm.HostConfig{
+				HostMemBytes: 128 << 20,
+				Guests:       []vm.GuestConfig{{MemBytes: 64 << 20, Policy: policy, Seed: 5}},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +40,7 @@ func TestIntegrationFrameConservation(t *testing.T) {
 			if err := m.RunWith(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			mem := m.Guest().Memory()
+			mem := m.Guests()[0].Kernel().Memory()
 			user := mem.CountKind(physmem.KindUser)
 			pt := mem.CountKind(physmem.KindPageTable)
 			reserved := mem.CountKind(physmem.KindReserved)
@@ -53,7 +51,7 @@ func TestIntegrationFrameConservation(t *testing.T) {
 			// RSS across processes matches user frames net of COW sharing
 			// (no fork here, so exactly).
 			var rss uint64
-			for _, p := range m.Guest().Processes() {
+			for _, p := range m.Guests()[0].Kernel().Processes() {
 				rss += p.RSS()
 			}
 			if rss != user {
@@ -67,12 +65,10 @@ func TestIntegrationFrameConservation(t *testing.T) {
 // mapped guest page translates through the nested machinery to the frame
 // the host page table holds for its guest-physical address.
 func TestIntegrationTranslationCoherence(t *testing.T) {
-	cfg := vm.DefaultConfig()
-	cfg.HostMemBytes = 128 << 20
-	cfg.GuestMemBytes = 64 << 20
-	cfg.Policy = guestos.PolicyPTEMagnet
-	cfg.Seed = 9
-	m, err := vm.New(cfg)
+	m, err := vm.NewHost(vm.HostConfig{
+		HostMemBytes: 128 << 20,
+		Guests:       []vm.GuestConfig{{MemBytes: 64 << 20, Policy: guestos.PolicyPTEMagnet, Seed: 9}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +81,16 @@ func TestIntegrationTranslationCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc := task.Process()
+	g := m.Guests()[0]
 	checked := 0
 	proc.PageTable().ForEachMapped(func(va arch.VirtAddr, gpa arch.PhysAddr, _ pagetable.Flags) bool {
-		hpaFromHost, ok := m.HostVM().Translate(gpa)
+		hpaFromHost, ok := g.HostVM().Translate(gpa)
 		if !ok {
 			// Mapped but never accessed through the walker (possible for
 			// pages the workload only faulted): skip.
 			return true
 		}
-		out := m.Walker().Translate(0, proc.ASID(), proc.PageTable(), va, false)
+		out := g.Walker().Translate(0, proc.ASID(), proc.PageTable(), va, false)
 		if !out.Ok {
 			t.Errorf("va %#x mapped but walker failed: %+v", uint64(va), out)
 			return false

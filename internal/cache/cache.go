@@ -323,4 +323,3 @@ func (h *Hierarchy) RegisterObs(r *obs.Registry, prefix string) {
 		})
 	}
 }
-

@@ -142,7 +142,7 @@ type PaRT struct {
 
 // ConfigError reports an invalid configuration field: which field, the
 // offending value, and the constraint it violates. Both the PaRT and the
-// machine layer (vm.Config) return it from their Validate methods.
+// machine layer (vm.HostConfig) return it from their Validate methods.
 type ConfigError struct {
 	// Field names the offending configuration field (e.g. "GroupPages").
 	Field string

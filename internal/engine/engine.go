@@ -346,9 +346,9 @@ func runScenario[R any](ctx context.Context, s Scenario[R], out *R) (err error) 
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			// Error-valued panics (e.g. the nested walker surfacing a
-			// host fault) wrap with %w so the typed chain — including
-			// injected-fault markers — survives for retry classifiers.
+			// Error-valued panics wrap with %w so the typed chain —
+			// including injected-fault markers — survives for retry
+			// classifiers.
 			if perr, ok := p.(error); ok {
 				err = fmt.Errorf("scenario panicked: %w", perr)
 			} else {

@@ -204,6 +204,10 @@ type Outcome struct {
 	TLBHit bool
 	// Cycles is the translation latency charged for this access.
 	Cycles uint64
+	// Err reports a host fault the hypervisor could not serve (host
+	// memory exhausted, or an injected failure); Ok and GuestFault are
+	// false and the walk is abandoned.
+	Err error
 }
 
 // Walker performs nested translations for one VM.
@@ -344,8 +348,11 @@ func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAd
 		// Each guest PT entry lives at a guest-physical address that the
 		// hardware must translate through the host dimension before the
 		// read can be issued.
-		entryHPA, c := w.translateGPA(cpu, a.EntryAddr)
+		entryHPA, c, err := w.translateGPA(cpu, a.EntryAddr)
 		cycles += c
+		if err != nil {
+			return Outcome{Cycles: cycles, Err: err}
+		}
 		lv, lat := w.caches.Access(cpu, entryHPA)
 		w.stats.Accesses[DimGuest]++
 		w.stats.Served[DimGuest][lv]++
@@ -372,8 +379,11 @@ func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAd
 	}
 
 	// Host dimension for the data page.
-	hpaPage, c := w.translateGPA(cpu, gpa.PageBase())
+	hpaPage, c, err := w.translateGPA(cpu, gpa.PageBase())
 	cycles += c
+	if err != nil {
+		return Outcome{Cycles: cycles, Err: err}
+	}
 	hpa := hpaPage + arch.PhysAddr(gpa.PageOffset())
 
 	payload := hpaPage
@@ -388,12 +398,13 @@ func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAd
 
 // translateGPA resolves a guest-physical address to host-physical, charging
 // all host PT accesses to the host dimension. Host faults are handled
-// transparently (hypervisor allocates on first touch).
-func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64) {
+// transparently (hypervisor allocates on first touch); one the hypervisor
+// cannot serve is returned as an error.
+func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64, error) {
 	gfn := gpa.FrameNumber()
 	if hpaPage, ok := w.ntlb.Lookup(0, gfn); ok {
 		w.stats.NTLBHits++
-		return hpaPage + arch.PhysAddr(uint64(gpa)&arch.PageMask), 0
+		return hpaPage + arch.PhysAddr(uint64(gpa)&arch.PageMask), 0, nil
 	}
 	var cycles uint64
 	hpt := w.vm.PageTable()
@@ -422,20 +433,17 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			}
 			hpaPage := hpa.PageBase()
 			w.ntlb.Insert(0, gfn, hpaPage)
-			return hpa, cycles
+			return hpa, cycles, nil
 		}
 		if attempt > 0 {
-			// The hypervisor failed to map the page; host memory is
-			// exhausted. This is a machine-level condition the simulator
-			// treats as fatal.
-			panic("nested: host fault loop — host memory exhausted")
+			// The hypervisor served the fault but the page is still
+			// unmapped.
+			return 0, cycles, fmt.Errorf("nested: host fault at gpa %#x left the page unmapped", uint64(gpa))
 		}
 		if err := w.vm.HandleFault(gpa); err != nil {
-			// Panic with the error value, not its string: the engine's
-			// recover re-wraps error panics with %w, so the typed chain
-			// (hostos.OOMError, injected-fault markers) stays reachable
-			// for errors.Is classification above the walker.
-			panic(fmt.Errorf("nested: host fault failed: %w", err))
+			// %w keeps the typed chain (hostos.OOMError, injected-fault
+			// markers) reachable for errors.Is classification.
+			return 0, cycles, fmt.Errorf("nested: host fault failed: %w", err)
 		}
 		w.stats.HostFaults++
 		cycles += w.cfg.HostFaultCycles

@@ -222,19 +222,11 @@ func chaosJobs(sc Scale, seed int64, override faults.Config) []chaosJob {
 // attempt's plan, arm it, run, and record what was injected, appending
 // the faults.* and retry.* counter groups to the RunRecord (only chaos
 // runs register them, so zero-plan telemetry keeps its pre-injection
-// schema). Failures — including injected host OOMs surfacing as walker
-// panics — are folded into st before returning, so the retry history
-// survives the attempt.
+// schema). Failures are folded into st before returning, so the retry
+// history survives the attempt.
 func runChaosJob(ctx context.Context, j chaosJob, st *chaosState) (res ChaosRunResult, err error) {
 	plan := faults.NewPlan(j.cfg, engine.AttemptFrom(ctx))
 	defer func() {
-		if p := recover(); p != nil {
-			if perr, ok := p.(error); ok {
-				err = fmt.Errorf("chaos run failed: %w", perr)
-			} else {
-				err = fmt.Errorf("chaos run panicked: %v", p)
-			}
-		}
 		if err != nil {
 			st.failures++
 			st.injected += plan.InjectedTotal()

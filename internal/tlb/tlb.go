@@ -301,4 +301,3 @@ func (t *TwoLevel) RegisterObs(r *obs.Registry, prefix string) {
 	r.Counter(prefix+"l1_hits", func() uint64 { return t.l1Hits })
 	r.Counter(prefix+"l2_hits", func() uint64 { return t.l2Hits })
 }
-

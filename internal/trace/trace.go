@@ -243,10 +243,6 @@ func (tr *Reader) ForEach(fn func(Event) error) error {
 
 // Collector adapts a Writer to the vm.Tracer interface, so a Machine can
 // record its run directly. Errors are sticky and surfaced by Close.
-//
-// Collector implements both the batched vm.Tracer interface (AccessBatch)
-// and the legacy per-event vm.AccessTracer one (Access), writing identical
-// record streams either way.
 type Collector struct {
 	w   *Writer
 	err error
@@ -269,19 +265,6 @@ func (c *Collector) AccessBatch(recs []vm.AccessRecord) {
 			DataCycles:        clamp32(r.DataCycles),
 		})
 	}
-}
-
-// Access records one memory access.
-func (c *Collector) Access(task int, va arch.VirtAddr, write, tlbHit bool, translationCycles, dataCycles uint64, served uint8, seq uint64) {
-	if c.err != nil {
-		return
-	}
-	c.err = c.w.Write(Event{
-		Seq: seq, Task: uint8(task), Kind: KindAccess, VA: va,
-		Write: write, TLBHit: tlbHit, ServedLevel: served,
-		TranslationCycles: clamp32(translationCycles),
-		DataCycles:        clamp32(dataCycles),
-	})
 }
 
 // Fault records one guest page fault.

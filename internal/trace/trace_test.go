@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ptemagnet/internal/arch"
+	"ptemagnet/internal/vm"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -188,7 +189,10 @@ func TestCollector(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	c := NewCollector(w)
-	c.Access(2, 0x1234, true, false, 1<<40, 99, 3, 7) // translation clamps to max uint32
+	c.AccessBatch([]vm.AccessRecord{{
+		Task: 2, VA: 0x1234, Write: true, TranslationCycles: 1 << 40, // clamps to max uint32
+		DataCycles: 99, Served: 3, Seq: 7,
+	}})
 	c.Fault(2, 0x1000, 4, 7)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -40,7 +39,7 @@ func (s *streamTracer) Fault(task int, va arch.VirtAddr, kind uint8, seq uint64)
 func buildColocated(t *testing.T, legacy bool) (*Machine, *streamTracer) {
 	t.Helper()
 	cfg := smallConfig(guestos.PolicyPTEMagnet)
-	m, err := New(cfg)
+	m, err := NewHost(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestBatchedRunMatchesAdapterRun(t *testing.T) {
 		if err := m.RunWith(context.Background(), WithSampleEvery(64)); err != nil {
 			t.Fatal(err)
 		}
-		return m.Report(), m.Observe().Steady.Walker, m.Guest().Snapshot(), tr
+		return m.Report(), m.Observe().Steady.Walker, m.Guests()[0].Kernel().Snapshot(), tr
 	}
 	repB, walkB, guestB, trB := run(false)
 	repA, walkA, guestA, trA := run(true)
@@ -105,7 +104,7 @@ func TestBatchedRunMatchesAdapterRun(t *testing.T) {
 func TestMaxAccessesBoundary(t *testing.T) {
 	cfg := smallConfig(guestos.PolicyDefault)
 	cfg.Quantum = 8
-	m, err := New(cfg)
+	m, err := NewHost(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,62 +121,17 @@ func TestMaxAccessesBoundary(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	base := smallConfig(guestos.PolicyDefault)
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		field  string
-	}{
-		{"zero host mem", func(c *Config) { c.HostMemBytes = 0 }, "HostMemBytes"},
-		{"zero guest mem", func(c *Config) { c.GuestMemBytes = 0 }, "GuestMemBytes"},
-		{"guest exceeds host", func(c *Config) { c.GuestMemBytes = c.HostMemBytes * 2 }, "GuestMemBytes"},
-		{"negative cpus", func(c *Config) { c.NumCPUs = -1 }, "NumCPUs"},
-		{"negative quantum", func(c *Config) { c.Quantum = -4 }, "Quantum"},
-		{"bad levels", func(c *Config) { c.PTLevels = 3 }, "PTLevels"},
-		{"watermark too high", func(c *Config) { c.ReclaimWatermark = 1.5 }, "ReclaimWatermark"},
-		{"bad magnet", func(c *Config) { c.Magnet.GroupPages = 3 }, "GroupPages"},
-	}
-	for _, tc := range cases {
-		cfg := base
-		tc.mutate(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate = nil, want error", tc.name)
-			continue
-		}
-		var cerr *ConfigError
-		if !errors.As(err, &cerr) {
-			t.Errorf("%s: error %v is not a *ConfigError", tc.name, err)
-		} else if cerr.Field != tc.field {
-			t.Errorf("%s: Field = %q, want %q", tc.name, cerr.Field, tc.field)
-		}
-		if _, nerr := New(cfg); nerr == nil {
-			t.Errorf("%s: New accepted an invalid config", tc.name)
-		}
-	}
-	// Zero values of optional fields are defaults, not errors.
-	zero := Config{HostMemBytes: 128 << 20, GuestMemBytes: 64 << 20}
-	if err := zero.Validate(); err != nil {
-		t.Errorf("zero-value optional fields rejected: %v", err)
-	}
-	if _, err := New(zero); err != nil {
-		t.Errorf("New with zero-value optional fields failed: %v", err)
-	}
-}
-
 // benchMachine builds a large-quantum machine running pagerank solo, the
 // configuration where batching amortization shows.
 func benchMachine(b *testing.B, legacy bool) *Machine {
 	b.Helper()
-	cfg := Config{
-		HostMemBytes:  256 << 20,
-		GuestMemBytes: 128 << 20,
-		NumCPUs:       4,
-		Quantum:       256,
-		Seed:          42,
+	cfg := HostConfig{
+		HostMemBytes: 256 << 20,
+		NumCPUs:      4,
+		Quantum:      256,
+		Guests:       []GuestConfig{{MemBytes: 128 << 20, Seed: 42}},
 	}
-	m, err := New(cfg)
+	m, err := NewHost(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

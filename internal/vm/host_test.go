@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // hostConfig2 builds a fast two-guest host for tests.
 func hostConfig2(policies ...guestos.AllocPolicy) HostConfig {
-	hc := smallConfig(guestos.PolicyDefault).Host()
+	hc := smallConfig(guestos.PolicyDefault)
 	hc.Guests = hc.Guests[:0]
 	for i, p := range policies {
 		hc.Guests = append(hc.Guests, GuestConfig{
@@ -21,54 +22,6 @@ func hostConfig2(policies ...guestos.AllocPolicy) HostConfig {
 		})
 	}
 	return hc
-}
-
-// TestHostConfigSingleGuestEquivalence is the pinned N=1 proof: building
-// through HostConfig{Guests: [1]} and through the legacy Config must
-// produce identical machines — same Report, same Snapshot, same telemetry
-// names.
-func TestHostConfigSingleGuestEquivalence(t *testing.T) {
-	run := func(viaHost bool) (*Machine, Report) {
-		cfg := smallConfig(guestos.PolicyPTEMagnet)
-		var m *Machine
-		var err error
-		if viaHost {
-			m, err = NewHost(cfg.Host())
-		} else {
-			m, err = New(cfg)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.AddTask(workload.NewPagerank(smallGraph(1)), RolePrimary); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 2 << 20, Seed: 7}), RoleCorunner); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.RunWith(context.Background(), WithSampleEvery(512)); err != nil {
-			t.Fatal(err)
-		}
-		return m, m.Observe()
-	}
-	mLegacy, repLegacy := run(false)
-	mHost, repHost := run(true)
-	if !reflect.DeepEqual(repLegacy, repHost) {
-		t.Errorf("reports differ:\nlegacy: %+v\nhost:   %+v", repLegacy, repHost)
-	}
-	if !reflect.DeepEqual(mLegacy.Snapshot(), mHost.Snapshot()) {
-		t.Errorf("snapshots differ")
-	}
-	namesL := mLegacy.Registry().Names()
-	namesH := mHost.Registry().Names()
-	if !reflect.DeepEqual(namesL, namesH) {
-		t.Errorf("registry names differ: %v vs %v", namesL, namesH)
-	}
-	for _, name := range namesL {
-		if len(name) >= 2 && name[0] == 'v' && name[1] == 'm' {
-			t.Errorf("single-guest machine registered prefixed counter %q", name)
-		}
-	}
 }
 
 // runTwoGuests builds and runs a two-guest host with one primary and one
@@ -276,22 +229,81 @@ func TestAddTaskOnDeadGuestFails(t *testing.T) {
 	}
 }
 
+// hostConfigCase mutates smallConfig; field is the *ConfigError.Field path
+// NewHost must reject it with, or "" when the config is valid.
+type hostConfigCase struct {
+	name   string
+	mutate func(*HostConfig)
+	field  string
+}
+
+// checkHostConfigCases asserts that NewHost and Validate agree on every case
+// and that each rejection names the expected field path.
+func checkHostConfigCases(t *testing.T, cases []hostConfigCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(guestos.PolicyDefault)
+			tc.mutate(&cfg)
+			_, err := NewHost(cfg)
+			if tc.field == "" {
+				if err != nil {
+					t.Fatalf("valid config rejected: %v", err)
+				}
+				if verr := cfg.Validate(); verr != nil {
+					t.Fatalf("Validate rejected a config NewHost accepts: %v", verr)
+				}
+				return
+			}
+			var cerr *ConfigError
+			if !errors.As(err, &cerr) {
+				t.Fatalf("NewHost error %v is not a *ConfigError", err)
+			}
+			if cerr.Field != tc.field {
+				t.Errorf("Field = %q, want %q", cerr.Field, tc.field)
+			}
+			if cfg.Validate() == nil {
+				t.Error("Validate accepted a config NewHost rejects")
+			}
+		})
+	}
+}
+
+// TestConfigValidate pins the per-field contradictions of a one-guest
+// HostConfig by the field path of its *ConfigError, and that zero-valued
+// optional fields are defaults, not errors.
+func TestConfigValidate(t *testing.T) {
+	checkHostConfigCases(t, []hostConfigCase{
+		{"zero host mem", func(c *HostConfig) { c.HostMemBytes = 0 }, "HostMemBytes"},
+		{"zero guest mem", func(c *HostConfig) { c.Guests[0].MemBytes = 0 }, "Guests[0].MemBytes"},
+		{"guest exceeds host", func(c *HostConfig) { c.Guests[0].MemBytes = c.HostMemBytes * 2 }, "Guests[0].MemBytes"},
+		{"negative cpus", func(c *HostConfig) { c.NumCPUs = -1 }, "NumCPUs"},
+		{"negative quantum", func(c *HostConfig) { c.Quantum = -4 }, "Quantum"},
+		{"bad levels", func(c *HostConfig) { c.PTLevels = 3 }, "PTLevels"},
+		{"watermark too high", func(c *HostConfig) { c.Guests[0].ReclaimWatermark = 1.5 }, "Guests[0].ReclaimWatermark"},
+		{"bad magnet", func(c *HostConfig) { c.Guests[0].Magnet.GroupPages = 3 }, "GroupPages"},
+		{"zero-value optional fields", func(c *HostConfig) {
+			*c = HostConfig{HostMemBytes: 128 << 20, Guests: []GuestConfig{{MemBytes: 64 << 20}}}
+		}, ""},
+	})
+}
+
+func TestNewValidation(t *testing.T) {
+	checkHostConfigCases(t, []hostConfigCase{
+		{"zero config", func(c *HostConfig) { *c = HostConfig{} }, "HostMemBytes"},
+	})
+}
+
+// TestHostConfigValidation pins the contradictions that only a guest list
+// can express, and that an overcommitted guest sum is accepted.
 func TestHostConfigValidation(t *testing.T) {
-	base := hostConfig2(guestos.PolicyDefault)
-	noGuests := base
-	noGuests.Guests = nil
-	if _, err := NewHost(noGuests); err == nil {
-		t.Error("HostConfig without guests accepted")
-	}
-	tooBig := base
-	tooBig.Guests = []GuestConfig{{MemBytes: tooBig.HostMemBytes * 2}}
-	if _, err := NewHost(tooBig); err == nil {
-		t.Error("guest larger than host accepted")
-	}
-	// Overcommit of the sum is allowed.
-	over := base
-	over.Guests = []GuestConfig{{MemBytes: over.HostMemBytes}, {MemBytes: over.HostMemBytes}}
-	if _, err := NewHost(over); err != nil {
-		t.Errorf("overcommitted guest sum rejected: %v", err)
-	}
+	checkHostConfigCases(t, []hostConfigCase{
+		{"no guests", func(c *HostConfig) { c.Guests = nil }, "Guests"},
+		{"second guest exceeds host", func(c *HostConfig) {
+			c.Guests = append(c.Guests, GuestConfig{MemBytes: c.HostMemBytes * 2})
+		}, "Guests[1].MemBytes"},
+		{"overcommitted guest sum", func(c *HostConfig) {
+			c.Guests = []GuestConfig{{MemBytes: c.HostMemBytes}, {MemBytes: c.HostMemBytes}}
+		}, ""},
+	})
 }

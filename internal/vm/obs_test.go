@@ -3,6 +3,7 @@ package vm
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ptemagnet/internal/guestos"
@@ -13,7 +14,7 @@ import (
 // machine for observation.
 func runSmallMachine(t *testing.T, policy guestos.AllocPolicy) *Machine {
 	t.Helper()
-	m, err := New(smallConfig(policy))
+	m, err := NewHost(smallConfig(policy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func runSmallMachine(t *testing.T, policy guestos.AllocPolicy) *Machine {
 // and is >= that floor after a run, and a second snapshot without further
 // work is identical to the first.
 func TestCountersMonotonicWithinRun(t *testing.T) {
-	m, err := New(smallConfig(guestos.PolicyPTEMagnet))
+	m, err := NewHost(smallConfig(guestos.PolicyPTEMagnet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +56,10 @@ func TestCountersMonotonicWithinRun(t *testing.T) {
 	for i := 0; i < after.Len(); i++ {
 		if after.Name(i) != before.Name(i) {
 			t.Fatalf("counter %d renamed mid-run: %q -> %q", i, before.Name(i), after.Name(i))
+		}
+		// Per-guest "vm<i>." prefixes appear only on multi-guest hosts.
+		if strings.HasPrefix(after.Name(i), "vm") {
+			t.Errorf("single-guest machine registered prefixed counter %q", after.Name(i))
 		}
 		if after.Value(i) < before.Value(i) {
 			t.Errorf("counter %s went backwards: %d -> %d", after.Name(i), before.Value(i), after.Value(i))

@@ -13,7 +13,7 @@ import (
 // co-runner) for the pause/resume equivalence proofs.
 func buildPausable(t *testing.T) *Machine {
 	t.Helper()
-	m, err := New(smallConfig(guestos.PolicyPTEMagnet))
+	m, err := NewHost(smallConfig(guestos.PolicyPTEMagnet))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,8 +145,13 @@ type HostConfig struct {
 	Guests []GuestConfig
 }
 
-// Validate checks the host config and every guest config. Like
-// Config.Validate, zero values of optional fields always pass.
+// Validate checks the host config and every guest config for explicitly
+// invalid values. The zero value of every optional field is a documented
+// default (filled in by NewHost) and always passes; Validate rejects only
+// contradictions: unset memory sizes, a guest larger than its host,
+// negative counts, unknown page-table depths, out-of-range watermarks, and
+// an invalid Magnet configuration (when one is set at all). A guest's
+// failure names its field by path, e.g. "Guests[0].MemBytes".
 func (c HostConfig) Validate() error {
 	if c.HostMemBytes == 0 {
 		return &ConfigError{Field: "HostMemBytes", Value: c.HostMemBytes, Reason: "must be set"}
@@ -190,117 +195,10 @@ func (g GuestConfig) validate(hostMemBytes uint64, prefix string) error {
 	return nil
 }
 
-// Config describes a single-VM simulated platform — the original shape of
-// the package, kept as a thin adapter over HostConfig with exactly one
-// guest. New multi-tenant code should use HostConfig directly.
-type Config struct {
-	// HostMemBytes / GuestMemBytes size the two physical memories
-	// (default 512MB / 256MB — the paper's 128GB/64GB at 1/256 scale).
-	HostMemBytes  uint64
-	GuestMemBytes uint64
-	// NumCPUs is the vCPU count; workloads are pinned round-robin.
-	NumCPUs int
-	// Cache overrides the hierarchy (zero value → cache.DefaultConfig).
-	Cache cache.Config
-	// Walker overrides translation machinery (zero → nested.DefaultConfig).
-	Walker nested.Config
-	// Policy selects the guest allocator; Magnet configures PTEMagnet.
-	Policy guestos.AllocPolicy
-	Magnet core.Config
-	// EnableThresholdBytes gates PTEMagnet per process (§4.4).
-	EnableThresholdBytes uint64
-	// ReclaimWatermark forwards to the guest kernel (§4.3).
-	ReclaimWatermark float64
-	// Costs prices kernel events (zero → DefaultCostModel).
-	Costs CostModel
-	// Quantum is the number of accesses one task executes per scheduling
-	// turn (small → aggressive fault interleaving). Zero → 8.
-	Quantum int
-	// PTLevels selects the page-table depth for both the guest and the
-	// host dimension: 4 (default) or 5 (LA57 + 5-level EPT, §2.5).
-	PTLevels int
-	// Balloon arms the host's overcommit pressure controller (zero stays
-	// balloon-free).
-	Balloon balloon.Config
-	// Seed drives kernel randomness.
-	Seed int64
-}
-
-// ConfigError is the typed validation failure returned by Config.Validate.
+// ConfigError is the typed validation failure returned by HostConfig.Validate.
 // It aliases the core package's type so errors.As matches failures from
 // either layer (a bad Magnet sub-config surfaces as the same type).
 type ConfigError = core.ConfigError
-
-// Validate checks cfg for explicitly invalid values. The zero value of every
-// optional field is a documented default (filled in by New) and always
-// passes; Validate rejects only contradictions: unset memory sizes, a guest
-// larger than its host, negative counts, unknown page-table depths,
-// out-of-range watermarks, and an invalid Magnet configuration (when one is
-// set at all).
-func (c Config) Validate() error {
-	if c.HostMemBytes == 0 {
-		return &ConfigError{Field: "HostMemBytes", Value: c.HostMemBytes, Reason: "must be set"}
-	}
-	if c.GuestMemBytes == 0 {
-		return &ConfigError{Field: "GuestMemBytes", Value: c.GuestMemBytes, Reason: "must be set"}
-	}
-	if c.GuestMemBytes > c.HostMemBytes {
-		return &ConfigError{Field: "GuestMemBytes", Value: c.GuestMemBytes, Reason: "guest memory cannot exceed host memory"}
-	}
-	if c.NumCPUs < 0 {
-		return &ConfigError{Field: "NumCPUs", Value: c.NumCPUs, Reason: "must be positive (zero selects the default)"}
-	}
-	if c.Quantum < 0 {
-		return &ConfigError{Field: "Quantum", Value: c.Quantum, Reason: "must be positive (zero selects the default)"}
-	}
-	if c.PTLevels != 0 && c.PTLevels != 4 && c.PTLevels != 5 {
-		return &ConfigError{Field: "PTLevels", Value: c.PTLevels, Reason: "must be 4 or 5 (zero selects the default)"}
-	}
-	if c.ReclaimWatermark < 0 || c.ReclaimWatermark > 1 {
-		return &ConfigError{Field: "ReclaimWatermark", Value: c.ReclaimWatermark, Reason: "must be in [0, 1]"}
-	}
-	if c.Magnet.GroupPages != 0 {
-		if err := c.Magnet.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Host converts the legacy single-VM config into the equivalent
-// one-guest HostConfig. New(c) and NewHost(c.Host()) build identical
-// machines.
-func (c Config) Host() HostConfig {
-	return HostConfig{
-		HostMemBytes: c.HostMemBytes,
-		NumCPUs:      c.NumCPUs,
-		Cache:        c.Cache,
-		Walker:       c.Walker,
-		Costs:        c.Costs,
-		Quantum:      c.Quantum,
-		PTLevels:     c.PTLevels,
-		Balloon:      c.Balloon,
-		Guests: []GuestConfig{{
-			MemBytes:             c.GuestMemBytes,
-			Policy:               c.Policy,
-			Magnet:               c.Magnet,
-			EnableThresholdBytes: c.EnableThresholdBytes,
-			ReclaimWatermark:     c.ReclaimWatermark,
-			Seed:                 c.Seed,
-		}},
-	}
-}
-
-// DefaultConfig returns the scaled-down mirror of the paper's Table 2
-// platform.
-func DefaultConfig() Config {
-	return Config{
-		HostMemBytes:  512 << 20,
-		GuestMemBytes: 256 << 20,
-		NumCPUs:       8,
-		Policy:        guestos.PolicyDefault,
-	}
-}
 
 // Role classifies tasks: primaries are measured; co-runners only generate
 // allocator pressure and stop when the primaries finish.
@@ -391,8 +289,7 @@ func (e env) Free(va arch.VirtAddr, bytes uint64) error {
 }
 
 // AccessRecord is one executed memory access as delivered to a Tracer.
-// Seq is the machine-global access sequence number (1-based), identical to
-// the seq the legacy per-event stream carried.
+// Seq is the machine-global access sequence number (1-based).
 type AccessRecord struct {
 	Task              int
 	VA                arch.VirtAddr
@@ -411,39 +308,13 @@ type AccessRecord struct {
 // Accesses arrive in batches in execution order. Faults interleave in stream
 // order: before a Fault with sequence number s is delivered, every access
 // record with Seq < s has already been delivered (the machine flushes the
-// pending batch first), so a per-event recorder fed through PerAccess sees
-// the exact event order the legacy interface produced.
+// pending batch first).
 type Tracer interface {
 	// AccessBatch reports executed accesses in order. The slice is reused
 	// between calls; implementations must copy anything they retain.
 	AccessBatch(recs []AccessRecord)
 	// Fault reports one resolved guest page fault.
 	Fault(task int, va arch.VirtAddr, kind uint8, seq uint64)
-}
-
-// AccessTracer is the legacy per-event tracing interface. Wrap one with
-// PerAccess to install it on a Machine.
-type AccessTracer interface {
-	// Access reports one executed memory access.
-	Access(task int, va arch.VirtAddr, write, tlbHit bool, translationCycles, dataCycles uint64, served uint8, seq uint64)
-	// Fault reports one resolved guest page fault.
-	Fault(task int, va arch.VirtAddr, kind uint8, seq uint64)
-}
-
-// PerAccess adapts a legacy per-event AccessTracer to the batched Tracer
-// interface, fanning each batch out one call per access.
-func PerAccess(t AccessTracer) Tracer { return perAccess{t: t} }
-
-type perAccess struct{ t AccessTracer }
-
-func (p perAccess) AccessBatch(recs []AccessRecord) {
-	for _, r := range recs {
-		p.t.Access(r.Task, r.VA, r.Write, r.TLBHit, r.TranslationCycles, r.DataCycles, r.Served, r.Seq)
-	}
-}
-
-func (p perAccess) Fault(task int, va arch.VirtAddr, kind uint8, seq uint64) {
-	p.t.Fault(task, va, kind, seq)
 }
 
 // Guest is one tenant VM's software stack on the shared host: the VM as
@@ -553,16 +424,6 @@ type Machine struct {
 // executed as several back-to-back batches, bounding scratch memory while
 // keeping the amortization win.
 const maxBatch = 256
-
-// New builds a single-VM machine from the legacy config. It is exactly
-// NewHost over cfg.Host() — one code path — but validates with the legacy
-// field names.
-func New(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("vm: %w", err)
-	}
-	return newMachine(cfg.Host())
-}
 
 // NewHost builds a multi-tenant machine: the shared host plus one guest
 // stack per entry in cfg.Guests. Zero-valued optional fields select their
@@ -728,18 +589,8 @@ func (m *Machine) Guests() []*Guest { return m.guests }
 // Host exposes the host kernel.
 func (m *Machine) Host() *hostos.Kernel { return m.host }
 
-// Guest exposes the first guest's kernel — the whole machine's kernel in
-// the single-VM configuration this accessor predates.
-func (m *Machine) Guest() *guestos.Kernel { return m.guests[0].kernel }
-
-// HostVM exposes the first guest's VM as the host sees it.
-func (m *Machine) HostVM() *hostos.VM { return m.guests[0].hostVM }
-
 // Hierarchy exposes the shared cache hierarchy.
 func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
-
-// Walker exposes the first guest's nested walker.
-func (m *Machine) Walker() *nested.Walker { return m.guests[0].walker }
 
 // UnusedSeries returns the sampled §6.2 gauge.
 func (m *Machine) UnusedSeries() *metrics.Series { return &m.unusedSeries }
@@ -1085,6 +936,10 @@ batchLoop:
 				accServed = lv
 				accTLBHit = out.TLBHit
 				break
+			}
+			if out.Err != nil {
+				stepErr = fmt.Errorf("vm: task %s: %w", t.Name(), out.Err)
+				break batchLoop
 			}
 			if !out.GuestFault {
 				stepErr = fmt.Errorf("vm: translation of %#x failed without fault", uint64(acc.VA))

@@ -2,24 +2,25 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"ptemagnet/internal/arch"
 
 	"ptemagnet/internal/cache"
+	"ptemagnet/internal/faults"
 	"ptemagnet/internal/guestos"
+	"ptemagnet/internal/hostos"
 	"ptemagnet/internal/workload"
 )
 
-// smallConfig builds a fast machine for tests.
-func smallConfig(policy guestos.AllocPolicy) Config {
-	cfg := DefaultConfig()
-	cfg.HostMemBytes = 128 << 20
-	cfg.GuestMemBytes = 64 << 20
-	cfg.NumCPUs = 4
-	cfg.Policy = policy
-	cfg.Seed = 42
-	return cfg
+// smallConfig builds a fast one-guest machine for tests.
+func smallConfig(policy guestos.AllocPolicy) HostConfig {
+	return HostConfig{
+		HostMemBytes: 128 << 20,
+		NumCPUs:      4,
+		Guests:       []GuestConfig{{MemBytes: 64 << 20, Policy: policy, Seed: 42}},
+	}
 }
 
 func smallGraph(seed int64) workload.GraphConfig {
@@ -27,7 +28,7 @@ func smallGraph(seed int64) workload.GraphConfig {
 }
 
 func TestRunSoloBenchmark(t *testing.T) {
-	m, err := New(smallConfig(guestos.PolicyDefault))
+	m, err := NewHost(smallConfig(guestos.PolicyDefault))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestRunSoloBenchmark(t *testing.T) {
 }
 
 func TestRunWithoutPrimaryFails(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyDefault))
+	m, _ := NewHost(smallConfig(guestos.PolicyDefault))
 	if _, err := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 1 << 20}), RoleCorunner); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRunWithoutPrimaryFails(t *testing.T) {
 }
 
 func TestCorunnersStopWhenPrimaryFinishes(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyDefault))
+	m, _ := NewHost(smallConfig(guestos.PolicyDefault))
 	prim, _ := m.AddTask(workload.NewGCC(workload.SpecConfig{FootprintBytes: 4 << 20, Accesses: 20_000, Seed: 1}), RolePrimary)
 	co, _ := m.AddTask(workload.NewPyaes(workload.CorunnerConfig{FootprintBytes: 1 << 20, Seed: 2}), RoleCorunner)
 	if err := m.RunWith(context.Background()); err != nil {
@@ -92,7 +93,7 @@ func TestStopCorunnersAtPrimaryInit(t *testing.T) {
 	// §3.3 methodology: the co-runner's access count must freeze at the
 	// primary's init boundary.
 	mk := func(stop bool) (uint64, uint64) {
-		m, _ := New(smallConfig(guestos.PolicyDefault))
+		m, _ := NewHost(smallConfig(guestos.PolicyDefault))
 		p, _ := m.AddTask(workload.NewPagerank(smallGraph(3)), RolePrimary)
 		co, _ := m.AddTask(workload.NewStressNG(workload.CorunnerConfig{FootprintBytes: 4 << 20, Seed: 4}), RoleCorunner)
 		if err := m.RunWith(context.Background(), WithStopCorunnersAtInit(stop)); err != nil {
@@ -109,7 +110,7 @@ func TestStopCorunnersAtPrimaryInit(t *testing.T) {
 
 func TestMagnetEliminatesFragmentationUnderColocation(t *testing.T) {
 	run := func(policy guestos.AllocPolicy) float64 {
-		m, err := New(smallConfig(policy))
+		m, err := NewHost(smallConfig(policy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestMagnetEliminatesFragmentationUnderColocation(t *testing.T) {
 
 func TestMagnetImprovesColocatedPerformance(t *testing.T) {
 	run := func(policy guestos.AllocPolicy) uint64 {
-		m, err := New(smallConfig(policy))
+		m, err := NewHost(smallConfig(policy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestMagnetImprovesColocatedPerformance(t *testing.T) {
 
 func TestUnusedGaugeSampling(t *testing.T) {
 	cfg := smallConfig(guestos.PolicyPTEMagnet)
-	m, _ := New(cfg)
+	m, _ := NewHost(cfg)
 	m.AddTask(workload.NewSparse(4<<20), RolePrimary)
 	if err := m.RunWith(context.Background(), WithSampleEvery(16)); err != nil {
 		t.Fatal(err)
@@ -180,15 +181,34 @@ func TestUnusedGaugeSampling(t *testing.T) {
 }
 
 func TestMaxAccessesGuard(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyDefault))
+	m, _ := NewHost(smallConfig(guestos.PolicyDefault))
 	m.AddTask(workload.NewPagerank(smallGraph(9)), RolePrimary)
 	if err := m.RunWith(context.Background(), WithMaxAccesses(100)); err == nil {
 		t.Fatal("budget exceeded without error")
 	}
 }
 
+// TestHostOOMIsAnError pins that a host fault the hypervisor cannot serve
+// surfaces from RunWith as an error, not a panic: on a balloon-free machine
+// an injected host OOM reaches the caller with both the injected-fault
+// marker and the host's OOM sentinel in its chain.
+func TestHostOOMIsAnError(t *testing.T) {
+	m, err := NewHost(smallConfig(guestos.PolicyDefault))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InstallFaultPlan(faults.NewPlan(faults.Config{HostOOMs: 1}, 0))
+	if _, err := m.AddTask(workload.NewPagerank(smallGraph(1)), RolePrimary); err != nil {
+		t.Fatal(err)
+	}
+	err = m.RunWith(context.Background())
+	if !errors.Is(err, faults.ErrInjected) || !errors.Is(err, hostos.ErrOutOfMemory) {
+		t.Fatalf("RunWith = %v, want an injected host OOM", err)
+	}
+}
+
 func TestDataServedSumsToAccesses(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyDefault))
+	m, _ := NewHost(smallConfig(guestos.PolicyDefault))
 	task, _ := m.AddTask(workload.NewXZ(workload.SpecConfig{FootprintBytes: 4 << 20, Accesses: 20_000, Seed: 1}), RolePrimary)
 	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
@@ -199,12 +219,6 @@ func TestDataServedSumsToAccesses(t *testing.T) {
 	}
 	if served != task.Accesses {
 		t.Errorf("data served sum %d != accesses %d", served, task.Accesses)
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("New with zero memories succeeded")
 	}
 }
 
@@ -231,7 +245,7 @@ func TestCostModelFaultCosts(t *testing.T) {
 }
 
 func TestSteadyCacheHits(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyDefault))
+	m, _ := NewHost(smallConfig(guestos.PolicyDefault))
 	m.AddTask(workload.NewGCC(workload.SpecConfig{FootprintBytes: 2 << 20, Accesses: 10_000, Seed: 3}), RolePrimary)
 	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
@@ -251,9 +265,9 @@ type recordingTracer struct {
 	lastSeq          uint64
 }
 
-func (r *recordingTracer) Access(task int, va arch.VirtAddr, write, tlbHit bool, tc, dc uint64, served uint8, seq uint64) {
-	r.accesses++
-	r.lastSeq = seq
+func (r *recordingTracer) AccessBatch(recs []AccessRecord) {
+	r.accesses += len(recs)
+	r.lastSeq = recs[len(recs)-1].Seq
 }
 
 func (r *recordingTracer) Fault(task int, va arch.VirtAddr, kind uint8, seq uint64) {
@@ -261,17 +275,17 @@ func (r *recordingTracer) Fault(task int, va arch.VirtAddr, kind uint8, seq uint
 }
 
 func TestTracerReceivesEveryAccess(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyPTEMagnet))
+	m, _ := NewHost(smallConfig(guestos.PolicyPTEMagnet))
 	task, _ := m.AddTask(workload.NewGCC(workload.SpecConfig{FootprintBytes: 2 << 20, Accesses: 5000, Seed: 2}), RolePrimary)
 	rec := &recordingTracer{}
-	m.SetTracer(PerAccess(rec))
+	m.SetTracer(rec)
 	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if uint64(rec.accesses) != task.Accesses {
 		t.Errorf("tracer saw %d accesses, task did %d", rec.accesses, task.Accesses)
 	}
-	g := m.Guest().Snapshot()
+	g := m.Guests()[0].Kernel().Snapshot()
 	var faults uint64
 	for _, c := range g.Faults {
 		faults += c
@@ -285,7 +299,7 @@ func TestTracerReceivesEveryAccess(t *testing.T) {
 }
 
 func TestTHPThroughMachine(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyTHP))
+	m, _ := NewHost(smallConfig(guestos.PolicyTHP))
 	task, _ := m.AddTask(workload.NewPagerank(smallGraph(4)), RolePrimary)
 	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
@@ -302,12 +316,12 @@ func TestTHPThroughMachine(t *testing.T) {
 }
 
 func TestCAPagingThroughMachine(t *testing.T) {
-	m, _ := New(smallConfig(guestos.PolicyCAPaging))
+	m, _ := NewHost(smallConfig(guestos.PolicyCAPaging))
 	m.AddTask(workload.NewPagerank(smallGraph(4)), RolePrimary)
 	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if m.Guest().Snapshot().Faults[guestos.FaultCAHit] == 0 {
+	if m.Guests()[0].Kernel().Snapshot().Faults[guestos.FaultCAHit] == 0 {
 		t.Error("CA paging never placed a page adjacently")
 	}
 }
@@ -315,7 +329,7 @@ func TestCAPagingThroughMachine(t *testing.T) {
 func TestFiveLevelThroughMachine(t *testing.T) {
 	cfg := smallConfig(guestos.PolicyPTEMagnet)
 	cfg.PTLevels = 5
-	m, err := New(cfg)
+	m, err := NewHost(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +340,7 @@ func TestFiveLevelThroughMachine(t *testing.T) {
 	if task.Process().PageTable().Levels() != 5 {
 		t.Error("guest table not 5-level")
 	}
-	if m.HostVM().PageTable().Levels() != 5 {
+	if m.Guests()[0].HostVM().PageTable().Levels() != 5 {
 		t.Error("host table not 5-level")
 	}
 	if task.Accesses == 0 {

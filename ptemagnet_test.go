@@ -57,10 +57,10 @@ func TestGuestKernelFacade(t *testing.T) {
 }
 
 func TestMachineFacadeSmoke(t *testing.T) {
-	cfg := ptemagnet.DefaultMachineConfig()
-	cfg.HostMemBytes = 64 << 20
-	cfg.GuestMemBytes = 32 << 20
-	m, err := ptemagnet.NewMachine(cfg)
+	m, err := ptemagnet.NewHostMachine(ptemagnet.HostMachineConfig{
+		HostMemBytes: 64 << 20,
+		Guests:       []ptemagnet.TenantConfig{{MemBytes: 32 << 20}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
