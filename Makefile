@@ -41,10 +41,10 @@ test:
 race:
 	$(GO) test -race ./internal/engine ./internal/sim ./internal/vm ./internal/migrate ./internal/faults ./internal/balloon
 
-# The Pipeline* benchmarks track the batched hot path against the legacy
-# one-access adapter at three layers (workload step, walker fast path, full
-# machine loop). BENCH_pipeline.json is committed so future changes have a
-# perf trajectory to diff against.
+# The Pipeline* benchmarks track the hot path layer by layer: workload Step,
+# the walker's TLB-hit fast path against the full Translate, the machine
+# loop, and the same run through the public facade. BENCH_pipeline.json is
+# committed so future changes have a perf trajectory to diff against.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Pipeline' -benchtime=2s -run=^$$ -json \
@@ -52,7 +52,7 @@ bench:
 		> BENCH_pipeline.json
 
 # Compile-and-run rot check for the bench harness; single iteration, no
-# timing claims.
+# timing claims. Every package listed keeps at least one Pipeline benchmark.
 bench-smoke:
 	$(GO) test -bench='Pipeline' -benchtime=1x -run=^$$ \
 		./internal/workload ./internal/nested ./internal/vm .

@@ -193,19 +193,9 @@ func BenchmarkBaseline_THP(b *testing.B) {
 	}
 }
 
-// stepOnly hides a Program's StepBatch so the machine must drive it through
-// the one-access-per-batch compatibility adapter — the pre-batching path.
-type stepOnly struct{ p ptemagnet.Program }
-
-func (s stepOnly) Name() string                                    { return s.p.Name() }
-func (s stepOnly) FootprintBytes() uint64                          { return s.p.FootprintBytes() }
-func (s stepOnly) Setup(env ptemagnet.Env) error                   { return s.p.Setup(env) }
-func (s stepOnly) Step(env ptemagnet.Env) (ptemagnet.Access, bool) { return s.p.Step(env) }
-func (s stepOnly) InitDone() bool                                  { return s.p.InitDone() }
-
-// benchPipeline runs a solo pagerank to completion through the public
-// facade, optionally stripping the native StepBatch to force the adapter.
-func benchPipeline(b *testing.B, legacy bool) {
+// BenchmarkPipelineFacade measures the hot path end to end through the
+// public API: a solo pagerank run to completion at Quantum 256.
+func BenchmarkPipelineFacade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		m, err := ptemagnet.NewHostMachine(ptemagnet.HostMachineConfig{
@@ -216,12 +206,9 @@ func benchPipeline(b *testing.B, legacy bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var p ptemagnet.Program = ptemagnet.NewPagerank(ptemagnet.GraphConfig{
+		p := ptemagnet.NewPagerank(ptemagnet.GraphConfig{
 			DatasetBytes: 8 << 20, Accesses: 200_000, Seed: benchSeed,
 		})
-		if legacy {
-			p = stepOnly{p}
-		}
 		if _, err := m.AddTask(p, ptemagnet.RolePrimary); err != nil {
 			b.Fatal(err)
 		}
@@ -231,15 +218,6 @@ func benchPipeline(b *testing.B, legacy bool) {
 		}
 	}
 }
-
-// BenchmarkPipelineFacadeBatched measures the redesigned hot path end to end
-// through the public API: native batched generation into the batched
-// machine loop.
-func BenchmarkPipelineFacadeBatched(b *testing.B) { benchPipeline(b, false) }
-
-// BenchmarkPipelineFacadeAdapter measures the same run with StepBatch
-// hidden, forcing the legacy one-access-per-batch adapter for comparison.
-func BenchmarkPipelineFacadeAdapter(b *testing.B) { benchPipeline(b, true) }
 
 // BenchmarkExtension_FiveLevelPaging measures PTEMagnet under LA57
 // five-level paging (the §2.5 migration: nested walks grow to 35 accesses).

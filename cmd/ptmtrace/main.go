@@ -80,7 +80,6 @@ func record(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
 	tw, err := trace.NewWriter(f)
 	if err != nil {
 		fatal(err)
@@ -96,6 +95,9 @@ func record(args []string) {
 		fatal(err)
 	}
 	if err := collector.Close(); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 	if *asJSON {

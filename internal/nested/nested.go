@@ -298,7 +298,7 @@ func (w *Walker) Translate(cpu int, asid uint32, gpt *pagetable.Table, va arch.V
 // entry is dropped so the walk reaches the guest fault path).
 //
 // TranslateFast followed by TranslateSlow performs exactly the probe and
-// counter updates of Translate; the machine's batched loop relies on that
+// counter updates of Translate; the machine's access loop relies on that
 // equivalence.
 func (w *Walker) TranslateFast(asid uint32, va arch.VirtAddr, write bool) (Outcome, bool) {
 	w.stats.Lookups++

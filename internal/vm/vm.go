@@ -211,16 +211,14 @@ const (
 	RoleCorunner
 )
 
-// TaskSpec declares one workload to run.
-type TaskSpec struct {
-	Prog workload.Program
-	Role Role
-}
-
 // Task is a scheduled workload bound to a guest process and vCPU.
 type Task struct {
-	spec  TaskSpec
-	batch workload.BatchProgram
+	prog workload.Program
+	role Role
+	// env is the program's view of its guest process, boxed once at
+	// AddTask. guest and proc move with the task on migration, so it stays
+	// valid across AttachGuest.
+	env   workload.Env
 	guest *Guest
 	proc  *guestos.Process
 	cpu   int
@@ -255,10 +253,10 @@ func (t *Task) counters() taskCounters {
 }
 
 // Name returns the underlying program name.
-func (t *Task) Name() string { return t.spec.Prog.Name() }
+func (t *Task) Name() string { return t.prog.Name() }
 
 // Role returns the task's scheduling role.
-func (t *Task) Role() Role { return t.spec.Role }
+func (t *Task) Role() Role { return t.role }
 
 // Done reports whether the task's program has finished.
 func (t *Task) Done() bool { return t.done }
@@ -391,9 +389,8 @@ type Machine struct {
 	unusedSeries  metrics.Series
 	tracer        Tracer
 
-	// Reused batch scratch: accesses filled by StepBatch and the trace
-	// records accumulated while executing them. Sized once in New.
-	accBuf []workload.Access
+	// recBuf is the reused trace-record scratch; it holds at most one
+	// quantum's records.
 	recBuf []AccessRecord
 
 	// Steady-window snapshot, taken when every primary reaches its init
@@ -419,11 +416,6 @@ type Machine struct {
 	// registry is the named counter view, built lazily by Registry.
 	registry *obs.Registry
 }
-
-// maxBatch caps the per-turn batch buffer: a quantum larger than this is
-// executed as several back-to-back batches, bounding scratch memory while
-// keeping the amortization win.
-const maxBatch = 256
 
 // NewHost builds a multi-tenant machine: the shared host plus one guest
 // stack per entry in cfg.Guests. Zero-valued optional fields select their
@@ -456,16 +448,10 @@ func newMachine(cfg HostConfig) (*Machine, error) {
 	if cfg.PTLevels == 0 {
 		cfg.PTLevels = 4
 	}
-	batchCap := cfg.Quantum
-	if batchCap > maxBatch {
-		batchCap = maxBatch
-	}
 	m := &Machine{
-		cfg:    cfg,
-		host:   hostos.NewKernel(cfg.HostMemBytes),
-		hier:   cache.NewHierarchy(cfg.Cache),
-		accBuf: make([]workload.Access, batchCap),
-		recBuf: make([]AccessRecord, 0, batchCap),
+		cfg:  cfg,
+		host: hostos.NewKernel(cfg.HostMemBytes),
+		hier: cache.NewHierarchy(cfg.Cache),
 	}
 	if cfg.Balloon.Enabled {
 		m.balloon = balloon.New(cfg.Balloon, m.host)
@@ -619,14 +605,15 @@ func (g *Guest) AddTask(prog workload.Program, role Role) (*Task, error) {
 		return nil, err
 	}
 	t := &Task{
-		spec:  TaskSpec{Prog: prog, Role: role},
-		batch: workload.AsBatch(prog),
+		prog:  prog,
+		role:  role,
+		env:   env{g: g, proc: proc},
 		guest: g,
 		proc:  proc,
 		cpu:   (g.index + len(g.tasks)) % m.cfg.NumCPUs,
 		index: len(m.tasks),
 	}
-	if err := prog.Setup(env{g: g, proc: proc}); err != nil {
+	if err := prog.Setup(t.env); err != nil {
 		return nil, err
 	}
 	g.tasks = append(g.tasks, t)
@@ -730,7 +717,7 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 	// determined by the configuration, never by host goroutine timing.
 	// Primaries-left is recomputed each round (rather than decremented)
 	// because events may add or destroy whole guests between rounds.
-	for len(m.pendingPrimaries()) > 0 {
+	for m.PendingPrimaries() > 0 {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("vm: run canceled: %w", err)
 		}
@@ -752,7 +739,7 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 				if t.done {
 					continue
 				}
-				if t.spec.Role == RoleCorunner && m.corunnersStopped {
+				if t.role == RoleCorunner && m.corunnersStopped {
 					continue
 				}
 				if err := m.runQuantum(t); err != nil {
@@ -762,7 +749,7 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 			}
 		}
 		if !progressed {
-			return fmt.Errorf("vm: scheduler stalled with %d primaries left", len(m.pendingPrimaries()))
+			return fmt.Errorf("vm: scheduler stalled with %d primaries left", m.PendingPrimaries())
 		}
 		if !m.steadySnapTaken && m.primariesInitDone() {
 			m.steadySnapTaken = true
@@ -801,26 +788,23 @@ func (m *Machine) TotalAccesses() uint64 { return m.totalAccesses }
 
 // PendingPrimaries returns how many primary tasks have not finished. A
 // paused run (WithStopAtAccesses) left work behind iff this is nonzero.
-func (m *Machine) PendingPrimaries() int { return len(m.pendingPrimaries()) }
+func (m *Machine) PendingPrimaries() int {
+	n := 0
+	for _, t := range m.tasks {
+		if t.role == RolePrimary && !t.done {
+			n++
+		}
+	}
+	return n
+}
 
 // HostConfig returns the machine's resolved host configuration.
 func (m *Machine) HostConfig() HostConfig { return m.cfg }
 
-// pendingPrimaries returns the primary tasks that have not finished.
-func (m *Machine) pendingPrimaries() []*Task {
-	var out []*Task
-	for _, t := range m.tasks {
-		if t.spec.Role == RolePrimary && !t.done {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 func countPrimaries(tasks []*Task) int {
 	n := 0
 	for _, t := range tasks {
-		if t.spec.Role == RolePrimary {
+		if t.role == RolePrimary {
 			n++
 		}
 	}
@@ -840,53 +824,22 @@ func (m *Machine) unusedReservedPages() int64 {
 
 func (m *Machine) primariesInitDone() bool {
 	for _, t := range m.tasks {
-		if t.spec.Role == RolePrimary && !t.done && !t.spec.Prog.InitDone() {
+		if t.role == RolePrimary && !t.done && !t.prog.InitDone() {
 			return false
 		}
 	}
 	return true
 }
 
-// runQuantum executes up to one scheduling quantum of t, pulling accesses
-// from the workload in batches (capped at the scratch-buffer size) and
-// running each batch through the hardware pipeline.
+// runQuantum executes up to one scheduling quantum of t. Each access the
+// program's Step returns runs through the full pipeline — main TLB, nested
+// 2D walk, cache hierarchy, guest fault handling — before Step is called
+// again, so env calls inside Step see every earlier access executed and
+// the init-boundary snapshot lands on the exact access that flips InitDone.
 func (m *Machine) runQuantum(t *Task) error {
-	e := env{g: t.guest, proc: t.proc}
-	remaining := m.cfg.Quantum
-	for remaining > 0 {
-		limit := remaining
-		if limit > len(m.accBuf) {
-			limit = len(m.accBuf)
-		}
-		n, done := t.batch.StepBatch(e, m.accBuf[:limit])
-		if n > 0 {
-			if err := m.execBatch(t, m.accBuf[:n]); err != nil {
-				return err
-			}
-			remaining -= n
-		}
-		// The batch contract ends a batch when InitDone flips, so checking
-		// once per batch observes the same counter snapshot the per-access
-		// loop did.
-		t.markInitBoundary()
-		if done {
-			t.done = true
-			return nil
-		}
-		if n == 0 {
-			return fmt.Errorf("vm: task %s stalled: empty batch without finishing", t.Name())
-		}
-	}
-	return nil
-}
-
-// execBatch runs one batch of accesses through the full pipeline: main TLB,
-// nested 2D walk, cache hierarchy, guest fault handling. Cycle and cache
-// counters accumulate in locals and are written back to the task once per
-// batch — the amortization that makes the batched path faster than the old
-// per-access loop while producing bit-identical results.
-func (m *Machine) execBatch(t *Task, accs []workload.Access) error {
 	var (
+		prog   = t.prog
+		env    = t.env
 		costs  = &m.cfg.Costs
 		walker = t.guest.walker
 		hier   = m.hier
@@ -894,65 +847,66 @@ func (m *Machine) execBatch(t *Task, accs []workload.Access) error {
 		asid   = t.proc.ASID()
 		gpt    = t.proc.PageTable()
 		cpu    = t.cpu
-		seq    = m.totalAccesses
 		hostVM = t.guest.hostVM
 		// dirtyLog is hoisted so the common (non-migrating) case pays one
 		// branch per access, nothing more.
 		dirtyLog = hostVM.DirtyLogging()
 	)
-	var executed, dataC, transC, faultC uint64
-	var served [cache.NumLevels]uint64
 	recs := m.recBuf[:0]
-	var stepErr error
-
-batchLoop:
-	for _, acc := range accs {
-		seq++
-		executed++
+	var err error
+quantum:
+	for n := 0; n < m.cfg.Quantum; n++ {
+		acc, done := prog.Step(env)
+		if done {
+			t.done = true
+			break
+		}
+		m.totalAccesses++
+		t.guest.accesses++
+		t.Accesses++
+		t.WorkCycles += costs.WorkCyclesPerAccess
+		t.Cycles += costs.WorkCyclesPerAccess
+		seq := m.totalAccesses
 		var accTranslation, accData uint64
 		var accServed cache.Level
 		var accTLBHit bool
-		// Fast path: probe the main TLB without setting up a 2D walk. A hit
-		// resolves the access immediately; a miss falls into the walk/fault
-		// retry loop. TranslateFast followed by TranslateSlow performs
-		// exactly the probes the monolithic Translate did, so every TLB and
-		// walker counter advances identically.
-		out, fastHit := walker.TranslateFast(asid, acc.VA, acc.Write)
 		for attempt := 0; ; attempt++ {
-			if !fastHit {
-				if attempt == 0 {
-					out = walker.TranslateSlow(cpu, asid, gpt, acc.VA, acc.Write)
-				} else {
-					out = walker.Translate(cpu, asid, gpt, acc.VA, acc.Write)
-				}
+			// TranslateFast followed on a miss by TranslateSlow performs
+			// exactly the probes of the monolithic Translate, so every TLB
+			// and walker counter advances identically.
+			out, hit := walker.TranslateFast(asid, acc.VA, acc.Write)
+			if !hit {
+				out = walker.TranslateSlow(cpu, asid, gpt, acc.VA, acc.Write)
 			}
-			transC += out.Cycles
+			t.TranslationCycles += out.Cycles
+			t.Cycles += out.Cycles
 			accTranslation += out.Cycles
 			if out.Ok {
 				lv, lat := hier.Access(cpu, out.HPA)
-				dataC += lat
-				served[lv]++
+				t.DataCycles += lat
+				t.Cycles += lat
+				t.DataServed[lv]++
 				accData = lat
 				accServed = lv
 				accTLBHit = out.TLBHit
 				break
 			}
 			if out.Err != nil {
-				stepErr = fmt.Errorf("vm: task %s: %w", t.Name(), out.Err)
-				break batchLoop
+				err = fmt.Errorf("vm: task %s: %w", t.Name(), out.Err)
+				break quantum
 			}
 			if !out.GuestFault {
-				stepErr = fmt.Errorf("vm: translation of %#x failed without fault", uint64(acc.VA))
-				break batchLoop
+				err = fmt.Errorf("vm: translation of %#x failed without fault", uint64(acc.VA))
+				break quantum
 			}
 			if attempt >= 3 {
-				stepErr = fmt.Errorf("vm: fault loop at %#x (task %s)", uint64(acc.VA), t.Name())
-				break batchLoop
+				err = fmt.Errorf("vm: fault loop at %#x (task %s)", uint64(acc.VA), t.Name())
+				break quantum
 			}
 			kind, ferr := t.proc.HandlePageFault(acc.VA, acc.Write)
 			if ferr != nil {
-				stepErr = fmt.Errorf("vm: task %s: %w", t.Name(), ferr)
-				break batchLoop
+				err = fmt.Errorf("vm: task %s: %w", t.Name(), ferr)
+				break quantum
 			}
 			if tracer != nil {
 				// Faults interleave with accesses in stream order: flush
@@ -967,8 +921,9 @@ batchLoop:
 			if kind == guestos.FaultCOW {
 				walker.InvalidatePage(asid, acc.VA)
 			}
-			faultC += costs.faultCost(kind)
-			fastHit = false
+			fc := costs.faultCost(kind)
+			t.FaultCycles += fc
+			t.Cycles += fc
 		}
 		if dirtyLog && acc.Write {
 			// PML-style write tracking: the page walker sets the EPT dirty
@@ -985,33 +940,16 @@ batchLoop:
 				Served: uint8(accServed), Seq: seq,
 			})
 		}
+		if !t.initSeen && prog.InitDone() {
+			t.initSeen = true
+			t.initSnapshot = t.counters()
+		}
 	}
 	if tracer != nil && len(recs) > 0 {
 		tracer.AccessBatch(recs)
 	}
-	// Write-back: counters for every access the batch executed, including a
-	// partially executed access on the error path (matching the per-access
-	// loop, which updated counters before failing).
-	work := executed * costs.WorkCyclesPerAccess
-	m.totalAccesses += executed
-	t.guest.accesses += executed
-	t.Accesses += executed
-	t.WorkCycles += work
-	t.DataCycles += dataC
-	t.TranslationCycles += transC
-	t.FaultCycles += faultC
-	t.Cycles += work + dataC + transC + faultC
-	for i, hits := range served {
-		t.DataServed[i] += hits
-	}
-	return stepErr
-}
-
-func (t *Task) markInitBoundary() {
-	if !t.initSeen && t.spec.Prog.InitDone() {
-		t.initSeen = true
-		t.initSnapshot = t.counters()
-	}
+	m.recBuf = recs[:0]
+	return err
 }
 
 // TaskReport is the measured slice of one primary task.
@@ -1038,7 +976,7 @@ type TaskReport struct {
 func (m *Machine) Report() []TaskReport {
 	var out []TaskReport
 	for _, t := range m.tasks {
-		if t.spec.Role != RolePrimary {
+		if t.role != RolePrimary {
 			continue
 		}
 		r := TaskReport{

@@ -1,81 +1,18 @@
 package workload
 
-// This file defines the batched access pipeline of the workload layer.
-//
-// The machine's hot loop used to pull accesses one at a time through the
-// Program interface: one dynamic dispatch, one scheduler-bookkeeping pass
-// and one set of counter read-modify-writes per simulated access. With the
-// paper's evaluation needing millions of accesses per scenario, that
-// per-item tax dominates wall-clock. StepBatch amortizes it: a program
-// fills a caller-provided buffer with as many upcoming accesses as it can
-// produce without changing observable behaviour, and the machine executes
-// the whole batch with its per-access state hoisted out of the loop.
-//
-// Determinism contract (DESIGN.md §7). A batched run must be bit-identical
-// to the legacy per-access run for every output the simulator reports. The
-// machine executes accesses strictly in emitted order, so the only way a
-// batch could diverge is by reordering side effects. Three rules prevent
-// that:
-//
-//  1. Env calls only before the first access of a batch. Mmap/Free mutate
-//     the guest kernel (buddy allocator, page tables, TLB shootdowns);
-//     in the legacy loop such a call happens after every earlier access
-//     has fully executed (including its page faults). A program must
-//     therefore end a batch when its next step would call env, so the env
-//     call lands at the start of the following batch — after the machine
-//     has executed everything emitted before it, exactly as before.
-//  2. A batch ends when InitDone flips during generation. The machine
-//     snapshots a task's counters at the first access after which
-//     InitDone() reports true (the §3.3 steady-state boundary). It checks
-//     once per batch, so the access that flips the flag must be the last
-//     one in its batch.
-//  3. (n=0, done=false) is a stall, not a valid return. A program that
-//     cannot emit at least one access must report done.
-type BatchProgram interface {
-	Program
-	// StepBatch fills buf with the next accesses of the program's stream
-	// and returns how many were produced. done=true means the program
-	// finished; the n accesses before it are still valid (and executed).
-	// len(buf) is always >= 1; the machine never passes an empty buffer.
-	StepBatch(env Env, buf []Access) (n int, done bool)
-}
+// BatchAdapter drains a Program through a buffer-filling call, one access
+// per call, for callers that consume access streams in batches.
+type BatchAdapter struct{ Program }
 
-// BatchAdapter lifts a legacy single-step Program into the BatchProgram
-// interface, so third-party Program implementations keep working unchanged.
-//
-// The adapter always produces batches of exactly one access. It cannot do
-// better: a black-box Step may call env at any point, and buffering even
-// two accesses would execute the first one after an env mutation that the
-// legacy loop ordered strictly before it — changing buddy-allocator state
-// and, through physical placement, every downstream number. Size-one
-// batches make the adapter provably equivalent to the legacy loop; native
-// StepBatch implementations (all built-in programs have one) get the
-// throughput win.
-type BatchAdapter struct {
-	P Program
-}
-
-// Name returns the wrapped program's name.
-func (b BatchAdapter) Name() string { return b.P.Name() }
-
-// FootprintBytes returns the wrapped program's declared footprint.
-func (b BatchAdapter) FootprintBytes() uint64 { return b.P.FootprintBytes() }
-
-// Setup forwards to the wrapped program.
-func (b BatchAdapter) Setup(env Env) error { return b.P.Setup(env) }
-
-// Step forwards to the wrapped program.
-func (b BatchAdapter) Step(env Env) (Access, bool) { return b.P.Step(env) }
-
-// InitDone forwards to the wrapped program.
-func (b BatchAdapter) InitDone() bool { return b.P.InitDone() }
-
-// StepBatch emits a single-access batch via the wrapped Step.
-func (b BatchAdapter) StepBatch(env Env, buf []Access) (int, bool) {
+// StepBatch stores the program's next access in buf[0] and returns 1, or
+// returns done=true once the program has finished. It never buffers more
+// than one access, so env calls inside Step keep their position in the
+// stream.
+func (b BatchAdapter) StepBatch(env Env, buf []Access) (n int, done bool) {
 	if len(buf) == 0 {
 		return 0, false
 	}
-	acc, done := b.P.Step(env)
+	acc, done := b.Step(env)
 	if done {
 		return 0, true
 	}
@@ -83,12 +20,5 @@ func (b BatchAdapter) StepBatch(env Env, buf []Access) (int, bool) {
 	return 1, false
 }
 
-// AsBatch returns p itself when it already implements BatchProgram, and a
-// BatchAdapter around it otherwise. The machine layer calls this once per
-// task at AddTask time.
-func AsBatch(p Program) BatchProgram {
-	if bp, ok := p.(BatchProgram); ok {
-		return bp
-	}
-	return BatchAdapter{P: p}
-}
+// AsBatch wraps p in a BatchAdapter.
+func AsBatch(p Program) BatchAdapter { return BatchAdapter{p} }

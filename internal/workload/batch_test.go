@@ -1,158 +1,12 @@
 package workload
 
-import (
-	"testing"
-
-	"ptemagnet/internal/arch"
-)
-
-// allPrograms instantiates every built-in program with the given seed.
-func allPrograms(seed int64) []Program {
-	g := GraphConfig{DatasetBytes: 2 << 20, Accesses: 3000, Seed: seed}
-	s := SpecConfig{FootprintBytes: 2 << 20, Accesses: 3000, Seed: seed}
-	c := CorunnerConfig{FootprintBytes: 1 << 20, Seed: seed}
-	return []Program{
-		NewPagerank(g), NewCC(g), NewBFS(g), NewNibble(g),
-		NewMCF(s), NewGCC(s), NewOmnetpp(s), NewXZ(s),
-		NewObjdet(c), NewStressNG(c), NewChameleon(c), NewPyaes(c),
-		NewJSONSerdes(c), NewRNNServing(c),
-		NewAllocMicro(1 << 20), NewSparse(1 << 20),
-	}
-}
-
-// streamEvent is one entry of a program's observable behaviour: either an
-// emitted access or an env call. Comparing full event streams between the
-// Step and StepBatch drivers proves the batch contract — env calls happen at
-// the same position relative to the generated accesses.
-type streamEvent struct {
-	kind  string // "access", "mmap", "free", "initdone"
-	acc   Access
-	bytes uint64
-}
-
-// loggingEnv wraps fakeEnv and appends env calls to a shared event log.
-type loggingEnv struct {
-	inner *fakeEnv
-	log   *[]streamEvent
-}
-
-func (e loggingEnv) Mmap(bytes uint64) (arch.VirtAddr, error) {
-	*e.log = append(*e.log, streamEvent{kind: "mmap", bytes: bytes})
-	return e.inner.Mmap(bytes)
-}
-
-func (e loggingEnv) Free(va arch.VirtAddr, bytes uint64) error {
-	*e.log = append(*e.log, streamEvent{kind: "free", bytes: bytes})
-	return e.inner.Free(va, bytes)
-}
-
-const streamCap = 200_000
-
-// stepStream drives p one access at a time, recording accesses, env calls
-// and the position at which InitDone flips. Co-runner programs never
-// finish, so the stream is capped; finished reports whether p returned done
-// before the cap.
-func stepStream(t *testing.T, p Program) (log []streamEvent, finished bool) {
-	t.Helper()
-	env := loggingEnv{inner: newFakeEnv(), log: &log}
-	if err := p.Setup(env); err != nil {
-		t.Fatalf("%s: setup: %v", p.Name(), err)
-	}
-	init := p.InitDone()
-	for len(log) < streamCap {
-		acc, done := p.Step(env)
-		if done {
-			return log, true
-		}
-		log = append(log, streamEvent{kind: "access", acc: acc})
-		if !init && p.InitDone() {
-			init = true
-			log = append(log, streamEvent{kind: "initdone"})
-		}
-	}
-	return log, false
-}
-
-// batchStream drives p through StepBatch with the given buffer size,
-// recording the same observable events as stepStream.
-func batchStream(t *testing.T, p Program, bufSize int) (log []streamEvent, finished bool) {
-	t.Helper()
-	b := AsBatch(p)
-	env := loggingEnv{inner: newFakeEnv(), log: &log}
-	if err := b.Setup(env); err != nil {
-		t.Fatalf("%s: setup: %v", p.Name(), err)
-	}
-	init := b.InitDone()
-	buf := make([]Access, bufSize)
-	for len(log) < streamCap {
-		n, done := b.StepBatch(env, buf)
-		for _, acc := range buf[:n] {
-			log = append(log, streamEvent{kind: "access", acc: acc})
-		}
-		if !init && b.InitDone() {
-			init = true
-			log = append(log, streamEvent{kind: "initdone"})
-		}
-		if done {
-			return log, true
-		}
-		if n == 0 {
-			t.Fatalf("%s: empty batch without done", p.Name())
-		}
-	}
-	return log, false
-}
-
-// TestStepBatchMatchesStep is the batch contract's identity proof at the
-// workload layer: for every built-in program and several buffer sizes, the
-// interleaved stream of accesses, env calls and the InitDone flip position
-// is identical between per-access stepping and batched stepping.
-func TestStepBatchMatchesStep(t *testing.T) {
-	for i := range allPrograms(3) {
-		want, wantFin := stepStream(t, allPrograms(3)[i])
-		name := allPrograms(3)[i].Name()
-		for _, bufSize := range []int{1, 3, 64, 256} {
-			got, gotFin := batchStream(t, allPrograms(3)[i], bufSize)
-			if wantFin != gotFin {
-				t.Fatalf("%s buf=%d: finished=%v, want %v", name, bufSize, gotFin, wantFin)
-			}
-			if wantFin && len(got) != len(want) {
-				t.Fatalf("%s buf=%d: %d events, want %d", name, bufSize, len(got), len(want))
-			}
-			// Capped streams may end at different batch boundaries; the
-			// common prefix must still be identical.
-			n := len(want)
-			if len(got) < n {
-				n = len(got)
-			}
-			for j := 0; j < n; j++ {
-				if got[j] != want[j] {
-					t.Fatalf("%s buf=%d: event %d = %+v, want %+v", name, bufSize, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-// TestAllProgramsImplementBatch pins that every built-in program provides a
-// native StepBatch (AsBatch must not have to fall back to the adapter).
-func TestAllProgramsImplementBatch(t *testing.T) {
-	for _, p := range allPrograms(1) {
-		if _, ok := p.(BatchProgram); !ok {
-			t.Errorf("%s does not implement BatchProgram natively", p.Name())
-		}
-	}
-}
+import "testing"
 
 // TestAdapterEmitsSingleAccessBatches pins the adapter's safety property:
-// an opaque Program may call env mid-stream, so the adapter must never
-// buffer more than one access per batch.
+// a Program may call env mid-stream, so the adapter must never buffer more
+// than one access per call.
 func TestAdapterEmitsSingleAccessBatches(t *testing.T) {
-	var inner Program = NewPagerank(GraphConfig{DatasetBytes: 1 << 20, Accesses: 100, Seed: 1})
-	b := AsBatch(legacyOnly{inner})
-	if _, ok := b.(BatchAdapter); !ok {
-		t.Fatalf("AsBatch of a plain Program = %T, want BatchAdapter", b)
-	}
+	b := AsBatch(NewPagerank(GraphConfig{DatasetBytes: 1 << 20, Accesses: 100, Seed: 1}))
 	env := newFakeEnv()
 	if err := b.Setup(env); err != nil {
 		t.Fatal(err)
@@ -169,55 +23,26 @@ func TestAdapterEmitsSingleAccessBatches(t *testing.T) {
 	}
 }
 
-// legacyOnly hides a Program's StepBatch so AsBatch must use the adapter.
-type legacyOnly struct{ p Program }
-
-func (l legacyOnly) Name() string                { return l.p.Name() }
-func (l legacyOnly) FootprintBytes() uint64      { return l.p.FootprintBytes() }
-func (l legacyOnly) Setup(env Env) error         { return l.p.Setup(env) }
-func (l legacyOnly) Step(env Env) (Access, bool) { return l.p.Step(env) }
-func (l legacyOnly) InitDone() bool              { return l.p.InitDone() }
-
-// benchDrain runs p to completion through StepBatch with the given buffer,
-// returning the access count.
-func benchDrain(b *testing.B, p BatchProgram, bufSize int) int {
-	env := newFakeEnv()
-	if err := p.Setup(env); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]Access, bufSize)
-	total := 0
-	for {
-		n, done := p.StepBatch(env, buf)
-		total += n
-		if done {
-			return total
-		}
-		if n == 0 {
-			b.Fatal("empty batch without done")
-		}
-	}
-}
-
 func benchGraph() GraphConfig {
 	return GraphConfig{DatasetBytes: 4 << 20, Accesses: 100_000, Seed: 9}
 }
 
-// BenchmarkPipelineStepNative measures the native batched generator.
-func BenchmarkPipelineStepNative(b *testing.B) {
+// BenchmarkPipelineStep measures the workload layer alone: pagerank drained
+// to completion through Step.
+func BenchmarkPipelineStep(b *testing.B) {
 	total := 0
 	for i := 0; i < b.N; i++ {
-		total += benchDrain(b, AsBatch(NewPagerank(benchGraph())), 256)
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "accesses/s")
-}
-
-// BenchmarkPipelineStepAdapter measures the same stream through the
-// one-access-per-batch legacy adapter.
-func BenchmarkPipelineStepAdapter(b *testing.B) {
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += benchDrain(b, AsBatch(legacyOnly{NewPagerank(benchGraph())}), 256)
+		p := NewPagerank(benchGraph())
+		env := newFakeEnv()
+		if err := p.Setup(env); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, done := p.Step(env); done {
+				break
+			}
+			total++
+		}
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "accesses/s")
 }

@@ -101,47 +101,6 @@ func (o *objdet) Step(env Env) (Access, bool) {
 	return o.Step(env)
 }
 
-// nextNeedsEnv predicts whether the next Step calls env: at the end of an
-// inference (the arena Free) or before the very first inference (the arena
-// mmap).
-func (o *objdet) nextNeedsEnv() bool {
-	if o.inArena {
-		return o.phase.next >= o.phase.pages
-	}
-	return o.reads == 0 && o.arena.bytes == 0
-}
-
-// StepBatch fills buf natively (see BatchProgram). Batches break before
-// env-calling steps (rule 1) and at the InitDone flip (rule 2).
-func (o *objdet) StepBatch(env Env, buf []Access) (int, bool) {
-	if !o.ready {
-		if n := o.wInit.fill(buf); n > 0 {
-			return n, false
-		}
-		// Weights are touched: the next step flips InitDone and mmaps the
-		// first arena — env at batch start, and the flip ends the batch.
-		acc, done := o.Step(env)
-		if done {
-			return 0, true
-		}
-		buf[0] = acc
-		return 1, false
-	}
-	n := 0
-	for n < len(buf) {
-		if n > 0 && o.nextNeedsEnv() {
-			break
-		}
-		acc, done := o.Step(env)
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-	}
-	return n, false
-}
-
 // stressng models `stress-ng` with N memory hogs that continuously allocate
 // and free physical memory (the §3.3 fragmentation co-runner). Each worker
 // cycles: touch every page of its slab (faulting it in), then free it.
@@ -201,29 +160,6 @@ func (s *stressng) Step(env Env) (Access, bool) {
 	}
 	s.phase[w] = touchSpan{base: s.slabs[w].base, pages: s.slabs[w].pageCount(), write: true}
 	return s.phase[w].step()
-}
-
-// StepBatch fills buf natively (see BatchProgram). A batch breaks before
-// any step whose round-robin worker has finished its slab (that step frees
-// it — rule 1) and after the very first step (InitDone flips — rule 2).
-func (s *stressng) StepBatch(env Env, buf []Access) (int, bool) {
-	n := 0
-	for n < len(buf) {
-		if n > 0 && s.phase[s.active].next >= s.phase[s.active].pages {
-			break
-		}
-		init := !s.ready
-		acc, done := s.Step(env)
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-		if init {
-			break
-		}
-	}
-	return n, false
 }
 
 // smallFunction models the light serverless co-runners of Table 3
@@ -323,47 +259,6 @@ func (f *smallFunction) Step(env Env) (Access, bool) {
 	return Access{VA: f.heap.pageVA(page) + arch.VirtAddr(f.rng.Intn(arch.WordsPerPage)*arch.WordBytes)}, false
 }
 
-// nextNeedsEnv predicts whether the next Step may call env: at a burst end
-// (the scratch Free), or — while the scratch region has never been
-// allocated — on any step, because the rng churn draw may trigger the
-// first mmap and the draw cannot be peeked without consuming it.
-func (f *smallFunction) nextNeedsEnv() bool {
-	if f.inB {
-		return f.burst.next >= f.burst.pages
-	}
-	return f.scr.bytes == 0
-}
-
-// StepBatch fills buf natively (see BatchProgram).
-func (f *smallFunction) StepBatch(env Env, buf []Access) (int, bool) {
-	if !f.ready {
-		if n := f.init.fill(buf); n > 0 {
-			return n, false
-		}
-		// The flip step may mmap the first scratch burst (env at batch
-		// start) and ends the batch either way (rule 2).
-		acc, done := f.Step(env)
-		if done {
-			return 0, true
-		}
-		buf[0] = acc
-		return 1, false
-	}
-	n := 0
-	for n < len(buf) {
-		if n > 0 && f.nextNeedsEnv() {
-			break
-		}
-		acc, done := f.Step(env)
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-	}
-	return n, false
-}
-
 // ---------------------------------------------------------------------------
 // Microbenchmarks
 // ---------------------------------------------------------------------------
@@ -400,17 +295,6 @@ func (a *allocMicro) Setup(env Env) error {
 }
 
 func (a *allocMicro) Step(env Env) (Access, bool) { return a.scan.step() }
-
-// StepBatch fills buf natively (see BatchProgram). InitDone flips on the
-// final scan access, and fill stops exactly there, so the flip access ends
-// its batch (rule 2) with no extra handling.
-func (a *allocMicro) StepBatch(env Env, buf []Access) (int, bool) {
-	n := a.scan.fill(buf)
-	if n == 0 {
-		return 0, true
-	}
-	return n, false
-}
 
 // sparse is the §6.2 adversary: it touches only the first page of every
 // reservation group, so 7 of 8 reserved pages stay unused — the worst case
@@ -455,23 +339,4 @@ func (s *sparse) Step(env Env) (Access, bool) {
 	va := s.arena.base + arch.VirtAddr(s.next*arch.GroupBytes)
 	s.next++
 	return Access{VA: va, Write: true}, false
-}
-
-// StepBatch fills buf natively (see BatchProgram). The batch ends when the
-// first lap completes, where InitDone flips (rule 2).
-func (s *sparse) StepBatch(env Env, buf []Access) (int, bool) {
-	n := 0
-	for n < len(buf) {
-		init := s.laps == 0
-		acc, done := s.Step(env)
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-		if init && s.laps > 0 {
-			break
-		}
-	}
-	return n, false
 }

@@ -44,7 +44,9 @@ type Program interface {
 	Setup(env Env) error
 	// Step produces the next access. done=true means the program
 	// finished; the access is ignored then. Programs may call env (alloc
-	// churn) inside Step.
+	// churn) inside Step: the machine executes every access Step returned
+	// — page faults included — before it calls Step again, so an env call
+	// sees the state those accesses left behind.
 	Step(env Env) (acc Access, done bool)
 	// InitDone reports whether the program has finished populating its
 	// data structures (allocated all its physical memory). §3.3 stops
@@ -68,19 +70,6 @@ func (t *touchSpan) step() (Access, bool) {
 	va := t.base + arch.VirtAddr(t.next<<arch.PageShift)
 	t.next++
 	return Access{VA: va, Write: t.write}, false
-}
-
-// fill emits up to len(buf) accesses of the span in one tight loop — the
-// batched form of step. It returns how many were produced (0 when the span
-// is exhausted).
-func (t *touchSpan) fill(buf []Access) int {
-	n := 0
-	for n < len(buf) && t.next < t.pages {
-		buf[n] = Access{VA: t.base + arch.VirtAddr(t.next<<arch.PageShift), Write: t.write}
-		t.next++
-		n++
-	}
-	return n
 }
 
 // region is a named allocated span.
@@ -190,58 +179,16 @@ func (g *graphKernel) Step(env Env) (Access, bool) {
 		if !done {
 			return acc, false
 		}
-		g.advanceInit()
-	}
-	return g.steadyStep()
-}
-
-// advanceInit moves to the next initialization span (or, past stage 3, to
-// the steady phase).
-func (g *graphKernel) advanceInit() {
-	g.initStage++
-	switch g.initStage {
-	case 1:
-		g.init = touchSpan{base: g.edges.base, pages: g.edges.pageCount(), write: true}
-	case 2:
-		g.init = touchSpan{base: g.src.base, pages: g.src.pageCount(), write: true}
-	case 3:
-		g.init = touchSpan{base: g.dst.base, pages: g.dst.pageCount(), write: true}
-	}
-}
-
-// StepBatch fills buf natively (see BatchProgram). Batches end at the
-// InitDone flip — the access stream and rng consumption are identical to
-// repeated Step calls.
-func (g *graphKernel) StepBatch(env Env, buf []Access) (int, bool) {
-	n := 0
-	for g.initStage <= 3 {
-		n += g.init.fill(buf[n:])
-		if n == len(buf) {
-			return n, false
-		}
-		g.advanceInit()
-		if g.initStage > 3 {
-			// The first steady access flips InitDone and ends the batch.
-			acc, done := g.steadyStep()
-			if done {
-				return n, true
-			}
-			buf[n] = acc
-			return n + 1, false
+		g.initStage++
+		switch g.initStage {
+		case 1:
+			g.init = touchSpan{base: g.edges.base, pages: g.edges.pageCount(), write: true}
+		case 2:
+			g.init = touchSpan{base: g.src.base, pages: g.src.pageCount(), write: true}
+		case 3:
+			g.init = touchSpan{base: g.dst.base, pages: g.dst.pageCount(), write: true}
 		}
 	}
-	for n < len(buf) {
-		acc, done := g.steadyStep()
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-	}
-	return n, false
-}
-
-func (g *graphKernel) steadyStep() (Access, bool) {
 	if g.step >= g.cfg.Accesses {
 		return Access{}, true
 	}
@@ -375,37 +322,6 @@ func (m *mcf) Step(env Env) (Access, bool) {
 		}
 		m.ready = true
 	}
-	return m.steadyStep()
-}
-
-// StepBatch fills buf natively (see BatchProgram).
-func (m *mcf) StepBatch(env Env, buf []Access) (int, bool) {
-	if !m.ready {
-		if n := m.init.fill(buf); n > 0 {
-			return n, false
-		}
-		m.ready = true
-		// The first steady access flips InitDone and ends the batch.
-		acc, done := m.steadyStep()
-		if done {
-			return 0, true
-		}
-		buf[0] = acc
-		return 1, false
-	}
-	n := 0
-	for n < len(buf) {
-		acc, done := m.steadyStep()
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-	}
-	return n, false
-}
-
-func (m *mcf) steadyStep() (Access, bool) {
 	if m.step >= m.cfg.Accesses {
 		return Access{}, true
 	}
@@ -477,37 +393,6 @@ func (p *mixProgram) Step(env Env) (Access, bool) {
 		}
 		p.ready = true
 	}
-	return p.steadyStep()
-}
-
-// StepBatch fills buf natively (see BatchProgram).
-func (p *mixProgram) StepBatch(env Env, buf []Access) (int, bool) {
-	if !p.ready {
-		if n := p.init.fill(buf); n > 0 {
-			return n, false
-		}
-		p.ready = true
-		// The first steady access flips InitDone and ends the batch.
-		acc, done := p.steadyStep()
-		if done {
-			return 0, true
-		}
-		buf[0] = acc
-		return 1, false
-	}
-	n := 0
-	for n < len(buf) {
-		acc, done := p.steadyStep()
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-	}
-	return n, false
-}
-
-func (p *mixProgram) steadyStep() (Access, bool) {
 	if p.step >= p.cfg.Accesses {
 		return Access{}, true
 	}
@@ -564,37 +449,6 @@ func (x *xz) Step(env Env) (Access, bool) {
 		}
 		x.ready = true
 	}
-	return x.steadyStep()
-}
-
-// StepBatch fills buf natively (see BatchProgram).
-func (x *xz) StepBatch(env Env, buf []Access) (int, bool) {
-	if !x.ready {
-		if n := x.init.fill(buf); n > 0 {
-			return n, false
-		}
-		x.ready = true
-		// The first steady access flips InitDone and ends the batch.
-		acc, done := x.steadyStep()
-		if done {
-			return 0, true
-		}
-		buf[0] = acc
-		return 1, false
-	}
-	n := 0
-	for n < len(buf) {
-		acc, done := x.steadyStep()
-		if done {
-			return n, true
-		}
-		buf[n] = acc
-		n++
-	}
-	return n, false
-}
-
-func (x *xz) steadyStep() (Access, bool) {
 	if x.step >= x.cfg.Accesses {
 		return Access{}, true
 	}
