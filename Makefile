@@ -34,12 +34,13 @@ test:
 	cd _perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The engine's determinism contract, the simulator's per-scenario
-# isolation, and the multi-tenant/migration machine tests (whose scenarios
-# run under the parallel engine) are the properties the race detector
-# guards; the heavy simulation packages elsewhere are race-free by
-# construction (no goroutines) and would only slow this down.
+# isolation, the multi-tenant/migration machine tests (whose scenarios run
+# under the parallel engine), and the PaRT's fine-grained locking (its tests
+# fault one table from several goroutines) are the properties the race
+# detector guards; the other simulation packages start no goroutines and
+# would only slow this down. CI runs this target.
 race:
-	$(GO) test -race ./internal/engine ./internal/sim ./internal/vm ./internal/migrate ./internal/faults ./internal/balloon
+	$(GO) test -race ./internal/engine ./internal/sim ./internal/vm ./internal/migrate ./internal/faults ./internal/balloon ./internal/core
 
 # The Pipeline* benchmarks track the hot path layer by layer: workload Step,
 # the walker's TLB-hit fast path against the full Translate, the machine

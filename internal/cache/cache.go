@@ -179,30 +179,6 @@ func (b *bank) insert(block uint64) (evicted uint64, wasEvicted bool) {
 	return ev, true
 }
 
-// invalidate drops block if present.
-func (b *bank) invalidate(block uint64) {
-	set := b.set(block)
-	base := int(set) * b.ways
-	for w := 0; w < b.ways; w++ {
-		if b.tags[base+w] == block {
-			b.tags[base+w] = invalidTag
-			return
-		}
-	}
-}
-
-// contains probes without touching LRU state.
-func (b *bank) contains(block uint64) bool {
-	set := b.set(block)
-	base := int(set) * b.ways
-	for w := 0; w < b.ways; w++ {
-		if b.tags[base+w] == block {
-			return true
-		}
-	}
-	return false
-}
-
 // Hierarchy is a multi-core cache hierarchy: private L1/L2 per CPU and one
 // shared LLC.
 type Hierarchy struct {
@@ -256,25 +232,6 @@ func (h *Hierarchy) Access(cpu int, pa arch.PhysAddr) (Level, uint64) {
 		h.hits[LevelMemory]++
 		return LevelMemory, h.cfg.MemLatency
 	}
-}
-
-// Contains reports whether the block containing pa is present at any level
-// for the given CPU, without perturbing replacement state. Intended for
-// tests and offline analysis.
-func (h *Hierarchy) Contains(cpu int, pa arch.PhysAddr) bool {
-	block := pa.CacheBlock()
-	return h.l1[cpu].contains(block) || h.l2[cpu].contains(block) || h.llc.contains(block)
-}
-
-// Invalidate drops the block containing pa from every cache. The simulated
-// kernels use it when remapping pages so stale PTE blocks don't linger.
-func (h *Hierarchy) Invalidate(pa arch.PhysAddr) {
-	block := pa.CacheBlock()
-	for i := range h.l1 {
-		h.l1[i].invalidate(block)
-		h.l2[i].invalidate(block)
-	}
-	h.llc.invalidate(block)
 }
 
 // Stats holds the hierarchy's counters (DESIGN.md §8).

@@ -86,19 +86,6 @@ func TestL2BackstopsL1(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	h := NewHierarchy(tinyConfig())
-	h.Access(0, 0x3000)
-	h.Access(1, 0x3000)
-	h.Invalidate(0x3000)
-	if h.Contains(0, 0x3000) || h.Contains(1, 0x3000) {
-		t.Error("block still cached after Invalidate")
-	}
-	if lv, _ := h.Access(0, 0x3000); lv != LevelMemory {
-		t.Errorf("access after invalidate served by %v, want memory", lv)
-	}
-}
-
 func TestHitCounts(t *testing.T) {
 	h := NewHierarchy(tinyConfig())
 	h.Access(0, 0x100) // memory

@@ -254,21 +254,40 @@ func (p *PaRT) Lookup(va arch.VirtAddr) (*Reservation, bool) {
 // already hold it.
 func (p *PaRT) lookup(va arch.VirtAddr) (*Reservation, bool) {
 	key := p.key(va)
+	n := p.leafNode(key, false)
+	if n == nil {
+		return nil, false
+	}
+	n.mu.Lock()
+	child := n.children[radixIndex(key, 1)]
+	n.mu.Unlock()
+	if child == nil {
+		return nil, false
+	}
+	return child.(*Reservation), true
+}
+
+// leafNode descends to the level-1 node for key, locking each node only
+// while it reads the child. With create, missing interior nodes are made on
+// the way down; without, a missing one ends the descent with nil.
+func (p *PaRT) leafNode(key uint64, create bool) *radixNode {
 	n := p.root
-	for level := radixLevels; level >= 1; level-- {
+	for level := radixLevels; level > 1; level-- {
 		idx := radixIndex(key, level)
 		n.mu.Lock()
 		child := n.children[idx]
+		if child == nil && create {
+			child = &radixNode{}
+			n.children[idx] = child
+			n.live++
+		}
 		n.mu.Unlock()
 		if child == nil {
-			return nil, false
-		}
-		if level == 1 {
-			return child.(*Reservation), true
+			return nil
 		}
 		n = child.(*radixNode)
 	}
-	return nil, false
+	return n
 }
 
 // FaultResult describes how HandleFault satisfied a fault.
@@ -332,25 +351,32 @@ func (p *PaRT) HandleFault(va arch.VirtAddr, alloc func() (arch.PhysAddr, bool))
 			r.mu.Unlock()
 			panic(fmt.Sprintf("core: double claim of page %d in group %#x", idx, uint64(r.groupVA)))
 		}
-		r.mask |= 1 << idx
-		pa = r.base + arch.PhysAddr(idx<<arch.PageShift)
-		full := r.mask == p.fullMask()
-		if full {
-			r.dead = true
-		}
-		r.mu.Unlock()
-		p.unusedPages.Add(-1)
-		if full {
-			p.remove(r.groupVA)
-			p.live.Add(-1)
-			p.bump(func(s *Stats) { s.FullyMapped++ })
-		}
+		pa = p.claim(r, idx)
 		if existed {
 			p.bump(func(s *Stats) { s.Hits++ })
 			return pa, FaultReservationHit
 		}
 		return pa, FaultNewReservation
 	}
+}
+
+// claim marks page idx of r mapped and returns its address. It is entered
+// with r.mu held and releases it; the claim that fills r deletes it.
+func (p *PaRT) claim(r *Reservation, idx int) arch.PhysAddr {
+	r.mask |= 1 << idx
+	pa := r.base + arch.PhysAddr(idx<<arch.PageShift)
+	full := r.mask == p.fullMask()
+	if full {
+		r.dead = true
+	}
+	r.mu.Unlock()
+	p.unusedPages.Add(-1)
+	if full {
+		p.remove(r.groupVA)
+		p.live.Add(-1)
+		p.bump(func(s *Stats) { s.FullyMapped++ })
+	}
+	return pa
 }
 
 func (p *PaRT) fullMask() uint64 {
@@ -365,19 +391,7 @@ func (p *PaRT) fullMask() uint64 {
 // call. A nil reservation means alloc failed.
 func (p *PaRT) lookupOrInsert(va arch.VirtAddr, alloc func() (arch.PhysAddr, bool)) (r *Reservation, existed bool) {
 	key := p.key(va)
-	n := p.root
-	for level := radixLevels; level > 1; level-- {
-		idx := radixIndex(key, level)
-		n.mu.Lock()
-		child := n.children[idx]
-		if child == nil {
-			child = &radixNode{}
-			n.children[idx] = child
-			n.live++
-		}
-		n.mu.Unlock()
-		n = child.(*radixNode)
-	}
+	n := p.leafNode(key, true)
 	idx := radixIndex(key, 1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -404,16 +418,9 @@ func (p *PaRT) lookupOrInsert(va arch.VirtAddr, alloc func() (arch.PhysAddr, boo
 // kernel retaining page-table pages.
 func (p *PaRT) remove(groupVA arch.VirtAddr) {
 	key := p.key(groupVA)
-	n := p.root
-	for level := radixLevels; level > 1; level-- {
-		idx := radixIndex(key, level)
-		n.mu.Lock()
-		child := n.children[idx]
-		n.mu.Unlock()
-		if child == nil {
-			return
-		}
-		n = child.(*radixNode)
+	n := p.leafNode(key, false)
+	if n == nil {
+		return
 	}
 	idx := radixIndex(key, 1)
 	n.mu.Lock()
@@ -510,19 +517,7 @@ func (p *PaRT) ClaimFromParent(va arch.VirtAddr) (pa arch.PhysAddr, ok bool) {
 		r.mu.Unlock()
 		return arch.NoPhysAddr, false
 	}
-	r.mask |= 1 << idx
-	pa = r.base + arch.PhysAddr(idx<<arch.PageShift)
-	full := r.mask == p.fullMask()
-	if full {
-		r.dead = true
-	}
-	r.mu.Unlock()
-	p.unusedPages.Add(-1)
-	if full {
-		p.remove(r.groupVA)
-		p.live.Add(-1)
-		p.bump(func(s *Stats) { s.FullyMapped++ })
-	}
+	pa = p.claim(r, idx)
 	p.bump(func(s *Stats) { s.Hits++ })
 	return pa, true
 }
@@ -570,17 +565,23 @@ func (p *PaRT) DissolveGroup(va arch.VirtAddr, release func(arch.PhysAddr)) bool
 	if !ok {
 		return false
 	}
+	_, ok = p.destroy(r, release)
+	return ok
+}
+
+// destroy deletes r, releasing its unmapped pages through release, and
+// returns how many it freed; ok is false when r was already dead.
+func (p *PaRT) destroy(r *Reservation, release func(arch.PhysAddr)) (freed int, ok bool) {
 	r.mu.Lock()
 	if r.dead {
 		r.mu.Unlock()
-		return false
+		return 0, false
 	}
 	r.dead = true
 	mask := r.mask
 	base := r.base
 	groupVA := r.groupVA
 	r.mu.Unlock()
-	freed := 0
 	for i := 0; i < p.cfg.GroupPages; i++ {
 		if mask&(1<<i) == 0 {
 			release(base + arch.PhysAddr(i<<arch.PageShift))
@@ -591,7 +592,7 @@ func (p *PaRT) DissolveGroup(va arch.VirtAddr, release func(arch.PhysAddr)) bool
 	p.live.Add(-1)
 	p.unusedPages.Add(-int64(freed))
 	p.bump(func(s *Stats) { s.Reclaimed++ })
-	return true
+	return freed, true
 }
 
 // ReclaimInfo describes one reservation destroyed by Reclaim.
@@ -625,29 +626,9 @@ func (p *PaRT) Reclaim(release func(arch.PhysAddr), enough func() bool) []Reclai
 		if enough != nil && enough() {
 			break
 		}
-		r.mu.Lock()
-		if r.dead {
-			r.mu.Unlock()
-			continue
+		if freed, ok := p.destroy(r, release); ok {
+			out = append(out, ReclaimInfo{GroupVA: r.groupVA, FreedPages: freed})
 		}
-		r.dead = true
-		mask := r.mask
-		base := r.base
-		groupVA := r.groupVA
-		r.mu.Unlock()
-
-		freed := 0
-		for i := 0; i < p.cfg.GroupPages; i++ {
-			if mask&(1<<i) == 0 {
-				release(base + arch.PhysAddr(i<<arch.PageShift))
-				freed++
-			}
-		}
-		p.remove(groupVA)
-		p.live.Add(-1)
-		p.unusedPages.Add(-int64(freed))
-		p.bump(func(s *Stats) { s.Reclaimed++ })
-		out = append(out, ReclaimInfo{GroupVA: groupVA, FreedPages: freed})
 	}
 	return out
 }

@@ -512,7 +512,7 @@ func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	// which case the frame belongs to the child and the parent takes the
 	// default path.
 	if _, exists := part.Lookup(page); !exists {
-		if p.groupPartiallyMapped(page) {
+		if p.pt.AnyMapped(part.GroupBase(page), part.Config().GroupPages) {
 			return 0, false, nil
 		}
 	} else if _, mapped, found := part.ReservedPageFor(page); found && mapped {
@@ -580,10 +580,10 @@ func (p *Process) thpFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	if !found || region.end < base+pagetable.LargePageBytes {
 		return 0, false, nil
 	}
-	if p.pt.HasMappingsInLargeRegion(base) {
+	const hugePages = pagetable.LargePageBytes / arch.PageSize
+	if p.pt.AnyMapped(base, hugePages) {
 		return 0, false, nil
 	}
-	const hugePages = pagetable.LargePageBytes / arch.PageSize
 	k.stats.BuddyCalls++
 	pa, ok := k.mem.AllocGroup(hugePages, physmem.KindUser, k.own(p.pid))
 	if !ok {
@@ -610,19 +610,6 @@ func (p *Process) demoteIfLarge(va arch.VirtAddr) (bool, error) {
 	}
 	p.kernel.stats.THPSplits++
 	return true, nil
-}
-
-// groupPartiallyMapped reports whether any page of page's reservation group
-// is already mapped in this process.
-func (p *Process) groupPartiallyMapped(page arch.VirtAddr) bool {
-	part := p.part
-	base := part.GroupBase(page)
-	for i := 0; i < part.Config().GroupPages; i++ {
-		if _, _, ok := p.pt.Translate(base + arch.VirtAddr(i<<arch.PageShift)); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // allocUserFrame takes one page from the buddy allocator, reclaiming under

@@ -220,8 +220,10 @@ type Walker struct {
 	gpwc   *tlb.TLB
 	hpwc   *tlb.TLB
 	stats  Stats
-	// walkBuf is reused across walks to avoid per-walk allocations.
-	walkBuf []pagetable.Access
+	// guestBuf and hostBuf hold the entries of the current guest and host
+	// walks, reused so a walk allocates nothing. They are separate because
+	// host walks run while the guest walk's entries are being read.
+	guestBuf, hostBuf []pagetable.Access
 }
 
 // writableBit marks writable translations inside TLB payload addresses.
@@ -287,7 +289,7 @@ func (w *Walker) Translate(cpu int, asid uint32, gpt *pagetable.Table, va arch.V
 	if out, ok := w.TranslateFast(asid, va, write); ok {
 		return out
 	}
-	return w.walk(cpu, asid, gpt, va, write)
+	return w.TranslateSlow(cpu, asid, gpt, va, write)
 }
 
 // TranslateFast is the main-TLB fast path: it probes the TLB and, on a hit
@@ -324,11 +326,6 @@ func (w *Walker) TranslateFast(asid uint32, va arch.VirtAddr, write bool) (Outco
 // stats contract of Translate (every walk is preceded by one counted
 // lookup).
 func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAddr, write bool) Outcome {
-	return w.walk(cpu, asid, gpt, va, write)
-}
-
-// walk performs the full 2D walk.
-func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAddr, write bool) Outcome {
 	w.stats.Walks++
 	var cycles uint64
 
@@ -341,9 +338,8 @@ func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAd
 		startNode = nodeGPA
 		w.stats.PWCHits[DimGuest]++
 	}
-	w.walkBuf = w.walkBuf[:0]
-	accesses, gpa, found := gpt.WalkAppend(w.walkBuf, va, startLevel, startNode)
-	w.walkBuf = accesses
+	accesses, gpa, found := gpt.WalkAppend(w.guestBuf[:0], va, startLevel, startNode)
+	w.guestBuf = accesses
 	for _, a := range accesses {
 		// Each guest PT entry lives at a guest-physical address that the
 		// hardware must translate through the host dimension before the
@@ -365,17 +361,17 @@ func (w *Walker) walk(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAd
 		w.stats.WalkHist[histBucket(cycles)]++
 		return Outcome{GuestFault: true, Cycles: cycles}
 	}
-	// Permission check on the leaf.
-	_, flags, _ := gpt.Translate(va)
+	// Permission check on the leaf, read only now: a host fault above can
+	// run balloon relief, which may swap out guest pages and rewrite the
+	// guest table the walk just read.
+	_, flags, _, leafNode := gpt.Lookup(va)
 	if write && flags&pagetable.FlagWritable == 0 {
 		w.stats.GuestFaults++
 		w.stats.WalkCycles += cycles
 		return Outcome{GuestFault: true, Cycles: cycles}
 	}
-	if startLevel != 1 {
-		if nodeGPA, ok := gpt.NodeAt(va, 1); ok {
-			w.gpwc.Insert(asid, pwcKey(uint64(va)), nodeGPA)
-		}
+	if startLevel != 1 && leafNode != arch.NoPhysAddr {
+		w.gpwc.Insert(asid, pwcKey(uint64(va)), leafNode)
 	}
 
 	// Host dimension for the data page.
@@ -417,7 +413,8 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			startNode = nodeHPA
 			w.stats.PWCHits[DimHost]++
 		}
-		accesses, hpa, found := hpt.Walk(hva, startLevel, startNode)
+		accesses, hpa, found := hpt.WalkAppend(w.hostBuf[:0], hva, startLevel, startNode)
+		w.hostBuf = accesses
 		for _, a := range accesses {
 			lv, lat := w.caches.Access(cpu, a.EntryAddr)
 			w.stats.Accesses[DimHost]++
@@ -426,10 +423,10 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			cycles += lat
 		}
 		if found {
-			if startLevel != 1 {
-				if nodeHPA, ok := hpt.NodeAt(hva, 1); ok {
-					w.hpwc.Insert(0, pwcKey(uint64(hva)), nodeHPA)
-				}
+			// A walk that found a 4KB page ended on its level-1 entry,
+			// whose node is what the PWC caches.
+			if last := accesses[len(accesses)-1]; startLevel != 1 && last.Level == 1 {
+				w.hpwc.Insert(0, pwcKey(uint64(hva)), last.EntryAddr.PageBase())
 			}
 			hpaPage := hpa.PageBase()
 			w.ntlb.Insert(0, gfn, hpaPage)

@@ -241,6 +241,34 @@ func TestPWCsShortenWarmWalks(t *testing.T) {
 	}
 }
 
+// TestWalkAllocatesNothing pins that a translation missing every cache
+// allocates nothing: the guest and host walks reuse the walker's buffers.
+// A 2-entry NTLB sends each data page to a host walk.
+func TestWalkAllocatesNothing(t *testing.T) {
+	cfg := tinyTLBConfig()
+	cfg.NTLB = tlb.Config{Entries: 2, Ways: 2}
+	r := newRig(t, cfg)
+	const pages = 16
+	va := func(i int) arch.VirtAddr { return arch.VirtAddr(0x400000 + (i%pages)*arch.PageSize) }
+	for i := 0; i < pages; i++ {
+		// Backs every host page the walks below read.
+		mapThrough(t, r, va(i), arch.PhysAddr(0x100000+i*arch.PageSize), pagetable.FlagWritable)
+	}
+	before := r.w.Snapshot()
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		r.w.Translate(0, 1, r.gpt, va(i), false)
+		i++
+	})
+	d := r.w.Snapshot().Delta(before)
+	if d.Walks != d.Lookups || d.Accesses[DimHost] < d.Walks || d.HostFaults != 0 {
+		t.Fatalf("want a walk with a host walk and no host fault per translation, got %+v", d)
+	}
+	if allocs != 0 {
+		t.Errorf("Translate allocates %.2f times per TLB miss, want 0", allocs)
+	}
+}
+
 func TestContiguityReducesHostPTEFootprint(t *testing.T) {
 	// The paper's central mechanism, end to end: translate a spatially
 	// local access stream over 64 guest pages whose gPAs are either

@@ -70,7 +70,7 @@ func TestWalkLargeStopsAtLevel2(t *testing.T) {
 	tbl, _ := largeTable(t)
 	va := arch.VirtAddr(0x7f0000000000)
 	tbl.MapLarge(va, 0x800000, 0)
-	accesses, pa, found := tbl.WalkFull(va + 0x2345)
+	accesses, pa, found := walk(tbl, va+0x2345)
 	if !found || pa != 0x802345 {
 		t.Fatalf("walk: pa=%#x found=%v", pa, found)
 	}
@@ -82,34 +82,15 @@ func TestWalkLargeStopsAtLevel2(t *testing.T) {
 	}
 }
 
-func TestNodeAtRefusesLargeRegions(t *testing.T) {
+func TestLargeMappingHasNoLeafNode(t *testing.T) {
 	tbl, _ := largeTable(t)
 	va := arch.VirtAddr(0x7f0000000000)
 	tbl.MapLarge(va, 0x800000, 0)
-	if _, ok := tbl.NodeAt(va, 1); ok {
-		t.Error("NodeAt(1) exists under a large mapping")
+	if _, _, ok, node := tbl.Lookup(va); !ok || node != arch.NoPhysAddr {
+		t.Errorf("Lookup under a large mapping: ok=%v leaf node = %#x", ok, node)
 	}
 	if _, ok := tbl.LeafEntryAddr(va); ok {
 		t.Error("LeafEntryAddr exists under a large mapping")
-	}
-}
-
-func TestUnmapLarge(t *testing.T) {
-	tbl, _ := largeTable(t)
-	va := arch.VirtAddr(0x200000)
-	tbl.MapLarge(va, 0x800000, FlagWritable)
-	pa, flags, ok := tbl.UnmapLarge(va + 0x1000)
-	if !ok || pa != 0x800000 || flags != FlagWritable {
-		t.Fatalf("UnmapLarge = %#x,%v,%v", pa, flags, ok)
-	}
-	if tbl.MappedPages() != 0 || tbl.LargeMappings() != 0 {
-		t.Errorf("counts not reset: %d/%d", tbl.MappedPages(), tbl.LargeMappings())
-	}
-	if _, _, ok := tbl.Translate(va); ok {
-		t.Error("still translates")
-	}
-	if _, _, ok := tbl.UnmapLarge(va); ok {
-		t.Error("double unmap succeeded")
 	}
 }
 
@@ -182,11 +163,11 @@ func TestLargePageWalkFromPWCGuarded(t *testing.T) {
 	tbl.Map(0x1000, 0x5000, 0)
 	tbl.MapLarge(0x200000, 0x800000, 0)
 	// Walk of the 4KB page still works from the PWC node.
-	node, ok := tbl.NodeAt(0x1000, 1)
-	if !ok {
-		t.Fatal("NodeAt failed for 4KB region")
+	_, _, _, node := tbl.Lookup(0x1000)
+	if node == arch.NoPhysAddr {
+		t.Fatal("no leaf node for 4KB region")
 	}
-	accesses, pa, found := tbl.Walk(0x1000, 1, node)
+	accesses, pa, found := tbl.WalkAppend(nil, 0x1000, 1, node)
 	if !found || pa != 0x5000 || len(accesses) != 1 {
 		t.Errorf("PWC walk: %#x,%v,%d accesses", pa, found, len(accesses))
 	}

@@ -63,6 +63,15 @@ func (e pte) large() bool         { return e&pteLarge != 0 }
 func (e pte) addr() arch.PhysAddr { return arch.PhysAddr(e).PageBase() }
 func (e pte) flags() Flags        { return Flags(e>>pteFlagBase) & (FlagWritable | FlagCOW) }
 
+// target is the address e translates va to: the 4KB frame plus the page
+// offset, or for a large entry the 2MB base plus the 21-bit offset.
+func (e pte) target(va arch.VirtAddr) arch.PhysAddr {
+	if e.large() {
+		return e.addr() + arch.PhysAddr(uint64(va)&LargePageMask)
+	}
+	return e.addr() + arch.PhysAddr(va.PageOffset())
+}
+
 // LargePageShift is log2 of the large (huge) page size mapped by a level-2
 // entry: 2MB on x86-64.
 const LargePageShift = arch.PageShift + arch.PTIndexBits
@@ -152,26 +161,9 @@ func (t *Table) allocNode() (arch.PhysAddr, error) {
 // Mapping a 4KB page inside a region covered by a large (2MB) mapping is an
 // error; demote the large mapping first.
 func (t *Table) Map(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error {
-	n := t.nodes[t.root]
-	cur := t.root
-	for level := t.levels; level > 1; level-- {
-		idx := va.PTIndex(level)
-		e := n.entries[idx]
-		if e.present() && e.large() {
-			return fmt.Errorf("pagetable: %#x covered by a large mapping; demote first", uint64(va))
-		}
-		if !e.present() {
-			child, err := t.allocNode()
-			if err != nil {
-				return err
-			}
-			n.entries[idx] = makePTE(child, 0)
-			n.live++
-			cur = child
-		} else {
-			cur = e.addr()
-		}
-		n = t.nodes[cur]
+	n, err := t.reserve(va, 1)
+	if err != nil {
+		return err
 	}
 	idx := va.PTIndex(1)
 	if !n.entries[idx].present() {
@@ -182,59 +174,15 @@ func (t *Table) Map(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error {
 	return nil
 }
 
-// Unmap removes the leaf entry for va, returning the previously mapped
-// address and flags. Intermediate nodes are retained (as Linux does for
-// process lifetimes).
-func (t *Table) Unmap(va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
-	n, idx, ok := t.leaf(va)
-	if !ok || !n.entries[idx].present() {
-		return arch.NoPhysAddr, 0, false
-	}
-	e := n.entries[idx]
-	n.entries[idx] = 0
-	n.live--
-	t.mapped--
-	return e.addr(), e.flags(), true
-}
-
-// Translate performs a logical lookup of va, with no access trace. Large
-// (2MB) mappings translate like hardware: base plus the 21-bit offset.
-func (t *Table) Translate(va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
-	if n, idx, ok := t.largeEntry(va); ok {
-		e := n.entries[idx]
-		return e.addr() + arch.PhysAddr(uint64(va)&LargePageMask), e.flags(), true
-	}
-	n, idx, ok := t.leaf(va)
-	if !ok || !n.entries[idx].present() {
-		return arch.NoPhysAddr, 0, false
-	}
-	e := n.entries[idx]
-	return e.addr() + arch.PhysAddr(va.PageOffset()), e.flags(), true
-}
-
 // MapLarge installs a 2MB mapping at level 2: va and pa must be 2MB-aligned
 // and the region must not already contain 4KB mappings.
 func (t *Table) MapLarge(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error {
 	if uint64(va)&LargePageMask != 0 || uint64(pa)&LargePageMask != 0 {
 		return fmt.Errorf("pagetable: MapLarge of unaligned %#x → %#x", uint64(va), uint64(pa))
 	}
-	n := t.nodes[t.root]
-	cur := t.root
-	for level := t.levels; level > 2; level-- {
-		idx := va.PTIndex(level)
-		e := n.entries[idx]
-		if !e.present() {
-			child, err := t.allocNode()
-			if err != nil {
-				return err
-			}
-			n.entries[idx] = makePTE(child, 0)
-			n.live++
-			cur = child
-		} else {
-			cur = e.addr()
-		}
-		n = t.nodes[cur]
+	n, err := t.reserve(va, 2)
+	if err != nil {
+		return err
 	}
 	idx := va.PTIndex(2)
 	if e := n.entries[idx]; e.present() {
@@ -260,88 +208,220 @@ func (t *Table) MapLarge(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error 
 	return nil
 }
 
-// HasMappingsInLargeRegion reports whether va's 2MB-aligned region contains
-// any mapping — a large page or at least one 4KB page. THP promotion is
-// only legal on fully empty regions.
-func (t *Table) HasMappingsInLargeRegion(va arch.VirtAddr) bool {
+// reserve descends from the root to va's node at level stop (1 or 2),
+// allocating each missing node on the way down.
+func (t *Table) reserve(va arch.VirtAddr, stop int) (*node, error) {
 	n := t.nodes[t.root]
-	for level := t.levels; level > 2; level-- {
-		e := n.entries[va.PTIndex(level)]
-		if !e.present() {
-			return false
-		}
+	for level := t.levels; level > stop; level-- {
+		idx := va.PTIndex(level)
+		e := n.entries[idx]
 		if e.large() {
-			return true
+			return nil, fmt.Errorf("pagetable: %#x covered by a large mapping; demote first", uint64(va))
+		}
+		if !e.present() {
+			child, err := t.allocNode()
+			if err != nil {
+				return nil, err
+			}
+			e = makePTE(child, 0)
+			n.entries[idx] = e
+			n.live++
 		}
 		n = t.nodes[e.addr()]
 	}
-	e := n.entries[va.PTIndex(2)]
+	return n, nil
+}
+
+// descend follows va from the node at pa, which sits at the given level,
+// down to the entry that ends a hardware walk: the first non-present entry,
+// a large (level-2) entry, or the level-1 entry. It returns that entry's
+// node, the node's address and its level. When rec is non-nil, every entry
+// read is appended to it.
+func (t *Table) descend(va arch.VirtAddr, level int, pa arch.PhysAddr, rec *[]Access) (*node, arch.PhysAddr, int) {
+	n := t.nodes[pa]
+	if n == nil {
+		panic(fmt.Sprintf("pagetable: walk from unknown node %#x", uint64(pa)))
+	}
+	for {
+		idx := va.PTIndex(level)
+		if rec != nil {
+			*rec = append(*rec, Access{Level: level, EntryAddr: pa + arch.PhysAddr(idx*arch.PTEBytes)})
+		}
+		e := n.entries[idx]
+		if level == 1 || !e.present() || e.large() {
+			return n, pa, level
+		}
+		pa = e.addr()
+		n = t.nodes[pa]
+		level--
+	}
+}
+
+// leaf returns the level-1 node holding va's entry and the entry's index,
+// or a nil node when the descent stops above level 1.
+func (t *Table) leaf(va arch.VirtAddr) (*node, int) {
+	n, _, level := t.descend(va, t.levels, t.root, nil)
+	if level != 1 {
+		return nil, 0
+	}
+	return n, va.PTIndex(1)
+}
+
+// largeEntry returns the level-2 node and index holding va's large
+// mapping, or a nil node when va has none.
+func (t *Table) largeEntry(va arch.VirtAddr) (*node, int) {
+	n, _, level := t.descend(va, t.levels, t.root, nil)
+	idx := va.PTIndex(level)
+	if e := n.entries[idx]; !e.present() || !e.large() {
+		return nil, 0
+	}
+	return n, idx
+}
+
+// Lookup translates va with no access trace. Large (2MB) mappings
+// translate like hardware: base plus the 21-bit offset. leafNode is the
+// level-1 node the descent reached — what a page-walk cache stores for
+// va's 2MB region — even when va's own entry there is not present; it is
+// NoPhysAddr when the descent stopped above level 1, at a missing node or
+// a large mapping.
+func (t *Table) Lookup(va arch.VirtAddr) (pa arch.PhysAddr, flags Flags, ok bool, leafNode arch.PhysAddr) {
+	n, nodePA, level := t.descend(va, t.levels, t.root, nil)
+	leafNode = arch.NoPhysAddr
+	if level == 1 {
+		leafNode = nodePA
+	}
+	e := n.entries[va.PTIndex(level)]
 	if !e.present() {
-		return false
+		return arch.NoPhysAddr, 0, false, leafNode
 	}
-	if e.large() {
-		return true
+	return e.target(va), e.flags(), true, leafNode
+}
+
+// Translate is Lookup without the leaf node.
+func (t *Table) Translate(va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
+	pa, flags, ok, _ := t.Lookup(va)
+	return pa, flags, ok
+}
+
+// LeafEntryAddr returns the physical address of the leaf (level-1) PTE that
+// maps va, and whether the leaf node exists. The fragmentation metric is
+// computed over these addresses: adjacent virtual pages whose leaf entries
+// share a cache block enjoy the locality of Figure 3.
+func (t *Table) LeafEntryAddr(va arch.VirtAddr) (arch.PhysAddr, bool) {
+	if _, _, _, node := t.Lookup(va); node != arch.NoPhysAddr {
+		return node + arch.PhysAddr(va.PTIndex(1)*arch.PTEBytes), true
 	}
-	return t.nodes[e.addr()].live > 0
+	return arch.NoPhysAddr, false
 }
 
-// ForEachLarge visits the 2MB-aligned virtual base of every live large
-// mapping. Stops early when fn returns false.
-func (t *Table) ForEachLarge(fn func(va arch.VirtAddr) bool) {
-	t.forEachLargeNode(t.root, t.levels, 0, fn)
+// WalkAppend performs a hardware-style walk for va, appending to dst the
+// physical address of the entry read at each level from startLevel down,
+// and stopping at the first non-present entry. found reports whether a
+// translation was reached; pa is the translated physical address when
+// found. Hot callers reuse dst across walks instead of allocating one
+// slice per TLB miss.
+//
+// startLevel lets a page-walk cache skip upper levels: a walk beginning at
+// level 1 reads only the leaf entry, and nodePA must then be the node the
+// PWC supplied. An uncached walk starts at Levels() from Root().
+func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, found bool) {
+	if startLevel < 1 || startLevel > t.levels {
+		panic(fmt.Sprintf("pagetable: bad start level %d", startLevel))
+	}
+	n, _, level := t.descend(va, startLevel, nodePA, &dst)
+	if e := n.entries[va.PTIndex(level)]; e.present() {
+		return dst, e.target(va), true
+	}
+	return dst, arch.NoPhysAddr, false
 }
 
-func (t *Table) forEachLargeNode(nodePA arch.PhysAddr, level int, prefix uint64, fn func(arch.VirtAddr) bool) bool {
-	n := t.nodes[nodePA]
-	shift := arch.PageShift + (level-1)*arch.PTIndexBits
-	for idx, e := range n.entries {
-		if !e.present() {
-			continue
-		}
-		va := prefix | uint64(idx)<<shift
-		if level == 2 {
-			if e.large() && !fn(arch.VirtAddr(va)) {
-				return false
-			}
-			continue
-		}
-		if !t.forEachLargeNode(e.addr(), level-1, va, fn) {
-			return false
+// AnyMapped reports whether any page of the pages-long run of 4KB pages
+// starting at the page-aligned va is mapped, by a 4KB entry or a large
+// mapping. The run must lie in one 2MB region: THP promotion asks about a
+// whole region, PTEMagnet about one reservation group.
+func (t *Table) AnyMapped(va arch.VirtAddr, pages int) bool {
+	n, _, level := t.descend(va, t.levels, t.root, nil)
+	idx := va.PTIndex(level)
+	if level != 1 {
+		// A large mapping, or no leaf node at all.
+		return n.entries[idx].present()
+	}
+	for _, e := range n.entries[idx : idx+pages] {
+		if e.present() {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
-// IsLargeMapped reports whether va is covered by a 2MB mapping.
-func (t *Table) IsLargeMapped(va arch.VirtAddr) bool {
-	_, _, ok := t.largeEntry(va)
-	return ok
-}
-
-// LargeMappings returns the number of live 2MB mappings.
-func (t *Table) LargeMappings() uint64 { return t.largeMapped }
-
-// UnmapLarge removes the 2MB mapping covering va, returning its base frame
-// address and flags.
-func (t *Table) UnmapLarge(va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
-	n, idx, ok := t.largeEntry(va)
-	if !ok {
+// Unmap removes the leaf entry for va, returning the previously mapped
+// address and flags. Intermediate nodes are retained (as Linux does for
+// process lifetimes).
+func (t *Table) Unmap(va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
+	n, idx := t.leaf(va)
+	if n == nil || !n.entries[idx].present() {
 		return arch.NoPhysAddr, 0, false
 	}
 	e := n.entries[idx]
 	n.entries[idx] = 0
 	n.live--
-	t.mapped -= arch.PTEntriesPerNode
-	t.largeMapped--
+	t.mapped--
 	return e.addr(), e.flags(), true
 }
+
+// SetFlags rewrites the flags of an existing mapping. It reports whether the
+// page was mapped.
+func (t *Table) SetFlags(va arch.VirtAddr, flags Flags) bool {
+	n, idx := t.leaf(va)
+	if n == nil || !n.entries[idx].present() {
+		return false
+	}
+	n.entries[idx] = makePTE(n.entries[idx].addr(), flags)
+	return true
+}
+
+// MarkDirty sets the dirty bit on the leaf entry mapping va, as the page
+// walker sets the x86/EPT D bit on a write access. It reports whether the
+// bit transitioned from clear to set — the event a PML-style dirty log
+// records; repeated writes to an already-dirty page report false and cost
+// nothing. Unmapped addresses and 2MB mappings (which this simulator's host
+// page tables never use) report false.
+func (t *Table) MarkDirty(va arch.VirtAddr) bool {
+	n, idx := t.leaf(va)
+	if n == nil || !n.entries[idx].present() || n.entries[idx]&pteDirty != 0 {
+		return false
+	}
+	n.entries[idx] |= pteDirty
+	return true
+}
+
+// ClearDirty clears the dirty bit on the leaf entry mapping va, reporting
+// whether the bit had been set. Draining a dirty log clears the bits it
+// reports so the next write logs again.
+func (t *Table) ClearDirty(va arch.VirtAddr) bool {
+	n, idx := t.leaf(va)
+	if n == nil || n.entries[idx]&pteDirty == 0 {
+		return false
+	}
+	n.entries[idx] &^= pteDirty
+	return true
+}
+
+// IsLargeMapped reports whether va is covered by a 2MB mapping.
+func (t *Table) IsLargeMapped(va arch.VirtAddr) bool {
+	n, _ := t.largeEntry(va)
+	return n != nil
+}
+
+// LargeMappings returns the number of live 2MB mappings.
+func (t *Table) LargeMappings() uint64 { return t.largeMapped }
 
 // Demote splits the 2MB mapping covering va into 512 4KB mappings over the
 // same physical range — the THP-split operation Linux performs on partial
 // frees, COW, and swapping. It allocates one leaf node.
 func (t *Table) Demote(va arch.VirtAddr) error {
-	n, idx, ok := t.largeEntry(va)
-	if !ok {
+	n, idx := t.largeEntry(va)
+	if n == nil {
 		return fmt.Errorf("pagetable: no large mapping at %#x", uint64(va))
 	}
 	e := n.entries[idx]
@@ -359,56 +439,11 @@ func (t *Table) Demote(va arch.VirtAddr) error {
 	return nil
 }
 
-// SetFlags rewrites the flags of an existing mapping. It reports whether the
-// page was mapped.
-func (t *Table) SetFlags(va arch.VirtAddr, flags Flags) bool {
-	n, idx, ok := t.leaf(va)
-	if !ok || !n.entries[idx].present() {
-		return false
-	}
-	n.entries[idx] = makePTE(n.entries[idx].addr(), flags)
-	return true
-}
-
-// MarkDirty sets the dirty bit on the leaf entry mapping va, as the page
-// walker sets the x86/EPT D bit on a write access. It reports whether the
-// bit transitioned from clear to set — the event a PML-style dirty log
-// records; repeated writes to an already-dirty page report false and cost
-// nothing. Unmapped addresses and 2MB mappings (which this simulator's host
-// page tables never use) report false.
-func (t *Table) MarkDirty(va arch.VirtAddr) bool {
-	n, idx, ok := t.leaf(va)
-	if !ok || !n.entries[idx].present() {
-		return false
-	}
-	if n.entries[idx]&pteDirty != 0 {
-		return false
-	}
-	n.entries[idx] |= pteDirty
-	return true
-}
-
-// ClearDirty clears the dirty bit on the leaf entry mapping va, reporting
-// whether the bit had been set. Draining a dirty log clears the bits it
-// reports so the next write logs again.
-func (t *Table) ClearDirty(va arch.VirtAddr) bool {
-	n, idx, ok := t.leaf(va)
-	if !ok || n.entries[idx]&pteDirty == 0 {
-		return false
-	}
-	n.entries[idx] &^= pteDirty
-	return true
-}
-
-// ForEachDirty visits the page-aligned virtual address of every leaf entry
-// whose dirty bit is set, in ascending virtual-address order — the full-table
-// rescan a hypervisor falls back to when its dirty log overflows. Iteration
-// stops early if fn returns false.
-func (t *Table) ForEachDirty(fn func(va arch.VirtAddr) bool) {
-	t.walkDirtyNode(t.root, t.levels, 0, fn)
-}
-
-func (t *Table) walkDirtyNode(nodePA arch.PhysAddr, level int, prefix uint64, fn func(arch.VirtAddr) bool) bool {
+// visit calls fn, in ascending virtual-address order, with the virtual
+// base of every present entry that ends a walk — each level-1 entry and
+// each large level-2 entry — below the node at nodePA. It returns false as
+// soon as fn does.
+func (t *Table) visit(nodePA arch.PhysAddr, level int, prefix uint64, fn func(va arch.VirtAddr, e pte) bool) bool {
 	n := t.nodes[nodePA]
 	shift := arch.PageShift + (level-1)*arch.PTIndexBits
 	for idx, e := range n.entries {
@@ -416,132 +451,15 @@ func (t *Table) walkDirtyNode(nodePA arch.PhysAddr, level int, prefix uint64, fn
 			continue
 		}
 		va := prefix | uint64(idx)<<shift
-		if level == 1 {
-			if e&pteDirty != 0 && !fn(arch.VirtAddr(va)) {
+		if level == 1 || e.large() {
+			if !fn(arch.VirtAddr(va), e) {
 				return false
 			}
-			continue
-		}
-		if level == 2 && e.large() {
-			// Large mappings never carry the dirty bit (MarkDirty refuses
-			// them), so there is nothing to visit beneath this entry.
-			continue
-		}
-		if !t.walkDirtyNode(e.addr(), level-1, va, fn) {
+		} else if !t.visit(e.addr(), level-1, va, fn) {
 			return false
 		}
 	}
 	return true
-}
-
-func (t *Table) leaf(va arch.VirtAddr) (*node, int, bool) {
-	n := t.nodes[t.root]
-	for level := t.levels; level > 1; level-- {
-		e := n.entries[va.PTIndex(level)]
-		if !e.present() || e.large() {
-			return nil, 0, false
-		}
-		n = t.nodes[e.addr()]
-	}
-	return n, va.PTIndex(1), true
-}
-
-// largeEntry returns the level-2 node and index holding va's large mapping,
-// if one exists.
-func (t *Table) largeEntry(va arch.VirtAddr) (*node, int, bool) {
-	n := t.nodes[t.root]
-	for level := t.levels; level > 2; level-- {
-		e := n.entries[va.PTIndex(level)]
-		if !e.present() || e.large() {
-			return nil, 0, false
-		}
-		n = t.nodes[e.addr()]
-	}
-	idx := va.PTIndex(2)
-	if e := n.entries[idx]; e.present() && e.large() {
-		return n, idx, true
-	}
-	return nil, 0, false
-}
-
-// Walk performs a hardware-style walk for va: it returns the physical
-// address of the entry read at each level, from the root down, stopping at
-// the first non-present entry. found reports whether a leaf translation was
-// reached; pa is the translated physical address when found.
-//
-// startLevel allows a page-walk cache to skip upper levels: a walk beginning
-// at level 2 reads only the level-2 and level-1 entries. nodePA must then be
-// the node supplied by the PWC. Use WalkFull for an uncached walk.
-func (t *Table) Walk(va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, found bool) {
-	return t.WalkAppend(nil, va, startLevel, nodePA)
-}
-
-// WalkAppend is Walk appending to dst, letting hot callers reuse a buffer
-// across walks instead of allocating one per TLB miss.
-func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, found bool) {
-	accesses = dst
-	if startLevel < 1 || startLevel > t.levels {
-		panic(fmt.Sprintf("pagetable: bad start level %d", startLevel))
-	}
-	n := t.nodes[nodePA]
-	if n == nil {
-		panic(fmt.Sprintf("pagetable: walk from unknown node %#x", uint64(nodePA)))
-	}
-	cur := nodePA
-	for level := startLevel; level >= 1; level-- {
-		idx := va.PTIndex(level)
-		entryAddr := cur + arch.PhysAddr(idx*arch.PTEBytes)
-		accesses = append(accesses, Access{Level: level, EntryAddr: entryAddr})
-		e := n.entries[idx]
-		if !e.present() {
-			return accesses, arch.NoPhysAddr, false
-		}
-		if level == 2 && e.large() {
-			// PS bit set: the walk terminates one level early with a 2MB
-			// translation.
-			return accesses, e.addr() + arch.PhysAddr(uint64(va)&LargePageMask), true
-		}
-		if level == 1 {
-			return accesses, e.addr() + arch.PhysAddr(va.PageOffset()), true
-		}
-		cur = e.addr()
-		n = t.nodes[cur]
-	}
-	return accesses, arch.NoPhysAddr, false
-}
-
-// WalkFull walks from the root (no page-walk-cache assistance).
-func (t *Table) WalkFull(va arch.VirtAddr) ([]Access, arch.PhysAddr, bool) {
-	return t.Walk(va, t.levels, t.root)
-}
-
-// NodeAt returns the physical address of the page-table node that a walk
-// for va consults at the given level, and whether that node exists. A
-// page-walk cache stores exactly this mapping (va prefix at level → node).
-func (t *Table) NodeAt(va arch.VirtAddr, level int) (arch.PhysAddr, bool) {
-	cur := t.root
-	n := t.nodes[cur]
-	for l := t.levels; l > level; l-- {
-		e := n.entries[va.PTIndex(l)]
-		if !e.present() || e.large() {
-			return arch.NoPhysAddr, false
-		}
-		cur = e.addr()
-		n = t.nodes[cur]
-	}
-	return cur, true
-}
-
-// LeafEntryAddr returns the physical address of the leaf (level-1) PTE that
-// maps va, and whether the leaf node exists. The fragmentation metric is
-// computed over these addresses: adjacent virtual pages whose leaf entries
-// share a cache block enjoy the locality of Figure 3.
-func (t *Table) LeafEntryAddr(va arch.VirtAddr) (arch.PhysAddr, bool) {
-	nodePA, ok := t.NodeAt(va, 1)
-	if !ok {
-		return arch.NoPhysAddr, false
-	}
-	return nodePA + arch.PhysAddr(va.PTIndex(1)*arch.PTEBytes), true
 }
 
 // ForEachMapped invokes fn for every present leaf mapping in ascending
@@ -549,40 +467,40 @@ func (t *Table) LeafEntryAddr(va arch.VirtAddr) (arch.PhysAddr, bool) {
 // mapped frame address, and the flags. Iteration stops early if fn returns
 // false.
 func (t *Table) ForEachMapped(fn func(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) bool) {
-	t.walkNode(t.root, t.levels, 0, fn)
-}
-
-func (t *Table) walkNode(nodePA arch.PhysAddr, level int, prefix uint64, fn func(arch.VirtAddr, arch.PhysAddr, Flags) bool) bool {
-	n := t.nodes[nodePA]
-	shift := arch.PageShift + (level-1)*arch.PTIndexBits
-	for idx, e := range n.entries {
-		if !e.present() {
-			continue
+	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, e pte) bool {
+		if !e.large() {
+			return fn(va, e.addr(), e.flags())
 		}
-		va := prefix | uint64(idx)<<shift
-		if level == 1 {
-			if !fn(arch.VirtAddr(va), e.addr(), e.flags()) {
+		// A 2MB mapping is visited as its 512 constituent pages, so
+		// callers (RSS accounting, fragmentation metric, teardown) need
+		// no special case.
+		for i := 0; i < arch.PTEntriesPerNode; i++ {
+			off := uint64(i) << arch.PageShift
+			if !fn(va+arch.VirtAddr(off), e.addr()+arch.PhysAddr(off), e.flags()) {
 				return false
 			}
-			continue
 		}
-		if level == 2 && e.large() {
-			// A 2MB mapping is visited as its 512 constituent pages, so
-			// callers (RSS accounting, fragmentation metric, teardown)
-			// need no special case.
-			for i := 0; i < arch.PTEntriesPerNode; i++ {
-				pageVA := arch.VirtAddr(va | uint64(i)<<arch.PageShift)
-				if !fn(pageVA, e.addr()+arch.PhysAddr(i<<arch.PageShift), e.flags()) {
-					return false
-				}
-			}
-			continue
-		}
-		if !t.walkNode(e.addr(), level-1, va, fn) {
-			return false
-		}
-	}
-	return true
+		return true
+	})
+}
+
+// ForEachLarge visits the 2MB-aligned virtual base of every live large
+// mapping. Stops early when fn returns false.
+func (t *Table) ForEachLarge(fn func(va arch.VirtAddr) bool) {
+	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, e pte) bool {
+		return !e.large() || fn(va)
+	})
+}
+
+// ForEachDirty visits the page-aligned virtual address of every leaf entry
+// whose dirty bit is set, in ascending virtual-address order — the full-table
+// rescan a hypervisor falls back to when its dirty log overflows. Iteration
+// stops early if fn returns false. Large mappings never carry the dirty bit
+// (MarkDirty refuses them).
+func (t *Table) ForEachDirty(fn func(va arch.VirtAddr) bool) {
+	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, e pte) bool {
+		return e&pteDirty == 0 || fn(va)
+	})
 }
 
 // Destroy releases every node frame back to physical memory. The table must

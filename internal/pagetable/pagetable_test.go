@@ -18,6 +18,11 @@ func newTable(t *testing.T) (*Table, *physmem.Memory) {
 	return tbl, mem
 }
 
+// walk is an uncached walk from the root.
+func walk(tbl *Table, va arch.VirtAddr) ([]Access, arch.PhysAddr, bool) {
+	return tbl.WalkAppend(nil, va, tbl.Levels(), tbl.Root())
+}
+
 func TestMapTranslate(t *testing.T) {
 	tbl, _ := newTable(t)
 	va := arch.VirtAddr(0x7f0012345000)
@@ -126,7 +131,7 @@ func TestWalkFullTrace(t *testing.T) {
 	tbl, _ := newTable(t)
 	va := arch.VirtAddr(0x7f0012345000)
 	tbl.Map(va, 0xABC000, 0)
-	accesses, pa, found := tbl.WalkFull(va + 0x10)
+	accesses, pa, found := walk(tbl, va+0x10)
 	if !found {
 		t.Fatal("walk did not find mapping")
 	}
@@ -151,7 +156,7 @@ func TestWalkFullTrace(t *testing.T) {
 
 func TestWalkStopsAtNonPresent(t *testing.T) {
 	tbl, _ := newTable(t)
-	accesses, _, found := tbl.WalkFull(0x1000)
+	accesses, _, found := walk(tbl, 0x1000)
 	if found {
 		t.Fatal("walk found mapping in empty table")
 	}
@@ -164,11 +169,11 @@ func TestWalkFromPWCNode(t *testing.T) {
 	tbl, _ := newTable(t)
 	va := arch.VirtAddr(0x7f0012345000)
 	tbl.Map(va, 0xABC000, 0)
-	leafNode, ok := tbl.NodeAt(va, 1)
-	if !ok {
-		t.Fatal("NodeAt(1) failed")
+	_, _, _, leafNode := tbl.Lookup(va)
+	if leafNode == arch.NoPhysAddr {
+		t.Fatal("Lookup found no leaf node")
 	}
-	accesses, pa, found := tbl.Walk(va, 1, leafNode)
+	accesses, pa, found := tbl.WalkAppend(nil, va, 1, leafNode)
 	if !found || pa != 0xABC000 {
 		t.Fatalf("PWC walk: pa=%#x found=%v", pa, found)
 	}
@@ -180,20 +185,21 @@ func TestWalkFromPWCNode(t *testing.T) {
 	}
 }
 
-func TestNodeAtLevels(t *testing.T) {
+func TestLookupLeafNode(t *testing.T) {
 	tbl, _ := newTable(t)
 	va := arch.VirtAddr(0x7f0012345000)
 	tbl.Map(va, 0xABC000, 0)
-	if pa, ok := tbl.NodeAt(va, 4); !ok || pa != tbl.Root() {
-		t.Errorf("NodeAt(4) = %#x,%v", pa, ok)
+	accesses, _, _ := walk(tbl, va)
+	want := accesses[len(accesses)-1].EntryAddr.PageBase()
+	if _, _, _, node := tbl.Lookup(va); node != want {
+		t.Errorf("leaf node = %#x, want %#x", node, want)
 	}
-	for level := 3; level >= 1; level-- {
-		if _, ok := tbl.NodeAt(va, level); !ok {
-			t.Errorf("NodeAt(%d) missing", level)
-		}
+	// An unmapped page in a populated leaf node still reports the node.
+	if _, _, ok, node := tbl.Lookup(va + arch.PageSize); ok || node != want {
+		t.Errorf("sibling: ok=%v leaf node = %#x, want %#x", ok, node, want)
 	}
-	if _, ok := tbl.NodeAt(0x1000, 1); ok {
-		t.Error("NodeAt(1) exists for unmapped region")
+	if _, _, _, node := tbl.Lookup(0x1000); node != arch.NoPhysAddr {
+		t.Error("leaf node exists for unmapped region")
 	}
 }
 
@@ -337,15 +343,16 @@ func BenchmarkMap(b *testing.B) {
 	}
 }
 
-func BenchmarkWalkFull(b *testing.B) {
+func BenchmarkWalk(b *testing.B) {
 	mem := physmem.New(64 << 20)
 	tbl, _ := New(mem, physmem.Own(0, 1))
 	for i := 0; i < 1024; i++ {
 		tbl.Map(arch.VirtAddr(i)<<arch.PageShift, 0x100000, 0)
 	}
+	var buf []Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.WalkFull(arch.VirtAddr(i%1024) << arch.PageShift)
+		buf, _, _ = tbl.WalkAppend(buf[:0], arch.VirtAddr(i%1024)<<arch.PageShift, tbl.Levels(), tbl.Root())
 	}
 }
 
@@ -371,7 +378,7 @@ func TestFiveLevelTable(t *testing.T) {
 	if tbl.NodeCount() != 5 {
 		t.Errorf("NodeCount = %d, want 5", tbl.NodeCount())
 	}
-	accesses, _, found := tbl.WalkFull(va)
+	accesses, _, found := walk(tbl, va)
 	if !found || len(accesses) != 5 {
 		t.Errorf("walk: found=%v accesses=%d, want 5", found, len(accesses))
 	}
@@ -404,7 +411,7 @@ func TestWalkBadStartLevelPanics(t *testing.T) {
 			t.Error("bad start level did not panic")
 		}
 	}()
-	tbl.Walk(0x1000, 9, tbl.Root())
+	tbl.WalkAppend(nil, 0x1000, 9, tbl.Root())
 }
 
 func TestWalkUnknownNodePanics(t *testing.T) {
@@ -414,7 +421,7 @@ func TestWalkUnknownNodePanics(t *testing.T) {
 			t.Error("unknown node did not panic")
 		}
 	}()
-	tbl.Walk(0x1000, 1, 0xDEAD000)
+	tbl.WalkAppend(nil, 0x1000, 1, 0xDEAD000)
 }
 
 func TestSetFlagsOnLargeRegionFails(t *testing.T) {

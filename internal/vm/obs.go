@@ -121,16 +121,6 @@ func (m *Machine) Snapshot() Stats {
 	return s
 }
 
-// steadyStats returns the counters accumulated after the primary-init
-// boundary (the whole run if the boundary was never reached).
-func (m *Machine) steadyStats() Stats {
-	whole := m.Snapshot()
-	if !m.steadySnapTaken {
-		return whole
-	}
-	return whole.Delta(m.statsAtInit)
-}
-
 // GuestReport is the post-run observation of one guest on the host.
 type GuestReport struct {
 	// Index is the guest's creation-order slot; VMID the host-assigned VM

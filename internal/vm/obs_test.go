@@ -106,20 +106,6 @@ func TestStatsDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSteadySnapshotMatchesReport pins that the steady-window counters
-// derived from Snapshot deltas equal the aggregated report's view.
-func TestSteadySnapshotMatchesReport(t *testing.T) {
-	m := runSmallMachine(t, guestos.PolicyDefault)
-	rep := m.Observe()
-	steady := m.steadyStats()
-	if got := steady.Walker; !reflect.DeepEqual(got, rep.Steady.Walker) {
-		t.Errorf("steady walker = %+v, want %+v", got, rep.Steady.Walker)
-	}
-	if got := steady.Cache.Hits; !reflect.DeepEqual(got, rep.Steady.Cache.Hits) {
-		t.Errorf("steady cache hits = %v, want %v", got, rep.Steady.Cache.Hits)
-	}
-}
-
 // TestRegistryAgreesWithSnapshot cross-checks the two observation paths:
 // the named counters must read exactly the values the typed Stats carry.
 func TestRegistryAgreesWithSnapshot(t *testing.T) {
