@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-smoke experiments
+.PHONY: all build vet lint test race fuzz bench bench-smoke experiments
 
 all: build vet lint test
 
@@ -41,6 +41,16 @@ test:
 # would only slow this down. CI runs this target.
 race:
 	$(GO) test -race ./internal/engine ./internal/sim ./internal/vm ./internal/migrate ./internal/faults ./internal/balloon ./internal/core
+
+# Every Fuzz* target in the module runs for 10 s of coverage-guided
+# fuzzing (go test accepts one -fuzz target per package run). Plain
+# go test already replays each target's seed corpus under testdata/fuzz.
+fuzz:
+	@for f in $$(grep -rl --include='*_test.go' --exclude-dir=_perfbench --exclude-dir=testdata '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s $$(dirname $$f) || exit 1; \
+		done; \
+	done
 
 # The Pipeline* benchmarks track the hot path layer by layer: workload Step,
 # the walker's TLB-hit fast path against the full Translate, the machine

@@ -43,7 +43,7 @@ import (
 func main() {
 	bench := flag.String("bench", "pagerank", "primary benchmark")
 	corunners := flag.String("corunners", "stress-ng", "comma-separated co-runner list")
-	policy := flag.String("policy", "default", "allocator policy: default or ptemagnet")
+	policy := flag.String("policy", "default", "allocator policy: default, ptemagnet, capaging, or thp")
 	seed := flag.Int64("seed", 11, "simulation seed")
 	quick := flag.Bool("quick", true, "use the reduced quick scale")
 	vms := flag.Int("vms", 1, "number of VMs: 1 = same-guest colocation; N>1 puts the primary in vm0 and each co-runner in its own pressure VM")
@@ -61,9 +61,9 @@ func main() {
 	if *quick {
 		sc = sim.QuickScale()
 	}
-	pol := guestos.PolicyDefault
-	if *policy == "ptemagnet" {
-		pol = guestos.PolicyPTEMagnet
+	pol, err := guestos.ParsePolicy(*policy)
+	if err != nil {
+		fatal(err)
 	}
 
 	m, err := buildMachine(sc, pol, *seed, *vms, *overcommit)

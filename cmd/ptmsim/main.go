@@ -63,19 +63,12 @@ func main() {
 	if *corunners != "" {
 		s.Corunners = strings.Split(*corunners, ",")
 	}
-	switch *policy {
-	case "default":
-		s.Policy = guestos.PolicyDefault
-	case "ptemagnet":
-		s.Policy = guestos.PolicyPTEMagnet
-	case "capaging":
-		s.Policy = guestos.PolicyCAPaging
-	case "thp":
-		s.Policy = guestos.PolicyTHP
-	default:
-		fmt.Fprintf(os.Stderr, "ptmsim: unknown policy %q\n", *policy)
+	pol, err := guestos.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ptmsim: %v\n", err)
 		os.Exit(2)
 	}
+	s.Policy = pol
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

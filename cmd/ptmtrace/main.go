@@ -63,18 +63,11 @@ func record(args []string) {
 	if *corunners != "" {
 		s.Corunners = strings.Split(*corunners, ",")
 	}
-	switch *policy {
-	case "default":
-		s.Policy = guestos.PolicyDefault
-	case "ptemagnet":
-		s.Policy = guestos.PolicyPTEMagnet
-	case "capaging":
-		s.Policy = guestos.PolicyCAPaging
-	case "thp":
-		s.Policy = guestos.PolicyTHP
-	default:
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+	pol, err := guestos.ParsePolicy(*policy)
+	if err != nil {
+		fatal(err)
 	}
+	s.Policy = pol
 
 	f, err := os.Create(*out)
 	if err != nil {

@@ -56,6 +56,14 @@ const (
 	// VABits is the number of meaningful virtual-address bits (x86-64
 	// four-level paging translates 48 bits).
 	VABits = PageShift + PTLevels*PTIndexBits
+	// VPNBits is the width of a virtual page number under the deepest
+	// paging mode simulated, LA57 five-level paging: 5×9 = 45 bits.
+	VPNBits = 5 * PTIndexBits
+	// ASIDBits is the width of an address-space identifier (the guest
+	// PID). A TLB key packs the ASID above the VPN in one 64-bit word and
+	// keeps the top bit clear, so no key equals an empty way's all-ones
+	// sentinel.
+	ASIDBits = 64 - VPNBits - 1
 
 	// WordBytes is the machine word size the workloads stride by when
 	// touching memory: 8 bytes, matching the PTE size.

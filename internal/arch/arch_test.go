@@ -24,6 +24,11 @@ func TestGeometryConstants(t *testing.T) {
 	if VABits != 48 {
 		t.Errorf("VABits = %d, want 48", VABits)
 	}
+	// A packed TLB key holds a five-level VPN and an ASID below its top
+	// bit, which the empty-way sentinel sets.
+	if VPNBits != 57-PageShift || VPNBits+ASIDBits != 63 {
+		t.Errorf("VPNBits = %d, ASIDBits = %d; want 45 and 18", VPNBits, ASIDBits)
+	}
 }
 
 func TestVirtAddrHelpers(t *testing.T) {

@@ -35,46 +35,32 @@ import (
 	"ptemagnet/internal/obs"
 )
 
-// Config parameterizes the controller. The zero value is disabled; a
-// HostConfig embeds it so a zero-valued host stays balloon-free with the
-// hot path untouched.
+// Config arms the controller. The zero value is disabled; a HostConfig
+// embeds it so a zero-valued host stays balloon-free with the hot path
+// untouched.
 type Config struct {
 	// Enabled arms the controller.
 	Enabled bool
-	// LowFreeFrac is the low watermark: when host free frames fall below
-	// this fraction of total frames, the controller inflates balloons.
-	// Zero means 1/16.
-	LowFreeFrac float64
-	// HighFreeFrac is the high watermark: relief inflates until free
-	// frames reach it, and the controller deflates every balloon once
-	// free frames exceed it. Zero means 1/8. Must exceed LowFreeFrac.
-	HighFreeFrac float64
-	// SampleEvery is the machine-access cadence of working-set sampling
-	// and watermark checks. Zero means 2048.
-	SampleEvery uint64
-	// ChunkPages is the balloon-target increment per victim per relief
-	// round, and the slack added above an allocation's immediate need so
-	// back-to-back faults don't each pay for a relief cycle. Zero means
-	// 64.
-	ChunkPages uint64
 }
 
-// withDefaults fills zero fields with the documented defaults.
-func (c Config) withDefaults() Config {
-	if c.LowFreeFrac == 0 {
-		c.LowFreeFrac = 1.0 / 16
-	}
-	if c.HighFreeFrac == 0 {
-		c.HighFreeFrac = 1.0 / 8
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 2048
-	}
-	if c.ChunkPages == 0 {
-		c.ChunkPages = 64
-	}
-	return c
-}
+// SampleEvery is the machine-access cadence of working-set sampling and
+// watermark checks.
+const SampleEvery = 2048
+
+// Watermarks and relief step.
+const (
+	// lowFreeFrac is the low watermark: when host free frames fall below
+	// this fraction of total frames, the controller inflates balloons.
+	lowFreeFrac = 1.0 / 16
+	// highFreeFrac is the high watermark: relief inflates until free
+	// frames reach it, and the controller deflates every balloon once
+	// free frames exceed it.
+	highFreeFrac = 1.0 / 8
+	// chunkPages is the balloon-target increment per victim per relief
+	// round, and the slack added above an allocation's immediate need so
+	// back-to-back faults don't each pay for a relief cycle.
+	chunkPages = 64
+)
 
 // Stats aggregates controller activity.
 type Stats struct {
@@ -134,20 +120,15 @@ type tenant struct {
 // Controller is the host pressure controller. It implements
 // hostos.PressureReliever.
 type Controller struct {
-	cfg     Config
 	host    *hostos.Kernel
 	tenants []*tenant
 	stats   Stats
 }
 
-// New creates a controller over the given host kernel with defaults
-// applied to cfg.
-func New(cfg Config, host *hostos.Kernel) *Controller {
-	return &Controller{cfg: cfg.withDefaults(), host: host}
+// New creates a controller over the given host kernel.
+func New(host *hostos.Kernel) *Controller {
+	return &Controller{host: host}
 }
-
-// Config returns the controller configuration with defaults applied.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Snapshot returns a copy of the activity counters.
 func (c *Controller) Snapshot() Stats { return c.stats }
@@ -212,8 +193,8 @@ func (c *Controller) Check() {
 	mem := c.host.Memory()
 	total := float64(mem.NumFrames())
 	free := mem.FreeFrames()
-	low := uint64(c.cfg.LowFreeFrac * total)
-	high := uint64(c.cfg.HighFreeFrac * total)
+	low := uint64(lowFreeFrac * total)
+	high := uint64(highFreeFrac * total)
 	if free < low {
 		c.stats.WatermarkHits++
 		c.relieve(high, -1)
@@ -234,7 +215,7 @@ func (c *Controller) RelieveFor(vmID int, need uint64) (string, bool) {
 	if mem.FreeFrames() >= need {
 		return fmt.Sprintf("%d free, no relief needed", mem.FreeFrames()), true
 	}
-	summary := c.relieve(need+c.cfg.ChunkPages, vmID)
+	summary := c.relieve(need+chunkPages, vmID)
 	ok := mem.FreeFrames() >= need
 	if !ok {
 		c.stats.ReliefFailures++
@@ -294,7 +275,7 @@ func (c *Controller) inflateVictim(t *tenant, goalFree uint64) uint64 {
 	var freed uint64
 	for mem.FreeFrames() < goalFree {
 		c.stats.Inflations++
-		delta := t.kernel.SetBalloonTarget(t.kernel.BalloonPages() + c.cfg.ChunkPages)
+		delta := t.kernel.SetBalloonTarget(t.kernel.BalloonPages() + chunkPages)
 		for _, rec := range delta.SwappedOut {
 			c.stats.SwappedPages++
 			if t.invalidate != nil {

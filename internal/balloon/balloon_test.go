@@ -26,7 +26,7 @@ type rig struct {
 func newRig(t *testing.T, hostBytes, guestBytes, touchBytes uint64, n int, back bool) *rig {
 	t.Helper()
 	host := hostos.NewKernel(hostBytes)
-	r := &rig{host: host, ctl: balloon.New(balloon.Config{Enabled: true}, host)}
+	r := &rig{host: host, ctl: balloon.New(host)}
 	host.SetPressureReliever(r.ctl)
 	for i := 0; i < n; i++ {
 		vm, err := host.CreateVM(guestBytes)
@@ -76,17 +76,6 @@ func drainHost(t *testing.T, host *hostos.Kernel, keepFree uint64) []arch.PhysAd
 		held = append(held, pa)
 	}
 	return held
-}
-
-func TestConfigDefaults(t *testing.T) {
-	host := hostos.NewKernel(1 << 20)
-	cfg := balloon.New(balloon.Config{Enabled: true}, host).Config()
-	if cfg.LowFreeFrac != 1.0/16 || cfg.HighFreeFrac != 1.0/8 {
-		t.Errorf("watermark defaults %v/%v, want 1/16 and 1/8", cfg.LowFreeFrac, cfg.HighFreeFrac)
-	}
-	if cfg.SampleEvery != 2048 || cfg.ChunkPages != 64 {
-		t.Errorf("cadence defaults %d/%d, want 2048 and 64", cfg.SampleEvery, cfg.ChunkPages)
-	}
 }
 
 // TestRelieveForFreesHostFrames drives the full relief path: an exhausted
@@ -191,7 +180,7 @@ func TestCheckWatermarks(t *testing.T) {
 // no tenants reports the failure in prose rather than panicking.
 func TestRelieveForNoVictims(t *testing.T) {
 	host := hostos.NewKernel(1 << 20)
-	ctl := balloon.New(balloon.Config{Enabled: true}, host)
+	ctl := balloon.New(host)
 	drainHost(t, host, 0)
 	summary, ok := ctl.RelieveFor(-1, 8)
 	if ok || summary != "no victims available" {

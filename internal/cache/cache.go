@@ -6,7 +6,9 @@
 // main memory (paper §3.3, Tables 1 and 4). Blocks are 64 bytes, sets are
 // LRU, and the hierarchy is the classic private-L1/private-L2/shared-LLC
 // arrangement of the Xeon the paper evaluates on, scaled down alongside the
-// workload footprints.
+// workload footprints. One set-associative type, Sets, stores the tags of
+// every level here and the entries of every TLB and walk cache
+// (internal/tlb).
 package cache
 
 import (
@@ -90,102 +92,143 @@ func DefaultConfig(numCPUs int) Config {
 	}
 }
 
-// bank is one set-associative tag array.
-type bank struct {
+// invalid is the key of an empty way.
+const invalid = ^uint64(0)
+
+// Sets is one set-associative array of uint64 keys with LRU replacement.
+// It is the tag store of every cache level here and of every translation
+// cache in internal/tlb. It holds keys only: a caller with a payload keeps
+// it in a slice indexed by the slots Lookup and Insert return. No key may
+// be ^uint64(0), which marks an empty way; block numbers and packed TLB
+// keys stay below 2^63.
+type Sets struct {
 	setMask uint64
 	hashed  bool
 	ways    int
-	// tags[set*ways+way]; tagValid uses tag==invalidTag sentinel.
-	tags []uint64
-	// age[set*ways+way] holds a per-set LRU stamp; larger = more recent.
-	age  []uint64
-	tick uint64
+	// keys[set*ways+way]; invalid marks an empty way.
+	keys []uint64
+	// stamp[set*ways+way] is the way's last-use tick; larger = more recent.
+	stamp []uint64
+	tick  uint64
 }
 
-const invalidTag = ^uint64(0)
-
-// set maps a block number to its set index. Hashed banks fold higher
-// address bits into the index (a simple XOR-fold model of Intel complex
-// addressing); plain banks use the low bits directly, as an L1 does.
-func (b *bank) set(block uint64) uint64 {
-	if b.hashed {
-		block ^= block>>10 ^ block>>20 ^ block>>30
-		block *= 0x9E3779B97F4A7C15 // Fibonacci hashing spreads the fold
-		block >>= 17
+// NewSets builds an array of entries keys in ways-way sets; the set count
+// must be a power of two. hashed selects hashed set indexing (see
+// LevelConfig.HashedIndex); otherwise a key's low bits pick its set.
+func NewSets(entries, ways int, hashed bool) *Sets {
+	if ways <= 0 || entries <= 0 || entries%ways != 0 {
+		panic(fmt.Sprintf("cache: %d entries do not divide into %d-way sets", entries, ways))
 	}
-	return block & b.setMask
-}
-
-func newBank(cfg LevelConfig) *bank {
-	if cfg.Ways <= 0 {
-		panic("cache: non-positive associativity")
-	}
-	blocks := cfg.SizeBytes / arch.CacheBlockSize
-	if blocks == 0 || blocks%uint64(cfg.Ways) != 0 {
-		panic(fmt.Sprintf("cache: size %d not divisible into %d ways of blocks", cfg.SizeBytes, cfg.Ways))
-	}
-	sets := blocks / uint64(cfg.Ways)
+	sets := uint64(entries / ways)
 	if !arch.IsPowerOfTwo(sets) {
 		panic(fmt.Sprintf("cache: set count %d is not a power of two", sets))
 	}
-	b := &bank{
+	s := &Sets{
 		setMask: sets - 1,
-		hashed:  cfg.HashedIndex,
-		ways:    cfg.Ways,
-		tags:    make([]uint64, blocks),
-		age:     make([]uint64, blocks),
+		hashed:  hashed,
+		ways:    ways,
+		keys:    make([]uint64, entries),
+		stamp:   make([]uint64, entries),
 	}
-	for i := range b.tags {
-		b.tags[i] = invalidTag
-	}
-	return b
+	s.Flush()
+	return s
 }
 
-// lookup probes for block and refreshes LRU on hit.
-func (b *bank) lookup(block uint64) bool {
-	set := b.set(block)
-	base := int(set) * b.ways
-	b.tick++
-	for w := 0; w < b.ways; w++ {
-		if b.tags[base+w] == block {
-			b.age[base+w] = b.tick
-			return true
-		}
+// set maps a key to its set index. Hashed arrays fold higher key bits into
+// the index (a simple XOR-fold model of Intel complex addressing); plain
+// arrays use the low bits directly, as an L1 or a TLB does.
+func (s *Sets) set(key uint64) uint64 {
+	if s.hashed {
+		key ^= key>>10 ^ key>>20 ^ key>>30
+		key *= 0x9E3779B97F4A7C15 // Fibonacci hashing spreads the fold
+		key >>= 17
 	}
-	return false
+	return key & s.setMask
 }
 
-// insert fills block, evicting the LRU way if needed. It returns the evicted
-// block and whether an eviction happened.
-func (b *bank) insert(block uint64) (evicted uint64, wasEvicted bool) {
-	set := b.set(block)
-	base := int(set) * b.ways
-	b.tick++
-	victim := base
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.tags[i] == invalidTag {
-			b.tags[i] = block
-			b.age[i] = b.tick
-			return 0, false
-		}
-		if b.age[i] < b.age[victim] {
-			victim = i
+// Lookup probes for key and, on a hit, makes it the most recent way of its
+// set. It returns key's slot, or -1 on a miss. Every probe advances the
+// LRU clock.
+func (s *Sets) Lookup(key uint64) int {
+	base := int(s.set(key)) * s.ways
+	s.tick++
+	for i, k := range s.keys[base : base+s.ways] {
+		if k == key {
+			s.stamp[base+i] = s.tick
+			return base + i
 		}
 	}
-	ev := b.tags[victim]
-	b.tags[victim] = block
-	b.age[victim] = b.tick
-	return ev, true
+	return -1
+}
+
+// Insert makes key resident and most recent, and returns its slot. The
+// scan stops at the set's first empty way: a copy of key met before it is
+// refreshed in place, otherwise key fills that way. Only a full set without
+// key evicts, its first least-recent way, and reports the evicted key.
+func (s *Sets) Insert(key uint64) (slot int, victim uint64, evicted bool) {
+	base := int(s.set(key)) * s.ways
+	s.tick++
+	keys := s.keys[base : base+s.ways]
+	stamp := s.stamp[base : base+len(keys)]
+	lru := 0
+	for i, k := range keys {
+		switch k {
+		case key:
+			stamp[i] = s.tick
+			return base + i, 0, false
+		case invalid:
+			keys[i], stamp[i] = key, s.tick
+			return base + i, 0, false
+		}
+		if stamp[i] < stamp[lru] {
+			lru = i
+		}
+	}
+	victim = keys[lru]
+	keys[lru], stamp[lru] = key, s.tick
+	return base + lru, victim, true
+}
+
+// Invalidate empties the first way of key's set that holds key. Like every
+// invalidation it leaves the LRU stamps and clock alone.
+func (s *Sets) Invalidate(key uint64) {
+	base := int(s.set(key)) * s.ways
+	for i, k := range s.keys[base : base+s.ways] {
+		if k == key {
+			s.keys[base+i] = invalid
+			return
+		}
+	}
+}
+
+// InvalidateWhere empties every way whose key satisfies drop.
+func (s *Sets) InvalidateWhere(drop func(key uint64) bool) {
+	for i, k := range s.keys {
+		if k != invalid && drop(k) {
+			s.keys[i] = invalid
+		}
+	}
+}
+
+// Flush empties every way.
+func (s *Sets) Flush() {
+	for i := range s.keys {
+		s.keys[i] = invalid
+	}
+}
+
+// newLevel builds the tag store of one cache level.
+func newLevel(cfg LevelConfig) *Sets {
+	return NewSets(int(cfg.SizeBytes/arch.CacheBlockSize), cfg.Ways, cfg.HashedIndex)
 }
 
 // Hierarchy is a multi-core cache hierarchy: private L1/L2 per CPU and one
 // shared LLC.
 type Hierarchy struct {
 	cfg Config
-	l1  []*bank
-	l2  []*bank
-	llc *bank
+	l1  []*Sets
+	l2  []*Sets
+	llc *Sets
 
 	// hits[level] counts accesses served at that level, across all CPUs.
 	hits [NumLevels]uint64
@@ -196,10 +239,10 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	if cfg.NumCPUs <= 0 {
 		panic("cache: need at least one CPU")
 	}
-	h := &Hierarchy{cfg: cfg, llc: newBank(cfg.LLC)}
+	h := &Hierarchy{cfg: cfg, llc: newLevel(cfg.LLC)}
 	for i := 0; i < cfg.NumCPUs; i++ {
-		h.l1 = append(h.l1, newBank(cfg.L1))
-		h.l2 = append(h.l2, newBank(cfg.L2))
+		h.l1 = append(h.l1, newLevel(cfg.L1))
+		h.l2 = append(h.l2, newLevel(cfg.L2))
 	}
 	return h
 }
@@ -213,22 +256,22 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 func (h *Hierarchy) Access(cpu int, pa arch.PhysAddr) (Level, uint64) {
 	block := pa.CacheBlock()
 	switch {
-	case h.l1[cpu].lookup(block):
+	case h.l1[cpu].Lookup(block) >= 0:
 		h.hits[LevelL1]++
 		return LevelL1, h.cfg.L1.Latency
-	case h.l2[cpu].lookup(block):
-		h.l1[cpu].insert(block)
+	case h.l2[cpu].Lookup(block) >= 0:
+		h.l1[cpu].Insert(block)
 		h.hits[LevelL2]++
 		return LevelL2, h.cfg.L2.Latency
-	case h.llc.lookup(block):
-		h.l2[cpu].insert(block)
-		h.l1[cpu].insert(block)
+	case h.llc.Lookup(block) >= 0:
+		h.l2[cpu].Insert(block)
+		h.l1[cpu].Insert(block)
 		h.hits[LevelLLC]++
 		return LevelLLC, h.cfg.LLC.Latency
 	default:
-		h.llc.insert(block)
-		h.l2[cpu].insert(block)
-		h.l1[cpu].insert(block)
+		h.llc.Insert(block)
+		h.l2[cpu].Insert(block)
+		h.l1[cpu].Insert(block)
 		h.hits[LevelMemory]++
 		return LevelMemory, h.cfg.MemLatency
 	}

@@ -206,7 +206,7 @@ func TestHashedIndexingDecorrelatesLayout(t *testing.T) {
 	// (every 8th block, as page-coloring produces) must spread over many
 	// sets instead of hammering a few.
 	cfg := LevelConfig{SizeBytes: 64 << 10, Ways: 4, Latency: 1, HashedIndex: true}
-	b := newBank(cfg) // 256 sets
+	b := newLevel(cfg) // 256 sets
 	sets := map[uint64]int{}
 	for i := 0; i < 1024; i++ {
 		sets[b.set(uint64(i*256))]++ // stride hits set 0 repeatedly un-hashed
@@ -215,7 +215,7 @@ func TestHashedIndexingDecorrelatesLayout(t *testing.T) {
 		t.Errorf("strided blocks cover only %d/256 sets with hashing", len(sets))
 	}
 	// Plain indexing collapses the same stride onto one set.
-	plain := newBank(LevelConfig{SizeBytes: 64 << 10, Ways: 4, Latency: 1})
+	plain := newLevel(LevelConfig{SizeBytes: 64 << 10, Ways: 4, Latency: 1})
 	plainSets := map[uint64]int{}
 	for i := 0; i < 1024; i++ {
 		plainSets[plain.set(uint64(i*256))]++
@@ -226,7 +226,7 @@ func TestHashedIndexingDecorrelatesLayout(t *testing.T) {
 }
 
 func TestHashedIndexIsDeterministicAndInRange(t *testing.T) {
-	b := newBank(LevelConfig{SizeBytes: 32 << 10, Ways: 8, Latency: 1, HashedIndex: true})
+	b := newLevel(LevelConfig{SizeBytes: 32 << 10, Ways: 8, Latency: 1, HashedIndex: true})
 	for i := 0; i < 10_000; i++ {
 		s1 := b.set(uint64(i) * 977)
 		s2 := b.set(uint64(i) * 977)

@@ -76,6 +76,17 @@ func (p AllocPolicy) String() string {
 	}
 }
 
+// ParsePolicy returns the policy whose String is name: the inverse of
+// AllocPolicy.String over the four policies.
+func ParsePolicy(name string) (AllocPolicy, error) {
+	for p := PolicyDefault; p <= PolicyTHP; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("guestos: unknown policy %q (want default, ptemagnet, capaging or thp)", name)
+}
+
 // Config parameterizes the guest kernel.
 type Config struct {
 	// MemBytes is the guest-physical memory size.
@@ -203,6 +214,9 @@ var (
 	ErrOutOfMemory = errors.New("guestos: out of guest-physical memory")
 	// ErrBadRange reports a malformed mmap/free range.
 	ErrBadRange = errors.New("guestos: bad address range")
+	// ErrPIDSpace reports a spawn whose PID would not fit the
+	// arch.ASIDBits-wide ASID that tags the process's TLB entries.
+	ErrPIDSpace = errors.New("guestos: PID does not fit the ASID width")
 )
 
 // vma is one eagerly allocated virtual region.
@@ -325,6 +339,9 @@ func (k *Kernel) Processes() []*Process {
 // used by the PTEMagnet enable threshold; pass the expected footprint.
 func (k *Kernel) Spawn(name string, memLimit uint64) (*Process, error) {
 	pid := k.next
+	if pid >= 1<<arch.ASIDBits {
+		return nil, fmt.Errorf("guestos: spawn %q: %w (pid %d)", name, ErrPIDSpace, pid)
+	}
 	k.next++
 	pt, err := pagetable.NewWithLevels(k.mem, k.own(pid), k.cfg.PTLevels)
 	if err != nil {

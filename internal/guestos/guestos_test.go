@@ -539,6 +539,43 @@ func TestPolicyAndFaultKindStrings(t *testing.T) {
 	}
 }
 
+func TestParsePolicyRoundTrip(t *testing.T) {
+	for p := PolicyDefault; p <= PolicyTHP; p++ {
+		got, err := ParsePolicy(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"", "PTEMagnet", "bogus", "AllocPolicy(4)"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted an unknown name", name)
+		}
+	}
+}
+
+// TestSpawnRejectsPIDBeyondASIDWidth pins the PID limit behind the TLB's
+// packed (ASID, VPN) keys: the last PID that fits spawns, the next fails
+// with ErrPIDSpace and consumes nothing.
+func TestSpawnRejectsPIDBeyondASIDWidth(t *testing.T) {
+	k := defaultKernel(t)
+	k.next = 1<<arch.ASIDBits - 1
+	p, err := k.Spawn("last", 0)
+	if err != nil {
+		t.Fatalf("Spawn at the last PID: %v", err)
+	}
+	if p.ASID() != 1<<arch.ASIDBits-1 {
+		t.Errorf("ASID = %d, want %d", p.ASID(), 1<<arch.ASIDBits-1)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := k.Spawn("over", 0); !errors.Is(err, ErrPIDSpace) {
+			t.Fatalf("Spawn past the ASID width: %v, want ErrPIDSpace", err)
+		}
+	}
+	if len(k.Processes()) != 1 {
+		t.Errorf("%d live processes, want 1", len(k.Processes()))
+	}
+}
+
 func TestMmapValidation(t *testing.T) {
 	k := defaultKernel(t)
 	p := mustSpawn(t, k, "a")

@@ -80,22 +80,9 @@ type Options struct {
 	// memory is copied, which is the defining property of pre-copy. Zero
 	// selects 5000.
 	RoundAccesses uint64
-	// StopThresholdPages ends pre-copy when a round drains at most this
-	// many dirty pages: the residue is small enough to ship with the guest
-	// paused. Zero selects 64.
-	StopThresholdPages int
-	// MaxRounds caps pre-copy rounds so a write-heavy guest that never
-	// converges still migrates (with a bigger stop-and-copy). Zero
-	// selects 8.
-	MaxRounds int
 	// DirtyLogEntries sizes the source's PML-style dirty-log buffer. Zero
 	// selects hostos.DefaultDirtyLogEntries (512, the PML buffer size).
 	DirtyLogEntries int
-	// CopyCostAccesses prices one shipped page in access-units for the
-	// downtime metric (DESIGN.md §10: the simulator's clock is the access
-	// count, so downtime is the guest execution forgone while paused).
-	// Zero selects 1.
-	CopyCostAccesses uint64
 	// OnRound, if non-nil, observes each pre-copy round right after its
 	// dirty-log drain, before the round's pages ship: the 1-based round
 	// number and the drained page count. Tests use it to cancel
@@ -117,18 +104,20 @@ type FaultInjector interface {
 	CancelAtRound(round int) error
 }
 
+// Pre-copy stop rule.
+const (
+	// stopThresholdPages ends pre-copy when a round drains at most this
+	// many dirty pages: the residue is small enough to ship with the guest
+	// paused.
+	stopThresholdPages = 64
+	// maxRounds caps pre-copy rounds so a write-heavy guest that never
+	// converges still migrates (with a bigger stop-and-copy).
+	maxRounds = 8
+)
+
 func (o Options) withDefaults() Options {
 	if o.RoundAccesses == 0 {
 		o.RoundAccesses = 5000
-	}
-	if o.StopThresholdPages == 0 {
-		o.StopThresholdPages = 64
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 8
-	}
-	if o.CopyCostAccesses == 0 {
-		o.CopyCostAccesses = 1
 	}
 	return o
 }
@@ -150,9 +139,10 @@ type Report struct {
 	// StopCopyPages is the size of the final paused copy; downtime is
 	// proportional to it.
 	StopCopyPages uint64
-	// DowntimeAccesses is StopCopyPages × Options.CopyCostAccesses: the
-	// guest execution forgone while paused, in the simulator's
-	// deterministic clock.
+	// DowntimeAccesses is the guest execution forgone while paused, in
+	// the simulator's deterministic clock (DESIGN.md §10: the clock is the
+	// access count). Shipping one page costs one access, so it equals
+	// StopCopyPages.
 	DowntimeAccesses uint64
 	// PrecopyAccesses is how many accesses the source machine executed
 	// during the pre-copy rounds (guest still running).
@@ -296,7 +286,7 @@ func MigrateCtx(ctx context.Context, src *vm.Guest, dst *vm.Machine, opts Option
 			abort()
 			return fail("precopy", round, err)
 		}
-		if len(dirty) <= opts.StopThresholdPages || round >= opts.MaxRounds || srcM.PendingPrimaries() == 0 {
+		if len(dirty) <= stopThresholdPages || round >= maxRounds || srcM.PendingPrimaries() == 0 {
 			residue = dirty
 			break
 		}
@@ -330,7 +320,7 @@ func MigrateCtx(ctx context.Context, src *vm.Guest, dst *vm.Machine, opts Option
 		return fail("stop-and-copy", rep.Rounds, shipErr)
 	}
 	rep.StopCopyPages = rep.PagesCopied - copiedBefore
-	rep.DowntimeAccesses = rep.StopCopyPages * opts.CopyCostAccesses
+	rep.DowntimeAccesses = rep.StopCopyPages
 	srcVM.DisableDirtyLogging()
 
 	// Hand-off: detach from the source (frames coalesce back into the

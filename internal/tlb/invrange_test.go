@@ -16,7 +16,7 @@ func fillPattern(tl *TLB) {
 }
 
 // snapshot captures the externally observable translation state: which
-// (asid, vpn) pairs still hit, and what the counters read afterwards.
+// (asid, vpn) pairs still hit.
 func snapshot(tl *TLB) map[[2]uint64]bool {
 	s := make(map[[2]uint64]bool)
 	for asid := uint32(1); asid <= 2; asid++ {

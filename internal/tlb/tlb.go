@@ -8,23 +8,16 @@
 //
 // The package provides a single set-associative level and a TwoLevel
 // combination (L1 DTLB backed by a larger, slower L2 STLB) mirroring the
-// structure of the Broadwell parts used in the paper's evaluation.
+// structure of the Broadwell parts used in the paper's evaluation. A level
+// stores its entries in a cache.Sets, the set-associative array the data
+// caches use, under keys that pack the ASID above the VPN.
 package tlb
 
 import (
-	"fmt"
-
 	"ptemagnet/internal/arch"
+	"ptemagnet/internal/cache"
 	"ptemagnet/internal/obs"
 )
-
-// Entry is a cached translation: virtual page number to physical frame
-// address of the page base.
-type Entry struct {
-	ASID uint32
-	VPN  uint64
-	PA   arch.PhysAddr
-}
 
 // Config sizes one TLB level.
 type Config struct {
@@ -35,110 +28,66 @@ type Config struct {
 	Ways int
 }
 
-// TLB is one set-associative translation cache with LRU replacement.
+// TLB is one set-associative translation cache with LRU replacement: a
+// cache.Sets of packed (ASID, VPN) keys and the physical address held in
+// each of its slots. ASIDs must be below 1<<arch.ASIDBits and VPNs below
+// 1<<arch.VPNBits.
 type TLB struct {
-	setMask uint64
-	ways    int
-	valid   []bool
-	entries []Entry
-	age     []uint64
-	tick    uint64
-
-	lookups uint64
-	hits    uint64
+	sets *cache.Sets
+	pa   []arch.PhysAddr
 }
+
+// vpnMask selects the VPN half of a packed key.
+const vpnMask = 1<<arch.VPNBits - 1
+
+// key packs (asid, vpn) into one key: the VPN in the low bits, so a key's
+// set is its VPN's low bits, and the ASID above it.
+func key(asid uint32, vpn uint64) uint64 { return uint64(asid)<<arch.VPNBits | vpn }
 
 // New builds a TLB level from cfg.
 func New(cfg Config) *TLB {
-	if cfg.Ways <= 0 || cfg.Entries <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic(fmt.Sprintf("tlb: bad config %+v", cfg))
-	}
-	sets := uint64(cfg.Entries / cfg.Ways)
-	if !arch.IsPowerOfTwo(sets) {
-		panic(fmt.Sprintf("tlb: set count %d not a power of two", sets))
-	}
-	return &TLB{
-		setMask: sets - 1,
-		ways:    cfg.Ways,
-		valid:   make([]bool, cfg.Entries),
-		entries: make([]Entry, cfg.Entries),
-		age:     make([]uint64, cfg.Entries),
-	}
+	sets := cache.NewSets(cfg.Entries, cfg.Ways, false)
+	return &TLB{sets: sets, pa: make([]arch.PhysAddr, cfg.Entries)}
 }
 
 // Lookup probes for (asid, vpn) and refreshes LRU on hit.
 func (t *TLB) Lookup(asid uint32, vpn uint64) (arch.PhysAddr, bool) {
-	t.lookups++
-	t.tick++
-	base := int(vpn&t.setMask) * t.ways
-	for w := 0; w < t.ways; w++ {
-		i := base + w
-		if t.valid[i] && t.entries[i].VPN == vpn && t.entries[i].ASID == asid {
-			t.age[i] = t.tick
-			t.hits++
-			return t.entries[i].PA, true
-		}
+	if i := t.sets.Lookup(key(asid, vpn)); i >= 0 {
+		return t.pa[i], true
 	}
 	return arch.NoPhysAddr, false
 }
 
 // Insert fills (asid, vpn) → pa, evicting the LRU way of the set if full.
-// The evicted entry is returned so a two-level arrangement can install
-// victims in the next level.
-func (t *TLB) Insert(asid uint32, vpn uint64, pa arch.PhysAddr) (victim Entry, evicted bool) {
-	t.tick++
-	base := int(vpn&t.setMask) * t.ways
-	target := base
-	for w := 0; w < t.ways; w++ {
-		i := base + w
-		if t.valid[i] && t.entries[i].VPN == vpn && t.entries[i].ASID == asid {
-			// Refresh an existing entry in place.
-			t.entries[i].PA = pa
-			t.age[i] = t.tick
-			return Entry{}, false
-		}
-		if !t.valid[i] {
-			target = i
-			break
-		}
-		if t.age[i] < t.age[target] {
-			target = i
-		}
-	}
-	if t.valid[target] {
-		victim, evicted = t.entries[target], true
-	}
-	t.valid[target] = true
-	t.entries[target] = Entry{ASID: asid, VPN: vpn, PA: pa}
-	t.age[target] = t.tick
-	return victim, evicted
+func (t *TLB) Insert(asid uint32, vpn uint64, pa arch.PhysAddr) {
+	t.insert(key(asid, vpn), pa)
+}
+
+// insert fills k → pa and returns the entry it evicted, if any, so
+// TwoLevel can move an L1 victim down into L2.
+func (t *TLB) insert(k uint64, pa arch.PhysAddr) (victim uint64, victimPA arch.PhysAddr, evicted bool) {
+	slot, victim, evicted := t.sets.Insert(k)
+	victimPA, t.pa[slot] = t.pa[slot], pa
+	return victim, victimPA, evicted
 }
 
 // InvalidatePage drops the translation for (asid, vpn) if present.
 func (t *TLB) InvalidatePage(asid uint32, vpn uint64) {
-	base := int(vpn&t.setMask) * t.ways
-	for w := 0; w < t.ways; w++ {
-		i := base + w
-		if t.valid[i] && t.entries[i].VPN == vpn && t.entries[i].ASID == asid {
-			t.valid[i] = false
-			return
-		}
-	}
+	t.sets.Invalidate(key(asid, vpn))
 }
 
 // InvalidateRange drops every translation of asid with a VPN in
 // [first, limit) — the batched shootdown behind large frees. Only validity
-// bits are cleared; LRU ages and the tick counter are untouched, so the
+// is cleared; LRU ages and the tick counter are untouched, so the
 // resulting state is identical to per-page InvalidatePage calls. For
 // ranges wider than the TLB itself one scan over the entries replaces the
 // per-page set probes.
 func (t *TLB) InvalidateRange(asid uint32, first, limit uint64) {
-	if limit-first >= uint64(len(t.entries)) {
-		for i := range t.entries {
-			if t.valid[i] && t.entries[i].ASID == asid && t.entries[i].VPN >= first && t.entries[i].VPN < limit {
-				t.valid[i] = false
-			}
-		}
+	if limit-first >= uint64(len(t.pa)) {
+		t.sets.InvalidateWhere(func(k uint64) bool {
+			vpn := k & vpnMask
+			return k>>arch.VPNBits == uint64(asid) && vpn >= first && vpn < limit
+		})
 		return
 	}
 	for vpn := first; vpn < limit; vpn++ {
@@ -148,34 +97,11 @@ func (t *TLB) InvalidateRange(asid uint32, first, limit uint64) {
 
 // InvalidateASID drops every translation belonging to asid.
 func (t *TLB) InvalidateASID(asid uint32) {
-	for i := range t.entries {
-		if t.valid[i] && t.entries[i].ASID == asid {
-			t.valid[i] = false
-		}
-	}
+	t.sets.InvalidateWhere(func(k uint64) bool { return k>>arch.VPNBits == uint64(asid) })
 }
 
 // Flush drops every translation.
-func (t *TLB) Flush() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
-}
-
-// Stats holds one level's counters (DESIGN.md §8).
-type Stats struct {
-	// Lookups counts probes; Hits counts the successful ones.
-	Lookups uint64
-	Hits    uint64
-}
-
-// Delta returns the counter-wise difference s - prev.
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{Lookups: s.Lookups - prev.Lookups, Hits: s.Hits - prev.Hits}
-}
-
-// Snapshot returns the counters accumulated since creation.
-func (t *TLB) Snapshot() Stats { return Stats{Lookups: t.lookups, Hits: t.hits} }
+func (t *TLB) Flush() { t.sets.Flush() }
 
 // TwoLevelConfig sizes a two-level TLB.
 type TwoLevelConfig struct {
@@ -229,8 +155,8 @@ func (t *TwoLevel) Insert(asid uint32, vpn uint64, pa arch.PhysAddr) {
 }
 
 func (t *TwoLevel) promote(asid uint32, vpn uint64, pa arch.PhysAddr) {
-	if victim, evicted := t.l1.Insert(asid, vpn, pa); evicted {
-		t.l2.Insert(victim.ASID, victim.VPN, victim.PA)
+	if victim, victimPA, evicted := t.l1.insert(key(asid, vpn), pa); evicted {
+		t.l2.insert(victim, victimPA)
 	}
 }
 

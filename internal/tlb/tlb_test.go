@@ -38,7 +38,7 @@ func TestASIDIsolation(t *testing.T) {
 func TestInsertRefreshesExisting(t *testing.T) {
 	tl := New(small())
 	tl.Insert(1, 100, 0x5000)
-	if _, evicted := tl.Insert(1, 100, 0x7000); evicted {
+	if _, _, evicted := tl.insert(key(1, 100), 0x7000); evicted {
 		t.Error("re-insert of same key evicted something")
 	}
 	pa, _ := tl.Lookup(1, 100)
@@ -53,9 +53,9 @@ func TestLRUEviction(t *testing.T) {
 	tl.Insert(1, 0, 0x1000)
 	tl.Insert(1, 4, 0x2000)
 	tl.Lookup(1, 0) // refresh 0; 4 is LRU
-	victim, evicted := tl.Insert(1, 8, 0x3000)
-	if !evicted || victim.VPN != 4 {
-		t.Fatalf("victim = %+v evicted=%v, want VPN 4", victim, evicted)
+	victim, victimPA, evicted := tl.insert(key(1, 8), 0x3000)
+	if !evicted || victim != key(1, 4) || victimPA != 0x2000 {
+		t.Fatalf("victim = %#x (pa %#x) evicted=%v, want VPN 4 at 0x2000", victim, victimPA, evicted)
 	}
 	if _, ok := tl.Lookup(1, 4); ok {
 		t.Error("evicted entry still present")
@@ -99,13 +99,22 @@ func TestInvalidateASIDAndFlush(t *testing.T) {
 	}
 }
 
+// TestCounters pins the counters the TLB exports: top-level lookups and
+// the level that served each hit.
 func TestCounters(t *testing.T) {
-	tl := New(small())
-	tl.Lookup(1, 1)
+	tl := NewTwoLevel(TwoLevelConfig{L1: Config{Entries: 2, Ways: 2}, L2: small()})
+	tl.Lookup(1, 1) // miss
 	tl.Insert(1, 1, 0x1000)
-	tl.Lookup(1, 1)
-	if s := tl.Snapshot(); s.Lookups != 2 || s.Hits != 1 {
-		t.Errorf("lookups=%d hits=%d", s.Lookups, s.Hits)
+	tl.Lookup(1, 1) // L1 hit
+	tl.Insert(1, 2, 0x2000)
+	tl.Insert(1, 3, 0x3000) // L1 is full: vpn 1 moves to L2
+	tl.Lookup(1, 1)         // L2 hit
+	want := TwoLevelStats{Lookups: 3, L1Hits: 1, L2Hits: 1}
+	if s := tl.Snapshot(); s != want {
+		t.Errorf("Snapshot = %+v, want %+v", s, want)
+	}
+	if d := tl.Snapshot().Delta(want); d != (TwoLevelStats{}) {
+		t.Errorf("Delta against itself = %+v, want zero", d)
 	}
 }
 

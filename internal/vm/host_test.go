@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ptemagnet/internal/cache"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/workload"
 )
@@ -214,6 +215,36 @@ func TestGuestChurnDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("churn runs diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestHostNumCPUsSizesTheCaches pins HostConfig.NumCPUs as the one vCPU
+// count: a Cache built for fewer CPUs gets the host's count, so the fifth
+// task's private caches exist.
+func TestHostNumCPUsSizesTheCaches(t *testing.T) {
+	hc := smallConfig(guestos.PolicyDefault)
+	hc.NumCPUs = 8
+	hc.Cache = cache.DefaultConfig(4)
+	m, err := NewHost(hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Hierarchy().Config().NumCPUs; got != 8 || m.HostConfig().NumCPUs != 8 {
+		t.Fatalf("hierarchy has %d CPUs, host %d; want 8 and 8", got, m.HostConfig().NumCPUs)
+	}
+	for i := 0; i < 6; i++ {
+		g := workload.GraphConfig{DatasetBytes: 1 << 20, Accesses: 2_000, Seed: int64(i + 1)}
+		if _, err := m.AddTask(workload.NewPagerank(g), RolePrimary); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.RunWith(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range m.Tasks() {
+		if !task.Done() {
+			t.Errorf("task on vCPU %d did not finish", task.cpu)
+		}
 	}
 }
 

@@ -30,74 +30,61 @@ import (
 	"ptemagnet/internal/workload"
 )
 
-// CostModel prices the kernel-software events the cache simulator cannot
-// time. Values are cycles. The defaults follow the shape of Linux fault
-// costs: the trap + mapping overhead and the page-zeroing memset dominate;
-// the allocator call itself is small — which is why the paper's §6.4
-// microbenchmark sees PTEMagnet's fewer buddy calls as only a slight win.
-type CostModel struct {
-	// WorkCyclesPerAccess is the non-memory compute per access.
-	WorkCyclesPerAccess uint64
-	// TrapCycles is the base cost of any page fault (trap, VMA lookup,
+// Kernel-software event prices, in cycles: the costs the cache simulator
+// cannot time. They follow the shape of Linux fault costs: the trap +
+// mapping overhead and the page-zeroing memset dominate; the allocator call
+// itself is small — which is why the paper's §6.4 microbenchmark sees
+// PTEMagnet's fewer buddy calls as only a slight win.
+const (
+	// workCyclesPerAccess is the non-memory compute per access.
+	workCyclesPerAccess = 7
+	// trapCycles is the base cost of any page fault (trap, VMA lookup,
 	// return).
-	TrapCycles uint64
-	// ZeroPageCycles clears a freshly mapped anonymous page (per page,
+	trapCycles = 1000
+	// zeroPageCycles clears a freshly mapped anonymous page (per page,
 	// identical in both policies).
-	ZeroPageCycles uint64
-	// BuddyPageCycles is one order-0 buddy allocator call.
-	BuddyPageCycles uint64
-	// BuddyGroupCycles is one order-3 (eight-page) buddy call plus PaRT
+	zeroPageCycles = 1200
+	// buddyPageCycles is one order-0 buddy allocator call.
+	buddyPageCycles = 120
+	// buddyGroupCycles is one order-3 (eight-page) buddy call plus PaRT
 	// insertion.
-	BuddyGroupCycles uint64
-	// PaRTHitCycles is a PaRT lookup serving a fault from a reservation.
-	PaRTHitCycles uint64
-	// COWCopyCycles copies a page on a COW break.
-	COWCopyCycles uint64
-}
-
-// DefaultCostModel returns the calibrated defaults.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		WorkCyclesPerAccess: 7,
-		TrapCycles:          1000,
-		ZeroPageCycles:      1200,
-		BuddyPageCycles:     120,
-		BuddyGroupCycles:    180,
-		PaRTHitCycles:       60,
-		COWCopyCycles:       2400,
-	}
-}
+	buddyGroupCycles = 180
+	// partHitCycles is a PaRT lookup serving a fault from a reservation.
+	partHitCycles = 60
+	// cowCopyCycles copies a page on a COW break.
+	cowCopyCycles = 2400
+)
 
 // faultCost prices a resolved fault by kind.
-func (c CostModel) faultCost(kind guestos.FaultKind) uint64 {
+func faultCost(kind guestos.FaultKind) uint64 {
 	switch kind {
 	case guestos.FaultAlreadyMapped:
-		return c.TrapCycles / 2
+		return trapCycles / 2
 	case guestos.FaultDefault:
-		return c.TrapCycles + c.BuddyPageCycles + c.ZeroPageCycles
+		return trapCycles + buddyPageCycles + zeroPageCycles
 	case guestos.FaultMagnetNew:
-		return c.TrapCycles + c.BuddyGroupCycles + c.ZeroPageCycles
+		return trapCycles + buddyGroupCycles + zeroPageCycles
 	case guestos.FaultMagnetHit:
-		return c.TrapCycles + c.PaRTHitCycles + c.ZeroPageCycles
+		return trapCycles + partHitCycles + zeroPageCycles
 	case guestos.FaultParentClaim:
-		return c.TrapCycles + c.PaRTHitCycles + c.ZeroPageCycles
+		return trapCycles + partHitCycles + zeroPageCycles
 	case guestos.FaultCOW:
-		return c.TrapCycles + c.BuddyPageCycles + c.COWCopyCycles
+		return trapCycles + buddyPageCycles + cowCopyCycles
 	case guestos.FaultCAHit:
 		// A targeted AllocAt costs about as much as a stock buddy call.
-		return c.TrapCycles + c.BuddyPageCycles + c.ZeroPageCycles
+		return trapCycles + buddyPageCycles + zeroPageCycles
 	case guestos.FaultTHP:
 		// One trap and one order-9 buddy call, but all 512 constituent
 		// pages (one full PT node's worth) must be zeroed up front.
-		return c.TrapCycles + c.BuddyGroupCycles + arch.PTEntriesPerNode*c.ZeroPageCycles
+		return trapCycles + buddyGroupCycles + arch.PTEntriesPerNode*zeroPageCycles
 	default:
-		return c.TrapCycles
+		return trapCycles
 	}
 }
 
 // GuestConfig describes one tenant VM: its guest-physical memory size and
 // the guest kernel's allocator policy. Everything hardware-shaped (caches,
-// walker geometry, costs, vCPUs) lives in HostConfig — tenants share the
+// walker geometry, vCPUs) lives in HostConfig — tenants share the
 // host's hardware, they only differ in size and software policy.
 type GuestConfig struct {
 	// MemBytes sizes the guest-physical memory. Must not exceed the host's
@@ -121,15 +108,16 @@ type HostConfig struct {
 	// HostMemBytes sizes host-physical memory.
 	HostMemBytes uint64
 	// NumCPUs is the vCPU count; tasks are pinned round-robin across it.
+	// Zero → 8. It is also the hierarchy's CPU count: it replaces
+	// Cache.NumCPUs.
 	NumCPUs int
-	// Cache overrides the hierarchy (zero value → cache.DefaultConfig).
+	// Cache overrides the hierarchy's levels; a Cache whose NumCPUs is
+	// zero selects cache.DefaultConfig.
 	Cache cache.Config
 	// Walker overrides translation machinery (zero → nested.DefaultConfig).
 	// Every guest gets its own walker (private TLBs and walk caches) built
 	// from this one geometry, sharing the host's data caches.
 	Walker nested.Config
-	// Costs prices kernel events (zero → DefaultCostModel).
-	Costs CostModel
 	// Quantum is the number of accesses one task executes per scheduling
 	// turn (small → aggressive fault interleaving). Zero → 8.
 	Quantum int
@@ -319,8 +307,7 @@ type Tracer interface {
 // the host sees it, the guest kernel with its allocator policy, the VM's
 // private translation machinery (TLBs, nested TLB, walk caches), and the
 // tasks pinned to its vCPUs. Guests share the host's physical memory,
-// buddy allocator, data-cache hierarchy, and cost model through the
-// enclosing Machine.
+// buddy allocator and data-cache hierarchy through the enclosing Machine.
 type Guest struct {
 	m      *Machine
 	index  int
@@ -374,7 +361,7 @@ func (g *Guest) Machine() *Machine { return g.m }
 func (g *Guest) Config() GuestConfig { return g.cfg }
 
 // Machine is the assembled platform: the shared host resources (host
-// kernel + physical memory, data-cache hierarchy, cost model) and the N
+// kernel + physical memory, data-cache hierarchy) and the N
 // guest stacks multiplexed onto them by one global quantum scheduler.
 type Machine struct {
 	cfg    HostConfig
@@ -436,11 +423,9 @@ func newMachine(cfg HostConfig) (*Machine, error) {
 	if cfg.Cache.NumCPUs == 0 {
 		cfg.Cache = cache.DefaultConfig(cfg.NumCPUs)
 	}
+	cfg.Cache.NumCPUs = cfg.NumCPUs
 	if cfg.Walker.TLB.L1.Entries == 0 {
 		cfg.Walker = nested.DefaultConfig()
-	}
-	if cfg.Costs == (CostModel{}) {
-		cfg.Costs = DefaultCostModel()
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 8
@@ -454,7 +439,7 @@ func newMachine(cfg HostConfig) (*Machine, error) {
 		hier: cache.NewHierarchy(cfg.Cache),
 	}
 	if cfg.Balloon.Enabled {
-		m.balloon = balloon.New(cfg.Balloon, m.host)
+		m.balloon = balloon.New(m.host)
 		m.host.SetPressureReliever(m.balloon)
 	}
 	for _, gc := range cfg.Guests {
@@ -768,7 +753,7 @@ func (m *Machine) runWith(ctx context.Context, opts runConfig) error {
 			// clock as run events and gauge sampling.
 			m.balloon.Sample()
 			m.balloon.Check()
-			nextBalloon = m.totalAccesses + m.balloon.Config().SampleEvery
+			nextBalloon = m.totalAccesses + balloon.SampleEvery
 		}
 		if opts.maxAccesses > 0 && m.totalAccesses >= opts.maxAccesses {
 			return fmt.Errorf("vm: exceeded access budget %d", opts.maxAccesses)
@@ -840,7 +825,6 @@ func (m *Machine) runQuantum(t *Task) error {
 	var (
 		prog   = t.prog
 		env    = t.env
-		costs  = &m.cfg.Costs
 		walker = t.guest.walker
 		hier   = m.hier
 		tracer = m.tracer
@@ -864,8 +848,8 @@ quantum:
 		m.totalAccesses++
 		t.guest.accesses++
 		t.Accesses++
-		t.WorkCycles += costs.WorkCyclesPerAccess
-		t.Cycles += costs.WorkCyclesPerAccess
+		t.WorkCycles += workCyclesPerAccess
+		t.Cycles += workCyclesPerAccess
 		seq := m.totalAccesses
 		var accTranslation, accData uint64
 		var accServed cache.Level
@@ -921,7 +905,7 @@ quantum:
 			if kind == guestos.FaultCOW {
 				walker.InvalidatePage(asid, acc.VA)
 			}
-			fc := costs.faultCost(kind)
+			fc := faultCost(kind)
 			t.FaultCycles += fc
 			t.Cycles += fc
 		}

@@ -223,22 +223,21 @@ func TestDataServedSumsToAccesses(t *testing.T) {
 }
 
 func TestCostModelFaultCosts(t *testing.T) {
-	c := DefaultCostModel()
 	// The reservation hit must be cheaper than the default path — the
 	// §6.4 property.
-	if c.faultCost(guestos.FaultMagnetHit) >= c.faultCost(guestos.FaultDefault) {
+	if faultCost(guestos.FaultMagnetHit) >= faultCost(guestos.FaultDefault) {
 		t.Error("PaRT hit not cheaper than default fault")
 	}
 	// The group allocation is costlier than a single-page allocation but
 	// amortized over 8 pages it wins.
-	newCost := c.faultCost(guestos.FaultMagnetNew)
-	hitCost := c.faultCost(guestos.FaultMagnetHit)
-	defCost := c.faultCost(guestos.FaultDefault)
+	newCost := faultCost(guestos.FaultMagnetNew)
+	hitCost := faultCost(guestos.FaultMagnetHit)
+	defCost := faultCost(guestos.FaultDefault)
 	if newCost+7*hitCost >= 8*defCost {
 		t.Error("amortized reservation path not cheaper than 8 default faults")
 	}
 	for k := guestos.FaultKind(0); k < guestos.NumFaultKinds; k++ {
-		if c.faultCost(k) == 0 {
+		if faultCost(k) == 0 {
 			t.Errorf("fault kind %v costs nothing", k)
 		}
 	}

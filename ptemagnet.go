@@ -347,8 +347,8 @@ func RunExperiment(ctx context.Context, name string, opts ...ExperimentRunOpt) (
 // Live migration: move a Guest between Machines with pre-copy semantics
 // over the host's PML-style dirty-page log (DESIGN.md §10).
 type (
-	// MigrateOptions tunes the pre-copy protocol (round length, stop-and-
-	// copy threshold, dirty-log sizing).
+	// MigrateOptions tunes the pre-copy protocol (round length and
+	// dirty-log sizing); the stop-and-copy rule is fixed.
 	MigrateOptions = migrate.Options
 	// MigrationReport counts what one migration did: rounds, page traffic,
 	// downtime in access-units.
@@ -383,8 +383,9 @@ var ErrFaultInjected = faults.ErrInjected
 var IsFaultTransient = faults.IsTransient
 
 // BalloonConfig arms the host's overcommit pressure controller
-// (HostMachineConfig.Balloon; DESIGN.md §12): a watermark-driven balloon
-// that relieves host pressure by inflating per-guest balloon targets,
-// driving the guest reclaim daemon to break PTEMagnet reservations and
-// return cold frames to the host buddy allocator.
+// (HostMachineConfig.Balloon; DESIGN.md §12): a balloon with fixed 1/16
+// and 1/8 free-frame watermarks that relieves host pressure by inflating
+// per-guest balloon targets, driving the guest reclaim daemon to break
+// PTEMagnet reservations and return cold frames to the host buddy
+// allocator. Enabled is its only field.
 type BalloonConfig = balloon.Config
