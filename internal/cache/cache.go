@@ -56,7 +56,7 @@ type LevelConfig struct {
 	// SizeBytes is the total capacity. Must be a power-of-two multiple of
 	// Ways*CacheBlockSize.
 	SizeBytes uint64
-	// Ways is the set associativity.
+	// Ways is the set associativity, 1 to MaxWays.
 	Ways int
 	// Latency is the access latency in cycles when this level serves the
 	// access (load-to-use, inclusive of lookups above it).
@@ -95,44 +95,109 @@ func DefaultConfig(numCPUs int) Config {
 // invalid is the key of an empty way.
 const invalid = ^uint64(0)
 
+// MaxWays is the widest associativity Sets holds: a set's recency word
+// keeps one 4-bit way index per way in one uint64.
+const MaxWays = 16
+
+// GeometryError reports a geometry Sets cannot hold: the field at fault
+// (Entries, Ways or SizeBytes), its value and the rule it breaks.
+type GeometryError struct {
+	Field  string
+	Value  any
+	Reason string
+}
+
+// Error renders the violation.
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("cache: %s = %v (%s)", e.Field, e.Value, e.Reason)
+}
+
+// CheckGeometry returns a *GeometryError unless entries keys divide into
+// ways-way sets: entries positive, ways in [1, MaxWays], entries a multiple
+// of ways and a power-of-two set count. NewSets panics with it.
+func CheckGeometry(entries, ways int) error {
+	return checkGeometry("Entries", entries, entries, ways)
+}
+
+// Check is CheckGeometry for a cache level, which also needs SizeBytes to
+// be a multiple of the block size. A failure about the block count names
+// SizeBytes.
+func (c LevelConfig) Check() error {
+	if c.SizeBytes%arch.CacheBlockSize != 0 {
+		return &GeometryError{"SizeBytes", c.SizeBytes, fmt.Sprintf("must be a multiple of the %d-byte block", arch.CacheBlockSize)}
+	}
+	return checkGeometry("SizeBytes", c.SizeBytes, int(c.SizeBytes/arch.CacheBlockSize), c.Ways)
+}
+
+// checkGeometry is the geometry rule; a failure about the entry count
+// names field and value.
+func checkGeometry(field string, value any, entries, ways int) error {
+	switch {
+	case entries <= 0:
+		return &GeometryError{field, value, "must be positive"}
+	case ways <= 0 || ways > MaxWays:
+		return &GeometryError{"Ways", ways, fmt.Sprintf("must be in [1, %d]", MaxWays)}
+	case entries%ways != 0:
+		return &GeometryError{field, value, fmt.Sprintf("must fill whole %d-way sets", ways)}
+	case !arch.IsPowerOfTwo(uint64(entries / ways)):
+		return &GeometryError{field, value, fmt.Sprintf("gives %d sets, not a power of two", entries/ways)}
+	}
+	return nil
+}
+
+// nibbles has a 1 in every 4-bit nibble of a recency word.
+const nibbles = 0x1111111111111111
+
 // Sets is one set-associative array of uint64 keys with LRU replacement.
 // It is the tag store of every cache level here and of every translation
 // cache in internal/tlb. It holds keys only: a caller with a payload keeps
 // it in a slice indexed by the slots Lookup and Insert return. No key may
 // be ^uint64(0), which marks an empty way; block numbers and packed TLB
 // keys stay below 2^63.
+//
+// Keys never move between ways. Each set's recency word orders its ways
+// instead: a hit or a fill moves the way to the front, and a full set
+// evicts the way at the back. Invalidation and Flush leave the word alone,
+// empty ways refill in way order, and a set evicts only once every way has
+// been filled, so the word ranks a full set's ways by their last use.
 type Sets struct {
 	setMask uint64
 	hashed  bool
 	ways    int
 	// keys[set*ways+way]; invalid marks an empty way.
 	keys []uint64
-	// stamp[set*ways+way] is the way's last-use tick; larger = more recent.
-	stamp []uint64
-	tick  uint64
+	// recency[set] holds the set's way indices, most recent first, one
+	// per 4-bit nibble from the low end; its last used nibble is the LRU
+	// way.
+	recency []uint64
 }
 
-// NewSets builds an array of entries keys in ways-way sets; the set count
-// must be a power of two. hashed selects hashed set indexing (see
-// LevelConfig.HashedIndex); otherwise a key's low bits pick its set.
+// NewSets builds an array of entries keys in ways-way sets; it panics
+// with CheckGeometry's error on a geometry it rejects. hashed selects
+// hashed set indexing (see LevelConfig.HashedIndex); otherwise a key's low
+// bits pick its set.
 func NewSets(entries, ways int, hashed bool) *Sets {
-	if ways <= 0 || entries <= 0 || entries%ways != 0 {
-		panic(fmt.Sprintf("cache: %d entries do not divide into %d-way sets", entries, ways))
+	if err := CheckGeometry(entries, ways); err != nil {
+		panic(err)
 	}
-	sets := uint64(entries / ways)
-	if !arch.IsPowerOfTwo(sets) {
-		panic(fmt.Sprintf("cache: set count %d is not a power of two", sets))
-	}
+	sets := entries / ways
 	s := &Sets{
-		setMask: sets - 1,
+		setMask: uint64(sets) - 1,
 		hashed:  hashed,
 		ways:    ways,
 		keys:    make([]uint64, entries),
-		stamp:   make([]uint64, entries),
+		recency: make([]uint64, sets),
+	}
+	// Way w starts at position w; the order of never-used ways is moot.
+	for i := range s.recency {
+		s.recency[i] = 0xFEDCBA9876543210 & s.wordMask()
 	}
 	s.Flush()
 	return s
 }
+
+// wordMask selects the nibbles of a recency word that hold ways.
+func (s *Sets) wordMask() uint64 { return ^uint64(0) >> (4 * (MaxWays - s.ways)) }
 
 // set maps a key to its set index. Hashed arrays fold higher key bits into
 // the index (a simple XOR-fold model of Intel complex addressing); plain
@@ -147,50 +212,92 @@ func (s *Sets) set(key uint64) uint64 {
 }
 
 // Lookup probes for key and, on a hit, makes it the most recent way of its
-// set. It returns key's slot, or -1 on a miss. Every probe advances the
-// LRU clock.
+// set. It returns key's slot, or -1 on a miss.
 func (s *Sets) Lookup(key uint64) int {
-	base := int(s.set(key)) * s.ways
-	s.tick++
+	set := s.set(key)
+	base := int(set) * s.ways
 	for i, k := range s.keys[base : base+s.ways] {
 		if k == key {
-			s.stamp[base+i] = s.tick
+			s.use(set, i)
 			return base + i
 		}
 	}
 	return -1
 }
 
+// Access is Lookup and, on a miss, Insert, in one scan of key's set: it
+// reports whether key was resident, and leaves it resident and most
+// recent.
+func (s *Sets) Access(key uint64) bool {
+	set := s.set(key)
+	base := int(set) * s.ways
+	free := -1
+	for i, k := range s.keys[base : base+s.ways] {
+		if k == key {
+			s.use(set, i)
+			return true
+		}
+		if k == invalid && free < 0 {
+			free = i
+		}
+	}
+	s.fill(set, free, key)
+	return false
+}
+
 // Insert makes key resident and most recent, and returns its slot. The
 // scan stops at the set's first empty way: a copy of key met before it is
 // refreshed in place, otherwise key fills that way. Only a full set without
-// key evicts, its first least-recent way, and reports the evicted key.
+// key evicts, its least-recent way, and reports the evicted key.
 func (s *Sets) Insert(key uint64) (slot int, victim uint64, evicted bool) {
-	base := int(s.set(key)) * s.ways
-	s.tick++
-	keys := s.keys[base : base+s.ways]
-	stamp := s.stamp[base : base+len(keys)]
-	lru := 0
-	for i, k := range keys {
+	set := s.set(key)
+	base := int(set) * s.ways
+	for i, k := range s.keys[base : base+s.ways] {
 		switch k {
 		case key:
-			stamp[i] = s.tick
+			s.use(set, i)
 			return base + i, 0, false
 		case invalid:
-			keys[i], stamp[i] = key, s.tick
-			return base + i, 0, false
-		}
-		if stamp[i] < stamp[lru] {
-			lru = i
+			return s.fill(set, i, key)
 		}
 	}
-	victim = keys[lru]
-	keys[lru], stamp[lru] = key, s.tick
-	return base + lru, victim, true
+	return s.fill(set, -1, key)
+}
+
+// fill puts key in way free of set, or, when free is negative (a full
+// set), in its least-recent way, and makes that way the most recent. It
+// returns the slot and the key it evicted, if any.
+func (s *Sets) fill(set uint64, free int, key uint64) (slot int, victim uint64, evicted bool) {
+	base := int(set) * s.ways
+	if free >= 0 {
+		s.keys[base+free] = key
+		s.use(set, free)
+		return base + free, 0, false
+	}
+	w := s.recency[set]
+	way := int(w >> (4 * (s.ways - 1)) & 0xf)
+	victim, s.keys[base+way] = s.keys[base+way], key
+	s.recency[set] = (w<<4 | uint64(way)) & s.wordMask()
+	return base + way, victim, true
+}
+
+// use moves way to the front of set's recency word; a way already in
+// front writes nothing. A branch-free nibble search finds the way's
+// position p: nibbles 0..p-1 shift up by one and way takes nibble 0.
+func (s *Sets) use(set uint64, way int) {
+	w := s.recency[set]
+	if w&0xf == uint64(way) {
+		return
+	}
+	x := w ^ uint64(way)*nibbles // zero in way's nibble
+	low := (x - nibbles) &^ x & (nibbles << 3)
+	low &= -low           // top bit of the first zero nibble
+	through := low<<1 - 1 // nibbles 0..p
+	s.recency[set] = w&^through | w<<4&through | uint64(way)
 }
 
 // Invalidate empties the first way of key's set that holds key. Like every
-// invalidation it leaves the LRU stamps and clock alone.
+// invalidation it leaves the recency word alone.
 func (s *Sets) Invalidate(key uint64) {
 	base := int(s.set(key)) * s.ways
 	for i, k := range s.keys[base : base+s.ways] {
@@ -217,18 +324,25 @@ func (s *Sets) Flush() {
 	}
 }
 
-// newLevel builds the tag store of one cache level.
+// newLevel builds the tag store of one cache level; it panics with Check's
+// error on a geometry Check rejects.
 func newLevel(cfg LevelConfig) *Sets {
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	return NewSets(int(cfg.SizeBytes/arch.CacheBlockSize), cfg.Ways, cfg.HashedIndex)
 }
+
+// private is one CPU's private levels.
+type private struct{ l1, l2 Sets }
 
 // Hierarchy is a multi-core cache hierarchy: private L1/L2 per CPU and one
 // shared LLC.
 type Hierarchy struct {
 	cfg Config
-	l1  []*Sets
-	l2  []*Sets
-	llc *Sets
+	// cpus[cpu] holds that CPU's private levels.
+	cpus []private
+	llc  *Sets
 
 	// hits[level] counts accesses served at that level, across all CPUs.
 	hits [NumLevels]uint64
@@ -241,8 +355,7 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	}
 	h := &Hierarchy{cfg: cfg, llc: newLevel(cfg.LLC)}
 	for i := 0; i < cfg.NumCPUs; i++ {
-		h.l1 = append(h.l1, newLevel(cfg.L1))
-		h.l2 = append(h.l2, newLevel(cfg.L2))
+		h.cpus = append(h.cpus, private{l1: *newLevel(cfg.L1), l2: *newLevel(cfg.L2)})
 	}
 	return h
 }
@@ -252,26 +365,22 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Access performs a load of the cache block containing pa on behalf of cpu.
 // It returns the level that served the access and the latency charged.
-// Misses fill every level on the way back (inclusive fill).
+// Each level probed is one Sets.Access, which fills the level on a miss, so
+// a miss fills every level on the way (inclusive fill).
 func (h *Hierarchy) Access(cpu int, pa arch.PhysAddr) (Level, uint64) {
 	block := pa.CacheBlock()
+	p := &h.cpus[cpu]
 	switch {
-	case h.l1[cpu].Lookup(block) >= 0:
+	case p.l1.Access(block):
 		h.hits[LevelL1]++
 		return LevelL1, h.cfg.L1.Latency
-	case h.l2[cpu].Lookup(block) >= 0:
-		h.l1[cpu].Insert(block)
+	case p.l2.Access(block):
 		h.hits[LevelL2]++
 		return LevelL2, h.cfg.L2.Latency
-	case h.llc.Lookup(block) >= 0:
-		h.l2[cpu].Insert(block)
-		h.l1[cpu].Insert(block)
+	case h.llc.Access(block):
 		h.hits[LevelLLC]++
 		return LevelLLC, h.cfg.LLC.Latency
 	default:
-		h.llc.Insert(block)
-		h.l2[cpu].Insert(block)
-		h.l1[cpu].Insert(block)
 		h.hits[LevelMemory]++
 		return LevelMemory, h.cfg.MemLatency
 	}

@@ -201,6 +201,39 @@ func BenchmarkAccessStream(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineHierarchy measures the cache layer alone: one op is a
+// pass of a fixed pseudo-random stream of 64K accesses, alternating two
+// CPUs, over DefaultConfig(2) with the quick-scale L2 and LLC (64 KB,
+// 128 KB). Half the accesses fall in 16 KB, a quarter in 96 KB and a
+// quarter in 4 MB, so all four levels serve.
+func BenchmarkPipelineHierarchy(b *testing.B) {
+	cfg := DefaultConfig(2)
+	cfg.L2.SizeBytes, cfg.LLC.SizeBytes = 64<<10, 128<<10
+	h := NewHierarchy(cfg)
+	stream := make([]arch.PhysAddr, 1<<16)
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range stream {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		span := [4]uint64{16 << 10, 16 << 10, 96 << 10, 4 << 20}[x>>62]
+		stream[i] = arch.PhysAddr(x % (span / arch.CacheBlockSize) * arch.CacheBlockSize)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, pa := range stream {
+			h.Access(j&1, pa)
+		}
+	}
+	b.StopTimer()
+	for lv, n := range h.Snapshot().Hits {
+		if n == 0 {
+			b.Fatalf("%v served no access", Level(lv))
+		}
+	}
+	b.ReportMetric(float64(b.N*len(stream))/b.Elapsed().Seconds(), "accesses/s")
+}
+
 func TestHashedIndexingDecorrelatesLayout(t *testing.T) {
 	// The property the hashed LLC exists for: a strided physical layout
 	// (every 8th block, as page-coloring produces) must spread over many

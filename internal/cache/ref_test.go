@@ -72,6 +72,13 @@ func (b *refBank) insert(block uint64) (evicted uint64, wasEvicted bool) {
 	victim := base
 	for w := 0; w < b.ways; w++ {
 		i := base + w
+		// bank's callers only inserted missing blocks; a copy met before
+		// the first empty way is refreshed, as Sets.Insert does for the
+		// TLBs.
+		if b.tags[i] == block {
+			b.age[i] = b.tick
+			return 0, false
+		}
 		if b.tags[i] == invalid {
 			b.tags[i] = block
 			b.age[i] = b.tick
@@ -85,6 +92,25 @@ func (b *refBank) insert(block uint64) (evicted uint64, wasEvicted bool) {
 	b.tags[victim] = block
 	b.age[victim] = b.tick
 	return ev, true
+}
+
+// invalidate and flush empty ways as Sets.Invalidate and Sets.Flush do:
+// the first copy of block, or every way, with the stamps and clock left
+// alone.
+func (b *refBank) invalidate(block uint64) {
+	base := int(b.set(block)) * b.ways
+	for w := 0; w < b.ways; w++ {
+		if b.tags[base+w] == block {
+			b.tags[base+w] = invalid
+			return
+		}
+	}
+}
+
+func (b *refBank) flush() {
+	for i := range b.tags {
+		b.tags[i] = invalid
+	}
 }
 
 // refHierarchy is the hierarchy as it was over refBanks: Access probes each
@@ -131,17 +157,38 @@ type level struct {
 	ref  *refBank
 }
 
-// sameState fails unless l holds exactly its reference's tags, LRU stamps
-// and clock after op.
+// sameState fails unless every slot of l holds its reference's key and
+// every set's recency word is a permutation of the set's ways that lists
+// its occupied ways in the reference's stamp order, most recent first.
+// Stamps of occupied ways are distinct (each came from its own tick), and
+// empty ways' stamps are stale, so they are not ranked. The fuzz target
+// runs it after every op, so it neither allocates nor calls t.Helper.
 func (l level) sameState(t *testing.T, op int) {
-	t.Helper()
-	if l.s.tick != l.ref.tick {
-		t.Fatalf("op %d: %s tick %d, reference %d", op, l.name, l.s.tick, l.ref.tick)
-	}
-	for i := range l.ref.tags {
-		if l.s.keys[i] != l.ref.tags[i] || l.s.stamp[i] != l.ref.age[i] {
-			t.Fatalf("op %d: %s slot %d holds %#x@%d, reference %#x@%d",
-				op, l.name, i, l.s.keys[i], l.s.stamp[i], l.ref.tags[i], l.ref.age[i])
+	ways := l.s.ways
+	for set, word := range l.s.recency {
+		if word&^l.s.wordMask() != 0 {
+			t.Fatalf("op %d: %s set %d recency word %#x has nibbles beyond its %d ways", op, l.name, set, word, ways)
+		}
+		var seen uint32
+		newer := ^uint64(0)
+		for p := 0; p < ways; p++ {
+			way := int(word >> (4 * p) & 0xf)
+			if way >= ways || seen&(1<<way) != 0 {
+				t.Fatalf("op %d: %s set %d recency word %#x is not a permutation of %d ways", op, l.name, set, word, ways)
+			}
+			seen |= 1 << way
+			i := set*ways + way
+			if l.s.keys[i] != l.ref.tags[i] {
+				t.Fatalf("op %d: %s slot %d holds %#x, reference %#x", op, l.name, i, l.s.keys[i], l.ref.tags[i])
+			}
+			if l.ref.tags[i] == invalid {
+				continue
+			}
+			if l.ref.age[i] >= newer {
+				t.Fatalf("op %d: %s set %d ranks way %d (stamp %d) behind a way stamped %d in %#x",
+					op, l.name, set, way, l.ref.age[i], newer, word)
+			}
+			newer = l.ref.age[i]
 		}
 	}
 }
@@ -158,30 +205,46 @@ func fuzzConfig() Config {
 	}
 }
 
-// FuzzSetsMatchReference drives one access stream through the hierarchy
-// and through refHierarchy, and one lookup-then-fill stream through a plain
-// and a hashed standalone level and their refBanks. Every served level,
-// latency and victim must agree, and every level must end each step in the
-// reference's exact state. Each input byte pair is one access: the first
-// byte's low bit picks the CPU and its next bits the high part of the
-// block number (which the hashed index folds in), the second byte the
-// low part, from a pool small enough to hit.
+// fuzzLevel decodes one byte into a standalone level: 1 to MaxWays ways
+// (the low nibble) in 1, 2, 4 or 8 sets.
+func fuzzLevel(b byte, hashed bool) LevelConfig {
+	ways := 1 + int(b&0xf)
+	sets := 1 << (b >> 4 & 3)
+	return LevelConfig{SizeBytes: uint64(ways*sets) * arch.CacheBlockSize, Ways: ways, HashedIndex: hashed}
+}
+
+// FuzzSetsMatchReference drives one op stream through the hierarchy and
+// refHierarchy, and through a plain and a hashed standalone level and
+// their refBanks. Every served level, latency, hit and victim must agree,
+// and every level must end each op in its reference's state (sameState).
+//
+// The first two input bytes pick the standalone levels' geometries
+// (fuzzLevel); then each byte pair is one op. The first byte's low bit
+// picks the CPU, its next two bits the high part of the block number
+// (which the hashed index folds in) and its top five bits what the
+// standalone levels do; the second byte gives the low part of the block
+// number, from a pool small enough to hit. Every op is also one
+// hierarchy access.
 func FuzzSetsMatchReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
 		cfg := fuzzConfig()
 		h, ref := NewHierarchy(cfg), newRefHierarchy(cfg)
 		hier := []level{{"LLC", h.llc, ref.llc}}
-		for c := range h.l1 {
+		for c := range h.cpus {
 			hier = append(hier,
-				level{fmt.Sprintf("cpu %d L1", c), h.l1[c], ref.l1[c]},
-				level{fmt.Sprintf("cpu %d L2", c), h.l2[c], ref.l2[c]})
+				level{fmt.Sprintf("cpu %d L1", c), &h.cpus[c].l1, ref.l1[c]},
+				level{fmt.Sprintf("cpu %d L2", c), &h.cpus[c].l2, ref.l2[c]})
 		}
+		plain, hashed := fuzzLevel(ops[0], false), fuzzLevel(ops[1], true)
 		alone := []level{
-			{"plain level", newLevel(cfg.L1), newRefBank(cfg.L1)},
-			{"hashed level", newLevel(cfg.LLC), newRefBank(cfg.LLC)},
+			{fmt.Sprintf("plain %d-way level", plain.Ways), newLevel(plain), newRefBank(plain)},
+			{fmt.Sprintf("hashed %d-way level", hashed.Ways), newLevel(hashed), newRefBank(hashed)},
 		}
-		for i := 0; i+1 < len(ops); i += 2 {
-			op := i / 2
+		for i := 2; i+1 < len(ops); i += 2 {
+			op := i/2 - 1
 			cpu := int(ops[i] & 1)
 			block := uint64(ops[i+1]&0x3f) | uint64(ops[i]>>1&3)<<10
 			pa := arch.PhysAddr(block << arch.CacheBlockShift)
@@ -194,21 +257,48 @@ func FuzzSetsMatchReference(f *testing.F) {
 				l.sameState(t, op)
 			}
 
+			kind := ops[i] >> 3
 			for _, l := range alone {
-				hit, refHit := l.s.Lookup(block) >= 0, l.ref.lookup(block)
-				if hit != refHit {
-					t.Fatalf("op %d: %s lookup of %#x hit=%v, reference %v", op, l.name, block, hit, refHit)
-				}
-				if !hit {
-					slot, victim, evicted := l.s.Insert(block)
-					refVictim, refEvicted := l.ref.insert(block)
-					if victim != refVictim || evicted != refEvicted || l.s.keys[slot] != block {
-						t.Fatalf("op %d: %s insert of %#x evicted %#x/%v into slot %d, reference %#x/%v",
-							op, l.name, block, victim, evicted, slot, refVictim, refEvicted)
+				switch {
+				case kind < 12: // Access
+					hit, refHit := l.s.Access(block), l.ref.lookup(block)
+					if !refHit {
+						l.ref.insert(block)
 					}
+					if hit != refHit {
+						t.Fatalf("op %d: %s access of %#x hit=%v, reference %v", op, l.name, block, hit, refHit)
+					}
+				case kind < 22: // Lookup, then Insert on a miss
+					hit, refHit := l.s.Lookup(block) >= 0, l.ref.lookup(block)
+					if hit != refHit {
+						t.Fatalf("op %d: %s lookup of %#x hit=%v, reference %v", op, l.name, block, hit, refHit)
+					}
+					if !hit {
+						l.insert(t, op, block)
+					}
+				case kind < 27: // Insert, resident or not
+					l.insert(t, op, block)
+				case kind < 31:
+					l.s.Invalidate(block)
+					l.ref.invalidate(block)
+				default:
+					l.s.Flush()
+					l.ref.flush()
 				}
 				l.sameState(t, op)
 			}
 		}
 	})
+}
+
+// insert inserts block into l and its reference and fails unless both
+// evict the same key and l's slot holds block.
+func (l level) insert(t *testing.T, op int, block uint64) {
+	t.Helper()
+	slot, victim, evicted := l.s.Insert(block)
+	refVictim, refEvicted := l.ref.insert(block)
+	if victim != refVictim || evicted != refEvicted || l.s.keys[slot] != block {
+		t.Fatalf("op %d: %s insert of %#x evicted %#x/%v into slot %d, reference %#x/%v",
+			op, l.name, block, victim, evicted, slot, refVictim, refEvicted)
+	}
 }

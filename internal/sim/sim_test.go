@@ -2,11 +2,13 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"ptemagnet/internal/engine"
 	"ptemagnet/internal/guestos"
+	"ptemagnet/internal/vm"
 )
 
 const testSeed = 11
@@ -148,6 +150,28 @@ func TestTable4ShapeHolds(t *testing.T) {
 	}
 	if len(r.Rows) != 6 {
 		t.Errorf("rows = %d", len(r.Rows))
+	}
+}
+
+// TestBadCacheScaleIsAConfigError pins that a Scale cache size the
+// hierarchy cannot hold fails the run with a *vm.ConfigError naming the
+// level, not a panic in the cache constructor.
+func TestBadCacheScaleIsAConfigError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Scale)
+		field string
+	}{
+		{"3 MB LLC", func(sc *Scale) { sc.LLCBytes = 3 << 20 }, "Cache.LLC.SizeBytes"},
+		{"96 KB L2", func(sc *Scale) { sc.L2Bytes = 96 << 10 }, "Cache.L2.SizeBytes"},
+	} {
+		sc := QuickScale()
+		tc.edit(&sc)
+		_, err := RunCtx(context.Background(), Scenario{Benchmark: "xz", Policy: guestos.PolicyDefault, Scale: sc, Seed: testSeed})
+		var cerr *vm.ConfigError
+		if !errors.As(err, &cerr) || cerr.Field != tc.field {
+			t.Errorf("%s: RunCtx error %v, want a *vm.ConfigError on %s", tc.name, err, tc.field)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ type Config struct {
 	// Entries is the total entry count; must be a power-of-two multiple
 	// of Ways.
 	Entries int
-	// Ways is the set associativity.
+	// Ways is the set associativity, 1 to cache.MaxWays.
 	Ways int
 }
 
@@ -78,8 +78,8 @@ func (t *TLB) InvalidatePage(asid uint32, vpn uint64) {
 
 // InvalidateRange drops every translation of asid with a VPN in
 // [first, limit) — the batched shootdown behind large frees. Only validity
-// is cleared; LRU ages and the tick counter are untouched, so the
-// resulting state is identical to per-page InvalidatePage calls. For
+// is cleared; the LRU order is untouched, so the resulting state is
+// identical to per-page InvalidatePage calls. For
 // ranges wider than the TLB itself one scan over the entries replaces the
 // per-page set probes.
 func (t *TLB) InvalidateRange(asid uint32, first, limit uint64) {
@@ -133,15 +133,19 @@ func NewTwoLevel(cfg TwoLevelConfig) *TwoLevel {
 	return &TwoLevel{l1: New(cfg.L1), l2: New(cfg.L2)}
 }
 
-// Lookup probes L1 then L2, promoting an L2 hit into L1.
+// Lookup probes L1 then L2, promoting an L2 hit into L1. It probes each
+// level's Sets directly: cache.Sets.Lookup is too large to inline into
+// TLB.Lookup, so this keeps a hit at one call.
 func (t *TwoLevel) Lookup(asid uint32, vpn uint64) (arch.PhysAddr, bool) {
 	t.lookups++
-	if pa, ok := t.l1.Lookup(asid, vpn); ok {
+	k := key(asid, vpn)
+	if i := t.l1.sets.Lookup(k); i >= 0 {
 		t.l1Hits++
-		return pa, true
+		return t.l1.pa[i], true
 	}
-	if pa, ok := t.l2.Lookup(asid, vpn); ok {
+	if i := t.l2.sets.Lookup(k); i >= 0 {
 		t.l2Hits++
+		pa := t.l2.pa[i]
 		t.promote(asid, vpn, pa)
 		return pa, true
 	}

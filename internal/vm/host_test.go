@@ -8,6 +8,8 @@ import (
 
 	"ptemagnet/internal/cache"
 	"ptemagnet/internal/guestos"
+	"ptemagnet/internal/nested"
+	"ptemagnet/internal/tlb"
 	"ptemagnet/internal/workload"
 )
 
@@ -315,6 +317,45 @@ func TestConfigValidate(t *testing.T) {
 		{"bad magnet", func(c *HostConfig) { c.Guests[0].Magnet.GroupPages = 3 }, "GroupPages"},
 		{"zero-value optional fields", func(c *HostConfig) {
 			*c = HostConfig{HostMemBytes: 128 << 20, Guests: []GuestConfig{{MemBytes: 64 << 20}}}
+		}, ""},
+	})
+}
+
+// TestHostConfigGeometry pins that an explicit cache or walker geometry
+// cache.Sets cannot hold is a *ConfigError naming the level by path, not a
+// panic in the constructor, and that a Cache or Walker left zero is not
+// checked.
+func TestHostConfigGeometry(t *testing.T) {
+	withCache := func(edit func(*cache.Config)) func(*HostConfig) {
+		return func(c *HostConfig) {
+			c.Cache = cache.DefaultConfig(1)
+			edit(&c.Cache)
+		}
+	}
+	withWalker := func(edit func(*nested.Config)) func(*HostConfig) {
+		return func(c *HostConfig) {
+			c.Walker = nested.DefaultConfig()
+			edit(&c.Walker)
+		}
+	}
+	checkHostConfigCases(t, []hostConfigCase{
+		{"3 MB LLC", withCache(func(cc *cache.Config) { cc.LLC.SizeBytes = 3 << 20 }), "Cache.LLC.SizeBytes"},
+		{"17-way L1", withCache(func(cc *cache.Config) {
+			cc.L1 = cache.LevelConfig{SizeBytes: 17 * 64 * 64, Ways: 17, Latency: 4}
+		}), "Cache.L1.Ways"},
+		{"zero-way L2", withCache(func(cc *cache.Config) { cc.L2.Ways = 0 }), "Cache.L2.Ways"},
+		{"L1 smaller than a set", withCache(func(cc *cache.Config) { cc.L1.SizeBytes = 128 }), "Cache.L1.SizeBytes"},
+		{"L2 size off the block grid", withCache(func(cc *cache.Config) { cc.L2.SizeBytes += 32 }), "Cache.L2.SizeBytes"},
+		{"96-entry 8-way NTLB", withWalker(func(w *nested.Config) { w.NTLB = tlb.Config{Entries: 96, Ways: 8} }), "Walker.NTLB.Entries"},
+		{"STLB entries off the way grid", withWalker(func(w *nested.Config) { w.TLB.L2.Entries = 1000 }), "Walker.TLB.L2.Entries"},
+		{"empty host PWC", withWalker(func(w *nested.Config) { w.HostPWC.Entries = 0 }), "Walker.HostPWC.Entries"},
+		{"17-way guest PWC", withWalker(func(w *nested.Config) { w.GuestPWC = tlb.Config{Entries: 34, Ways: 17} }), "Walker.GuestPWC.Ways"},
+		{"explicit defaults", func(c *HostConfig) {
+			c.Cache, c.Walker = cache.DefaultConfig(2), nested.DefaultConfig()
+		}, ""},
+		{"zero Cache and Walker select the defaults", func(c *HostConfig) {
+			c.Cache = cache.Config{LLC: cache.LevelConfig{SizeBytes: 3 << 20, Ways: 17}}
+			c.Walker = nested.Config{NTLB: tlb.Config{Entries: 96, Ways: 8}}
 		}, ""},
 	})
 }

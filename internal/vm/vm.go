@@ -15,6 +15,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ptemagnet/internal/arch"
@@ -137,9 +138,11 @@ type HostConfig struct {
 // invalid values. The zero value of every optional field is a documented
 // default (filled in by NewHost) and always passes; Validate rejects only
 // contradictions: unset memory sizes, a guest larger than its host,
-// negative counts, unknown page-table depths, out-of-range watermarks, and
-// an invalid Magnet configuration (when one is set at all). A guest's
-// failure names its field by path, e.g. "Guests[0].MemBytes".
+// negative counts, unknown page-table depths, out-of-range watermarks, a
+// cache level or walker structure that cache.CheckGeometry rejects (when
+// Cache or Walker is set at all), and an invalid Magnet configuration
+// (when one is set at all). A failure names its field by path, e.g.
+// "Guests[0].MemBytes" or "Cache.LLC.SizeBytes".
 func (c HostConfig) Validate() error {
 	if c.HostMemBytes == 0 {
 		return &ConfigError{Field: "HostMemBytes", Value: c.HostMemBytes, Reason: "must be set"}
@@ -153,12 +156,47 @@ func (c HostConfig) Validate() error {
 	if c.PTLevels != 0 && c.PTLevels != 4 && c.PTLevels != 5 {
 		return &ConfigError{Field: "PTLevels", Value: c.PTLevels, Reason: "must be 4 or 5 (zero selects the default)"}
 	}
+	if err := c.validateGeometry(); err != nil {
+		return err
+	}
 	if len(c.Guests) == 0 {
 		return &ConfigError{Field: "Guests", Value: len(c.Guests), Reason: "at least one guest is required"}
 	}
 	for i, g := range c.Guests {
 		if err := g.validate(c.HostMemBytes, fmt.Sprintf("Guests[%d].", i)); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// validateGeometry checks an explicit Cache (non-zero NumCPUs) and an
+// explicit Walker (non-zero TLB.L1.Entries) against the geometry rule of
+// cache.Sets, which stores every one of their levels.
+func (c HostConfig) validateGeometry() error {
+	type array struct {
+		field string
+		err   error
+	}
+	var arrays []array
+	if cc := c.Cache; cc.NumCPUs != 0 {
+		arrays = append(arrays,
+			array{"Cache.L1.", cc.L1.Check()},
+			array{"Cache.L2.", cc.L2.Check()},
+			array{"Cache.LLC.", cc.LLC.Check()})
+	}
+	if w := c.Walker; w.TLB.L1.Entries != 0 {
+		arrays = append(arrays,
+			array{"Walker.TLB.L1.", cache.CheckGeometry(w.TLB.L1.Entries, w.TLB.L1.Ways)},
+			array{"Walker.TLB.L2.", cache.CheckGeometry(w.TLB.L2.Entries, w.TLB.L2.Ways)},
+			array{"Walker.NTLB.", cache.CheckGeometry(w.NTLB.Entries, w.NTLB.Ways)},
+			array{"Walker.GuestPWC.", cache.CheckGeometry(w.GuestPWC.Entries, w.GuestPWC.Ways)},
+			array{"Walker.HostPWC.", cache.CheckGeometry(w.HostPWC.Entries, w.HostPWC.Ways)})
+	}
+	for _, a := range arrays {
+		var g *cache.GeometryError
+		if errors.As(a.err, &g) {
+			return &ConfigError{Field: a.field + g.Field, Value: g.Value, Reason: g.Reason}
 		}
 	}
 	return nil
