@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ptemagnet/internal/arch"
@@ -34,55 +35,52 @@ type FragReport struct {
 // whose guest page table is gpt, running in the VM whose host page table is
 // hpt. Guest pages without host backing (never touched through the nested
 // walker) are skipped, as are gPTE blocks with fewer than two mapped pages
-// (a single PTE cannot fragment).
+// (a single PTE cannot fragment). Pages under a guest 2MB mapping have no
+// gPTE and are skipped too.
+//
+// One pass over the guest's leaf entries suffices: they come in ascending
+// virtual-address order, so the pages of one gPTE block arrive back to
+// back.
 func HostPTFragmentation(gpt, hpt *pagetable.Table) FragReport {
-	type groupInfo struct {
-		hostBlocks map[uint64]bool
-		pages      int
-	}
-	groups := map[uint64]*groupInfo{}
-	gpt.ForEachMapped(func(va arch.VirtAddr, gpa arch.PhysAddr, _ pagetable.Flags) bool {
-		gEntry, ok := gpt.LeafEntryAddr(va)
-		if !ok {
-			return true
+	var rep FragReport
+	// sum totals the per-block counts as an integer: divided once, it
+	// gives the same Mean as any order of float additions.
+	var sum int
+	// group is the gPTE block being gathered; blocks holds the hPTE
+	// blocks of its host-backed pages, pages of them.
+	group := ^uint64(0)
+	var blocks [arch.PTEsPerBlock]uint64
+	pages := 0
+	fold := func() {
+		if pages < 2 {
+			return
 		}
+		n := 0
+		for i, b := range blocks[:pages] {
+			if !slices.Contains(blocks[:i], b) {
+				n++
+			}
+		}
+		sum += n
+		rep.Groups++
+		rep.Histogram[n-1]++
+	}
+	gpt.ForEachLeafEntry(func(_ arch.VirtAddr, gEntry, gpa arch.PhysAddr) bool {
 		hEntry, ok := hpt.LeafEntryAddr(arch.VirtAddr(gpa))
 		if !ok {
 			return true // page never touched under virtualization
 		}
-		gi := groups[gEntry.CacheBlock()]
-		if gi == nil {
-			gi = &groupInfo{hostBlocks: map[uint64]bool{}}
-			groups[gEntry.CacheBlock()] = gi
+		if b := gEntry.CacheBlock(); b != group {
+			fold()
+			group, pages = b, 0
 		}
-		gi.hostBlocks[hEntry.CacheBlock()] = true
-		gi.pages++
+		blocks[pages] = hEntry.CacheBlock()
+		pages++
 		return true
 	})
-	// Fold in ascending block order: float addition is not associative,
-	// so summing in map-iteration order could flip low bits of Mean
-	// between runs.
-	blocks := make([]uint64, 0, len(groups))
-	for b := range groups {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	var rep FragReport
-	var sum float64
-	for _, b := range blocks {
-		gi := groups[b]
-		if gi.pages < 2 {
-			continue
-		}
-		n := len(gi.hostBlocks)
-		sum += float64(n)
-		rep.Groups++
-		if n >= 1 && n <= arch.PTEsPerBlock {
-			rep.Histogram[n-1]++
-		}
-	}
+	fold()
 	if rep.Groups > 0 {
-		rep.Mean = sum / float64(rep.Groups)
+		rep.Mean = float64(sum) / float64(rep.Groups)
 		rep.FullyScattered = float64(rep.Histogram[arch.PTEsPerBlock-1]) / float64(rep.Groups)
 	}
 	return rep

@@ -338,8 +338,15 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 		startNode = nodeGPA
 		w.stats.PWCHits[DimGuest]++
 	}
-	accesses, gpa, found := gpt.WalkAppend(w.guestBuf[:0], va, startLevel, startNode)
+	accesses, gpa, flags, found := gpt.WalkAppend(w.guestBuf[:0], va, startLevel, startNode)
 	w.guestBuf = accesses
+	// A walk that ended on a level-1 entry read va's leaf node, which is
+	// what the guest PWC caches.
+	leafNode := arch.NoPhysAddr
+	if last := accesses[len(accesses)-1]; last.Level == 1 {
+		leafNode = last.EntryAddr.PageBase()
+	}
+	hostFaults := w.stats.HostFaults
 	for _, a := range accesses {
 		// Each guest PT entry lives at a guest-physical address that the
 		// hardware must translate through the host dimension before the
@@ -355,16 +362,19 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 		w.stats.Cycles[DimGuest] += lat
 		cycles += lat
 	}
+	if w.stats.HostFaults != hostFaults {
+		// A host fault served above can run balloon relief, which may
+		// swap out guest pages and rewrite the guest table the walk just
+		// read: the leaf is re-read as it stands now, and a page dropped
+		// meanwhile faults like one never mapped.
+		gpa, flags, found, leafNode = gpt.Lookup(va)
+	}
 	if !found {
 		w.stats.GuestFaults++
 		w.stats.WalkCycles += cycles
 		w.stats.WalkHist[histBucket(cycles)]++
 		return Outcome{GuestFault: true, Cycles: cycles}
 	}
-	// Permission check on the leaf, read only now: a host fault above can
-	// run balloon relief, which may swap out guest pages and rewrite the
-	// guest table the walk just read.
-	_, flags, _, leafNode := gpt.Lookup(va)
 	if write && flags&pagetable.FlagWritable == 0 {
 		w.stats.GuestFaults++
 		w.stats.WalkCycles += cycles
@@ -413,7 +423,7 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			startNode = nodeHPA
 			w.stats.PWCHits[DimHost]++
 		}
-		accesses, hpa, found := hpt.WalkAppend(w.hostBuf[:0], hva, startLevel, startNode)
+		accesses, hpa, _, found := hpt.WalkAppend(w.hostBuf[:0], hva, startLevel, startNode)
 		w.hostBuf = accesses
 		for _, a := range accesses {
 			lv, lat := w.caches.Access(cpu, a.EntryAddr)

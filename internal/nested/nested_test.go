@@ -1,6 +1,7 @@
 package nested
 
 import (
+	"errors"
 	"testing"
 
 	"ptemagnet/internal/arch"
@@ -15,6 +16,7 @@ import (
 type rig struct {
 	guestMem *physmem.Memory
 	gpt      *pagetable.Table
+	host     *hostos.Kernel
 	vm       *hostos.VM
 	hier     *cache.Hierarchy
 	w        *Walker
@@ -33,7 +35,7 @@ func newRig(t testing.TB, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	hier := cache.NewHierarchy(cache.DefaultConfig(1))
-	return &rig{guestMem: guestMem, gpt: gpt, vm: vm, hier: hier, w: New(cfg, hier, vm)}
+	return &rig{guestMem: guestMem, gpt: gpt, host: host, vm: vm, hier: hier, w: New(cfg, hier, vm)}
 }
 
 // tinyTLBConfig forces main-TLB misses by shrinking the TLB to 4 entries.
@@ -117,6 +119,54 @@ func TestHostFaultsAreTransparent(t *testing.T) {
 	r.w.Translate(0, 1, r.gpt, va+arch.PageSize, false)
 	if got := r.w.Snapshot().HostFaults - before; got != 1 { // data page only
 		t.Errorf("second translate took %d host faults, want 1", got)
+	}
+}
+
+// oneHostOOM fails the first host frame allocation it is consulted on.
+type oneHostOOM struct{ fired bool }
+
+func (o *oneHostOOM) InjectHostOOM() error {
+	if o.fired {
+		return nil
+	}
+	o.fired = true
+	return errors.New("injected host OOM")
+}
+
+// relieveBy is a pressure reliever whose relief is a function call.
+type relieveBy func()
+
+func (f relieveBy) RelieveFor(int, uint64) (string, bool) {
+	f()
+	return "relieved", true
+}
+
+// TestPageDroppedMidWalkFaults pins the re-read after a host fault: when
+// the balloon relief behind a host fault drops the very page being walked,
+// the walk ends in a guest fault and caches nothing, rather than finishing
+// through the gPA it read before the page went.
+func TestPageDroppedMidWalkFaults(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	va := arch.VirtAddr(0x7f0000000000)
+	gpa := arch.PhysAddr(0x100000)
+	r.mapGuest(t, va, gpa, pagetable.FlagWritable)
+	// The guest PT nodes have no host backing yet, so the walk takes host
+	// faults; the first one meets the injected OOM, and relief swaps the
+	// walked page out.
+	r.host.SetOOMInjector(&oneHostOOM{})
+	r.host.SetPressureReliever(relieveBy(func() { r.gpt.Unmap(va) }))
+	out := r.w.Translate(0, 1, r.gpt, va, false)
+	if out.Ok || !out.GuestFault || out.Err != nil {
+		t.Fatalf("outcome = %+v, want a guest fault", out)
+	}
+	if s := r.w.Snapshot(); s.HostFaults == 0 || s.GuestFaults != 1 {
+		t.Fatalf("host faults %d, guest faults %d; want some and 1", s.HostFaults, s.GuestFaults)
+	}
+	if _, hit := r.w.TranslateFast(1, va, false); hit {
+		t.Error("main TLB caches the dropped page")
+	}
+	if _, ok := r.vm.Translate(gpa); ok {
+		t.Error("the dropped page's guest frame got host backing")
 	}
 }
 

@@ -167,7 +167,7 @@ func TestLargePageWalkFromPWCGuarded(t *testing.T) {
 	if node == arch.NoPhysAddr {
 		t.Fatal("no leaf node for 4KB region")
 	}
-	accesses, pa, found := tbl.WalkAppend(nil, 0x1000, 1, node)
+	accesses, pa, _, found := tbl.WalkAppend(nil, 0x1000, 1, node)
 	if !found || pa != 0x5000 || len(accesses) != 1 {
 		t.Errorf("PWC walk: %#x,%v,%d accesses", pa, found, len(accesses))
 	}

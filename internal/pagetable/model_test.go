@@ -41,7 +41,8 @@ func (m *model) translate(va arch.VirtAddr) (modelPage, bool) {
 // of 4- and 5-level tables and, after each one, checks every query built on
 // the table's single descent against the model: Lookup and Translate for
 // every page, a root-started WalkAppend against Lookup, AnyMapped for every
-// 8-page group and region, and the three visitors.
+// 8-page group and region, the three visitors, and the node count against
+// the memory's page-table frames.
 func TestDescentMatchesModel(t *testing.T) {
 	for _, levels := range []int{4, 5} {
 		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
@@ -185,10 +186,11 @@ func checkAgainstModel(t *testing.T, tbl *Table, m *model, regions []arch.VirtAd
 				t.Fatalf("%s: Translate(%#x) disagrees with Lookup", where, uint64(va))
 			}
 			var wpa arch.PhysAddr
+			var wflags Flags
 			var found bool
-			buf, wpa, found = tbl.WalkAppend(buf[:0], va+0x10, tbl.Levels(), tbl.Root())
-			if found != ok || (found && wpa != pa) {
-				t.Fatalf("%s: WalkAppend(%#x) = %#x,%v, Lookup %#x,%v", where, uint64(va), wpa, found, pa, ok)
+			buf, wpa, wflags, found = tbl.WalkAppend(buf[:0], va+0x10, tbl.Levels(), tbl.Root())
+			if found != ok || wpa != pa || wflags != flags {
+				t.Fatalf("%s: WalkAppend(%#x) = %#x,%v,%v, Lookup %#x,%v,%v", where, uint64(va), wpa, wflags, found, pa, flags, ok)
 			}
 			wantNode := arch.NoPhysAddr
 			if last := buf[len(buf)-1]; last.Level == 1 {
@@ -263,5 +265,8 @@ func checkAgainstModel(t *testing.T, tbl *Table, m *model, regions []arch.VirtAd
 	}
 	if tbl.LargeMappings() != uint64(len(m.large)) {
 		t.Fatalf("%s: LargeMappings = %d, model %d", where, tbl.LargeMappings(), len(m.large))
+	}
+	if frames := tbl.mem.CountKind(physmem.KindPageTable); uint64(tbl.NodeCount()) != frames {
+		t.Fatalf("%s: NodeCount = %d, memory holds %d page-table frames", where, tbl.NodeCount(), frames)
 	}
 }

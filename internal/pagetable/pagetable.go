@@ -15,7 +15,6 @@ package pagetable
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/physmem"
@@ -85,7 +84,8 @@ const LargePageMask = LargePageBytes - 1
 // node is the in-simulator representation of one page-table page.
 type node struct {
 	entries [arch.PTEntriesPerNode]pte
-	live    int // number of present entries
+	live    int           // number of present entries
+	pa      arch.PhysAddr // the frame the node occupies
 }
 
 // Access records one physical read a hardware page walker performs: the
@@ -103,7 +103,13 @@ type Table struct {
 	owner  physmem.Owner
 	levels int
 	root   arch.PhysAddr
-	nodes  map[arch.PhysAddr]*node
+	// slot maps a frame number to 1 + the index in nodes of the node that
+	// frame holds, or to 0 when it holds none of this table's nodes. It
+	// holds no pointers, so the garbage collector never scans it; it costs
+	// 4 bytes per frame of mem.
+	slot []uint32
+	// nodes is the slab of the table's nodes, in no particular order.
+	nodes []*node
 	// mapped counts present leaf entries (a large mapping counts as 512
 	// pages — its full 4KB-page equivalent).
 	mapped uint64
@@ -125,7 +131,7 @@ func NewWithLevels(mem *physmem.Memory, owner physmem.Owner, levels int) (*Table
 	if levels != 4 && levels != 5 {
 		return nil, fmt.Errorf("pagetable: unsupported depth %d (want 4 or 5)", levels)
 	}
-	t := &Table{mem: mem, owner: owner, levels: levels, nodes: make(map[arch.PhysAddr]*node)}
+	t := &Table{mem: mem, owner: owner, levels: levels, slot: make([]uint32, mem.NumFrames())}
 	root, err := t.allocNode()
 	if err != nil {
 		return nil, err
@@ -151,8 +157,30 @@ func (t *Table) allocNode() (arch.PhysAddr, error) {
 	if !ok {
 		return arch.NoPhysAddr, fmt.Errorf("%w (owner %v)", ErrNoMemory, t.owner)
 	}
-	t.nodes[pa] = &node{}
+	t.nodes = append(t.nodes, &node{pa: pa})
+	t.slot[pa.FrameNumber()] = uint32(len(t.nodes))
 	return pa, nil
+}
+
+// freeNode returns the node at pa to physical memory. The slab's last
+// node moves into the freed index, so the slab stays dense.
+func (t *Table) freeNode(pa arch.PhysAddr) {
+	f := pa.FrameNumber()
+	i := t.slot[f] - 1
+	last := len(t.nodes) - 1
+	moved := t.nodes[last]
+	t.nodes[i] = moved
+	t.slot[moved.pa.FrameNumber()] = i + 1
+	t.nodes[last] = nil
+	t.nodes = t.nodes[:last]
+	t.slot[f] = 0
+	t.mem.FreeBlock(pa)
+}
+
+// node returns the node held by the frame at pa, which must be one of
+// the table's nodes.
+func (t *Table) node(pa arch.PhysAddr) *node {
+	return t.nodes[t.slot[pa.FrameNumber()]-1]
 }
 
 // Map installs va → pa with flags, creating intermediate nodes on demand.
@@ -189,15 +217,13 @@ func (t *Table) MapLarge(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error 
 		if e.large() {
 			return fmt.Errorf("pagetable: %#x already has a large mapping", uint64(va))
 		}
-		leaf := t.nodes[e.addr()]
-		if leaf.live > 0 {
+		if t.node(e.addr()).live > 0 {
 			return fmt.Errorf("pagetable: %#x has 4KB mappings; cannot overlay a large page", uint64(va))
 		}
 		// An empty leaf node left behind by 4KB mappings that were all
 		// unmapped since: reclaim it and install the large entry in its
 		// place.
-		delete(t.nodes, e.addr())
-		t.mem.FreeBlock(e.addr())
+		t.freeNode(e.addr())
 		n.entries[idx] = 0
 		n.live--
 	}
@@ -211,7 +237,7 @@ func (t *Table) MapLarge(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error 
 // reserve descends from the root to va's node at level stop (1 or 2),
 // allocating each missing node on the way down.
 func (t *Table) reserve(va arch.VirtAddr, stop int) (*node, error) {
-	n := t.nodes[t.root]
+	n := t.node(t.root)
 	for level := t.levels; level > stop; level-- {
 		idx := va.PTIndex(level)
 		e := n.entries[idx]
@@ -227,7 +253,7 @@ func (t *Table) reserve(va arch.VirtAddr, stop int) (*node, error) {
 			n.entries[idx] = e
 			n.live++
 		}
-		n = t.nodes[e.addr()]
+		n = t.node(e.addr())
 	}
 	return n, nil
 }
@@ -236,12 +262,13 @@ func (t *Table) reserve(va arch.VirtAddr, stop int) (*node, error) {
 // down to the entry that ends a hardware walk: the first non-present entry,
 // a large (level-2) entry, or the level-1 entry. It returns that entry's
 // node, the node's address and its level. When rec is non-nil, every entry
-// read is appended to it.
+// read is appended to it. A start address that holds none of the table's
+// nodes panics.
 func (t *Table) descend(va arch.VirtAddr, level int, pa arch.PhysAddr, rec *[]Access) (*node, arch.PhysAddr, int) {
-	n := t.nodes[pa]
-	if n == nil {
+	if f := pa.FrameNumber(); pa != pa.PageBase() || f >= uint64(len(t.slot)) || t.slot[f] == 0 {
 		panic(fmt.Sprintf("pagetable: walk from unknown node %#x", uint64(pa)))
 	}
+	n := t.node(pa)
 	for {
 		idx := va.PTIndex(level)
 		if rec != nil {
@@ -252,7 +279,7 @@ func (t *Table) descend(va arch.VirtAddr, level int, pa arch.PhysAddr, rec *[]Ac
 			return n, pa, level
 		}
 		pa = e.addr()
-		n = t.nodes[pa]
+		n = t.node(pa)
 		level--
 	}
 }
@@ -317,22 +344,22 @@ func (t *Table) LeafEntryAddr(va arch.VirtAddr) (arch.PhysAddr, bool) {
 // WalkAppend performs a hardware-style walk for va, appending to dst the
 // physical address of the entry read at each level from startLevel down,
 // and stopping at the first non-present entry. found reports whether a
-// translation was reached; pa is the translated physical address when
-// found. Hot callers reuse dst across walks instead of allocating one
-// slice per TLB miss.
+// translation was reached; pa is the translated physical address and
+// flags the translating entry's flags when found. Hot callers reuse dst
+// across walks instead of allocating one slice per TLB miss.
 //
 // startLevel lets a page-walk cache skip upper levels: a walk beginning at
 // level 1 reads only the leaf entry, and nodePA must then be the node the
 // PWC supplied. An uncached walk starts at Levels() from Root().
-func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, found bool) {
+func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodePA arch.PhysAddr) (accesses []Access, pa arch.PhysAddr, flags Flags, found bool) {
 	if startLevel < 1 || startLevel > t.levels {
 		panic(fmt.Sprintf("pagetable: bad start level %d", startLevel))
 	}
 	n, _, level := t.descend(va, startLevel, nodePA, &dst)
 	if e := n.entries[va.PTIndex(level)]; e.present() {
-		return dst, e.target(va), true
+		return dst, e.target(va), e.flags(), true
 	}
-	return dst, arch.NoPhysAddr, false
+	return dst, arch.NoPhysAddr, 0, false
 }
 
 // AnyMapped reports whether any page of the pages-long run of 4KB pages
@@ -429,7 +456,7 @@ func (t *Table) Demote(va arch.VirtAddr) error {
 	if err != nil {
 		return err
 	}
-	leaf := t.nodes[leafPA]
+	leaf := t.node(leafPA)
 	for i := 0; i < arch.PTEntriesPerNode; i++ {
 		leaf.entries[i] = makePTE(e.addr()+arch.PhysAddr(i<<arch.PageShift), e.flags())
 	}
@@ -440,11 +467,11 @@ func (t *Table) Demote(va arch.VirtAddr) error {
 }
 
 // visit calls fn, in ascending virtual-address order, with the virtual
-// base of every present entry that ends a walk — each level-1 entry and
-// each large level-2 entry — below the node at nodePA. It returns false as
-// soon as fn does.
-func (t *Table) visit(nodePA arch.PhysAddr, level int, prefix uint64, fn func(va arch.VirtAddr, e pte) bool) bool {
-	n := t.nodes[nodePA]
+// base, the physical address and the value of every present entry that
+// ends a walk — each level-1 entry and each large level-2 entry — below
+// the node at nodePA. It returns false as soon as fn does.
+func (t *Table) visit(nodePA arch.PhysAddr, level int, prefix uint64, fn func(va arch.VirtAddr, entry arch.PhysAddr, e pte) bool) bool {
+	n := t.node(nodePA)
 	shift := arch.PageShift + (level-1)*arch.PTIndexBits
 	for idx, e := range n.entries {
 		if !e.present() {
@@ -452,7 +479,7 @@ func (t *Table) visit(nodePA arch.PhysAddr, level int, prefix uint64, fn func(va
 		}
 		va := prefix | uint64(idx)<<shift
 		if level == 1 || e.large() {
-			if !fn(arch.VirtAddr(va), e) {
+			if !fn(arch.VirtAddr(va), nodePA+arch.PhysAddr(idx*arch.PTEBytes), e) {
 				return false
 			}
 		} else if !t.visit(e.addr(), level-1, va, fn) {
@@ -467,7 +494,7 @@ func (t *Table) visit(nodePA arch.PhysAddr, level int, prefix uint64, fn func(va
 // mapped frame address, and the flags. Iteration stops early if fn returns
 // false.
 func (t *Table) ForEachMapped(fn func(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) bool) {
-	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, e pte) bool {
+	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, _ arch.PhysAddr, e pte) bool {
 		if !e.large() {
 			return fn(va, e.addr(), e.flags())
 		}
@@ -484,10 +511,21 @@ func (t *Table) ForEachMapped(fn func(va arch.VirtAddr, pa arch.PhysAddr, flags 
 	})
 }
 
+// ForEachLeafEntry invokes fn for every present 4KB leaf entry in
+// ascending virtual-address order: the page-aligned virtual address, the
+// physical address of its level-1 entry, and the mapped frame address.
+// Large mappings have no leaf entry and are skipped. Iteration stops early
+// if fn returns false.
+func (t *Table) ForEachLeafEntry(fn func(va arch.VirtAddr, entry, pa arch.PhysAddr) bool) {
+	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, entry arch.PhysAddr, e pte) bool {
+		return e.large() || fn(va, entry, e.addr())
+	})
+}
+
 // ForEachLarge visits the 2MB-aligned virtual base of every live large
 // mapping. Stops early when fn returns false.
 func (t *Table) ForEachLarge(fn func(va arch.VirtAddr) bool) {
-	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, e pte) bool {
+	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, _ arch.PhysAddr, e pte) bool {
 		return !e.large() || fn(va)
 	})
 }
@@ -498,7 +536,7 @@ func (t *Table) ForEachLarge(fn func(va arch.VirtAddr) bool) {
 // stops early if fn returns false. Large mappings never carry the dirty bit
 // (MarkDirty refuses them).
 func (t *Table) ForEachDirty(fn func(va arch.VirtAddr) bool) {
-	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, e pte) bool {
+	t.visit(t.root, t.levels, 0, func(va arch.VirtAddr, _ arch.PhysAddr, e pte) bool {
 		return e&pteDirty == 0 || fn(va)
 	})
 }
@@ -508,16 +546,13 @@ func (t *Table) ForEachDirty(fn func(va arch.VirtAddr) bool) {
 // kernel frees those according to its own bookkeeping.
 func (t *Table) Destroy() {
 	// Free in ascending frame order: the buddy allocator's free lists
-	// remember insertion order, so freeing in map-iteration order would
-	// make every later allocation depend on this map's randomized layout.
-	pas := make([]arch.PhysAddr, 0, len(t.nodes))
-	for pa := range t.nodes {
-		pas = append(pas, pa)
+	// remember insertion order, so the free order decides every later
+	// allocation.
+	for f, i := range t.slot {
+		if i != 0 {
+			t.mem.FreeBlock(arch.PhysAddr(f) << arch.PageShift)
+		}
 	}
-	sort.Slice(pas, func(i, j int) bool { return pas[i] < pas[j] })
-	for _, pa := range pas {
-		t.mem.FreeBlock(pa)
-	}
-	t.nodes = nil
+	t.slot, t.nodes = nil, nil
 	t.mapped = 0
 }

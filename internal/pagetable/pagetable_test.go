@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,8 @@ func newTable(t *testing.T) (*Table, *physmem.Memory) {
 
 // walk is an uncached walk from the root.
 func walk(tbl *Table, va arch.VirtAddr) ([]Access, arch.PhysAddr, bool) {
-	return tbl.WalkAppend(nil, va, tbl.Levels(), tbl.Root())
+	accesses, pa, _, found := tbl.WalkAppend(nil, va, tbl.Levels(), tbl.Root())
+	return accesses, pa, found
 }
 
 func TestMapTranslate(t *testing.T) {
@@ -173,7 +175,7 @@ func TestWalkFromPWCNode(t *testing.T) {
 	if leafNode == arch.NoPhysAddr {
 		t.Fatal("Lookup found no leaf node")
 	}
-	accesses, pa, found := tbl.WalkAppend(nil, va, 1, leafNode)
+	accesses, pa, _, found := tbl.WalkAppend(nil, va, 1, leafNode)
 	if !found || pa != 0xABC000 {
 		t.Fatalf("PWC walk: pa=%#x found=%v", pa, found)
 	}
@@ -283,6 +285,63 @@ func TestDestroyReleasesNodes(t *testing.T) {
 	}
 }
 
+// TestDestroyFreesInAscendingFrameOrder pins Destroy's free order. The
+// buddy allocator's free lists are LIFO, so the order in which a table's
+// node frames go back decides every later allocation. Here the nodes get
+// frames in descending address order, and Destroy must leave the
+// allocator as freeing those frames by hand in ascending order does.
+func TestDestroyFreesInAscendingFrameOrder(t *testing.T) {
+	owner := physmem.Own(0, 1)
+	build := func() (*physmem.Memory, *Table, []arch.PhysAddr) {
+		mem := physmem.New(16 << 20)
+		var frames []arch.PhysAddr
+		for i := 0; i < 32; i++ {
+			pa, ok := mem.AllocFrame(physmem.KindUser, owner)
+			if !ok {
+				t.Fatal("out of memory")
+			}
+			frames = append(frames, pa)
+		}
+		// Free every other frame in ascending order: no two of them are
+		// buddies, so none coalesce, and the last freed is reused first.
+		for i := 0; i < len(frames); i += 2 {
+			mem.FreeBlock(frames[i])
+		}
+		tbl, err := New(mem, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, va := range []arch.VirtAddr{0x1000, 0x40000000, 0x7f0000000000, 0x7f0000200000} {
+			if err := tbl.Map(va, 0x5000, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var nodes []arch.PhysAddr
+		for _, n := range tbl.nodes {
+			nodes = append(nodes, n.pa)
+		}
+		return mem, tbl, nodes
+	}
+
+	mem, tbl, nodes := build()
+	if slices.IsSorted(nodes) {
+		t.Fatalf("node frames %#x were allocated in ascending order; the test needs another", nodes)
+	}
+	tbl.Destroy()
+	ref, _, refNodes := build()
+	slices.Sort(refNodes)
+	for _, pa := range refNodes {
+		ref.FreeBlock(pa)
+	}
+	for i := 0; i < 2*len(nodes); i++ {
+		got, _ := mem.AllocFrame(physmem.KindUser, owner)
+		want, _ := ref.AllocFrame(physmem.KindUser, owner)
+		if got != want {
+			t.Fatalf("allocation %d after Destroy got %#x, after ascending frees %#x", i, got, want)
+		}
+	}
+}
+
 func TestMapFailsWhenMemoryExhausted(t *testing.T) {
 	mem := physmem.New(8 * arch.PageSize)
 	tbl, err := New(mem, physmem.Own(0, 1))
@@ -352,7 +411,60 @@ func BenchmarkWalk(b *testing.B) {
 	var buf []Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _, _ = tbl.WalkAppend(buf[:0], arch.VirtAddr(i%1024)<<arch.PageShift, tbl.Levels(), tbl.Root())
+		buf, _, _, _ = tbl.WalkAppend(buf[:0], arch.VirtAddr(i%1024)<<arch.PageShift, tbl.Levels(), tbl.Root())
+	}
+}
+
+// BenchmarkPipelineTable measures the page-table layer alone: a table
+// holding 8K 4KB pages at pseudo-random addresses over 1 GB, queried at
+// those pages in a fixed pseudo-random order. One op is one query: a
+// Lookup, a WalkAppend from the root, or a WalkAppend from the page's
+// level-1 node, as after a page-walk-cache hit.
+func BenchmarkPipelineTable(b *testing.B) {
+	const pages = 8 << 10
+	tbl, err := New(physmem.New(64<<20), physmem.Own(0, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	vas := make([]arch.VirtAddr, pages)
+	leaves := make([]arch.PhysAddr, pages)
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range vas {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		vas[i] = arch.VirtAddr(x%(1<<30>>arch.PageShift)) << arch.PageShift
+		if err := tbl.Map(vas[i], arch.PhysAddr(i+1)<<arch.PageShift, FlagWritable); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, va := range vas {
+		_, _, _, leaves[i] = tbl.Lookup(va)
+	}
+	var buf []Access
+	var sink arch.PhysAddr
+	b.Run("Lookup", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pa, _, _, _ := tbl.Lookup(vas[i%pages])
+			sink += pa
+		}
+	})
+	b.Run("WalkRoot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var pa arch.PhysAddr
+			buf, pa, _, _ = tbl.WalkAppend(buf[:0], vas[i%pages], tbl.Levels(), tbl.Root())
+			sink += pa
+		}
+	})
+	b.Run("WalkLeaf", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var pa arch.PhysAddr
+			buf, pa, _, _ = tbl.WalkAppend(buf[:0], vas[i%pages], 1, leaves[i%pages])
+			sink += pa
+		}
+	})
+	if sink == 0 {
+		b.Fatal("no query translated")
 	}
 }
 

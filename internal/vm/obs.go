@@ -163,8 +163,9 @@ type Report struct {
 	HostFrag metrics.FragReport
 }
 
-// guestReport assembles one guest's post-run observation.
-func (g *Guest) guestReport() GuestReport {
+// guestReport assembles one guest's post-run observation, with each
+// task's fragmentation taken from frag.
+func (g *Guest) guestReport(frag func(*Task) metrics.FragReport) GuestReport {
 	vmid := g.frozenVMID
 	if g.hostVM != nil {
 		vmid = g.hostVM.ID()
@@ -180,7 +181,7 @@ func (g *Guest) guestReport() GuestReport {
 		r.MappedGuestPages = g.hostVM.MappedGuestPages()
 		r.HostUserFrames = g.m.host.Memory().CountOwnedVM(physmem.KindUser, g.hostVM.ID())
 		for _, t := range g.tasks {
-			r.Frag = metrics.Combine(r.Frag, metrics.HostPTFragmentation(t.proc.PageTable(), g.hostVM.PageTable()))
+			r.Frag = metrics.Combine(r.Frag, frag(t))
 		}
 	}
 	return r
@@ -188,16 +189,22 @@ func (g *Guest) guestReport() GuestReport {
 
 // Observe assembles the machine's aggregated report. It walks page tables
 // to compute per-task fragmentation, so it is a post-run call, not a
-// hot-path one.
+// hot-path one. Each task's fragmentation is computed once and shared by
+// its task report and its guest's report.
 func (m *Machine) Observe() Report {
 	whole := m.Snapshot()
 	steady := whole
 	if m.steadySnapTaken {
 		steady = whole.Delta(m.statsAtInit)
 	}
-	rep := Report{Whole: whole, Steady: steady, Tasks: m.Report()}
+	frags := make([]metrics.FragReport, len(m.tasks))
+	for _, t := range m.tasks {
+		frags[t.index] = taskFrag(t)
+	}
+	frag := func(t *Task) metrics.FragReport { return frags[t.index] }
+	rep := Report{Whole: whole, Steady: steady, Tasks: m.report(frag)}
 	for _, g := range m.guests {
-		gr := g.guestReport()
+		gr := g.guestReport(frag)
 		rep.Guests = append(rep.Guests, gr)
 		if gr.Alive {
 			rep.HostFrag = metrics.Combine(rep.HostFrag, gr.Frag)

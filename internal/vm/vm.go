@@ -995,7 +995,20 @@ type TaskReport struct {
 }
 
 // Report assembles the post-run measurements for every primary task.
-func (m *Machine) Report() []TaskReport {
+func (m *Machine) Report() []TaskReport { return m.report(taskFrag) }
+
+// taskFrag computes the host-PT fragmentation of t's process. A destroyed
+// guest's host page table is gone; its tasks keep their cycle totals but
+// report zero-valued fragmentation.
+func taskFrag(t *Task) metrics.FragReport {
+	if !t.guest.alive {
+		return metrics.FragReport{}
+	}
+	return metrics.HostPTFragmentation(t.proc.PageTable(), t.guest.hostVM.PageTable())
+}
+
+// report is Report with each task's fragmentation taken from frag.
+func (m *Machine) report(frag func(*Task) metrics.FragReport) []TaskReport {
 	var out []TaskReport
 	for _, t := range m.tasks {
 		if t.role != RolePrimary {
@@ -1011,11 +1024,7 @@ func (m *Machine) Report() []TaskReport {
 			FaultCycles:       t.FaultCycles,
 			Accesses:          t.Accesses,
 			DataServed:        t.DataServed,
-		}
-		if t.guest.alive {
-			// A destroyed guest's host page table is gone; its tasks keep
-			// their cycle totals but report zero-valued fragmentation.
-			r.Frag = metrics.HostPTFragmentation(t.proc.PageTable(), t.guest.hostVM.PageTable())
+			Frag:              frag(t),
 		}
 		snap := t.initSnapshot
 		if !t.initSeen {
