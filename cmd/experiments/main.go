@@ -7,7 +7,7 @@
 //	experiments [-exp all|table1|fig5|fig6|fig7|table4|sec62|sec64|ablation|multitenant|migration|chaos|overcommit]
 //	            [-quick] [-seed N] [-parallel N] [-progress] [-vms N] [-list]
 //	            [-telemetry run.jsonl] [-telemetry-csv run.csv]
-//	            [-heartbeat 30s] [-pprof localhost:6060]
+//	            [-pprof localhost:6060]
 //
 // Experiments live in a registry (sim.Experiments); -list prints it. The
 // -exp selector matches an experiment's canonical name (e.g. objdet-suite,
@@ -34,16 +34,14 @@
 //
 // -telemetry / -telemetry-csv write one RunRecord per executed scenario
 // (see EXPERIMENTS.md for the schema); everything except elapsed_ms is
-// byte-identical for any -parallel value. -heartbeat prints periodic
-// in-flight progress on stderr; -pprof serves net/http/pprof on the given
-// address for live profiling.
+// byte-identical for any -parallel value. -pprof serves net/http/pprof on
+// the given address for live profiling.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -67,7 +65,6 @@ func main() {
 	progress := flag.Bool("progress", false, "report per-scenario completion on stderr")
 	telemetry := flag.String("telemetry", "", "write per-scenario RunRecords as JSON Lines to this file")
 	telemetryCSV := flag.String("telemetry-csv", "", "write per-scenario RunRecords as CSV to this file")
-	heartbeat := flag.Duration("heartbeat", 0, "report in-flight progress on stderr at this interval (0 = off)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
@@ -125,13 +122,6 @@ func main() {
 				ev.Done, ev.Total, ev.Set, ev.Scenario, ev.Elapsed.Seconds(), status)
 		}
 	}
-	if *heartbeat > 0 {
-		eng.HeartbeatEvery = *heartbeat
-		eng.OnHeartbeat = func(hb engine.Heartbeat) {
-			fmt.Fprintf(os.Stderr, "  ... %s: %d/%d scenarios done after %.0fs\n",
-				hb.Set, hb.Done, hb.Total, hb.Elapsed.Seconds())
-		}
-	}
 
 	runOpts := []sim.RunOpt{sim.WithEngine(eng), sim.WithScale(sc), sim.WithSeed(*seed)}
 	if *vms > 0 {
@@ -165,13 +155,13 @@ func main() {
 	if collector != nil {
 		recs := collector.Records()
 		if *telemetry != "" {
-			if err := writeTelemetry(*telemetry, recs, obs.WriteJSONL); err != nil {
+			if err := obs.WriteFile(*telemetry, recs, obs.WriteJSONL); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				failed = true
 			}
 		}
 		if *telemetryCSV != "" {
-			if err := writeTelemetry(*telemetryCSV, recs, obs.WriteCSV); err != nil {
+			if err := obs.WriteFile(*telemetryCSV, recs, obs.WriteCSV); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				failed = true
 			}
@@ -181,16 +171,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-func writeTelemetry(path string, recs []obs.RunRecord, write func(w io.Writer, recs []obs.RunRecord) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -19,7 +19,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -98,30 +97,18 @@ func main() {
 	if collector != nil {
 		recs := collector.Records()
 		if *telemetry != "" {
-			if err := writeFile(*telemetry, recs, obs.WriteJSONL); err != nil {
+			if err := obs.WriteFile(*telemetry, recs, obs.WriteJSONL); err != nil {
 				fmt.Fprintf(os.Stderr, "ptmsim: %v\n", err)
 				os.Exit(1)
 			}
 		}
 		if *telemetryCSV != "" {
-			if err := writeFile(*telemetryCSV, recs, obs.WriteCSV); err != nil {
+			if err := obs.WriteFile(*telemetryCSV, recs, obs.WriteCSV); err != nil {
 				fmt.Fprintf(os.Stderr, "ptmsim: %v\n", err)
 				os.Exit(1)
 			}
 		}
 	}
-}
-
-func writeFile(path string, recs []obs.RunRecord, write func(w io.Writer, recs []obs.RunRecord) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func printResult(r sim.Result) {

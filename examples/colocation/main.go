@@ -54,8 +54,9 @@ func run(colocated bool) (ptemagnet.TaskReport, uint64, uint64) {
 	if err := m.RunWith(context.Background(), ptemagnet.WithStopCorunnersAtInit(true)); err != nil {
 		log.Fatal(err)
 	}
-	walk := m.Observe().Steady.Walker
-	return m.Report()[0], walk.WalkCycles, walk.MemServed(ptemagnet.DimHost)
+	rep := m.Observe()
+	walk := rep.Steady.Walker
+	return rep.Tasks[0], walk.WalkCycles, walk.MemServed(ptemagnet.DimHost)
 }
 
 func main() {

@@ -137,7 +137,7 @@ func run(policy ptemagnet.AllocPolicy) (uint64, float64) {
 	if err := m.RunWith(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	rep := m.Report()[0]
+	rep := m.Observe().Tasks[0]
 	return rep.SteadyCycles, rep.Frag.Mean
 }
 

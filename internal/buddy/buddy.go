@@ -73,21 +73,7 @@ type Allocator struct {
 	state []frameState
 	free  uint64 // total free frames
 	stats Stats
-	hook  AllocHook
 }
-
-// AllocHook vetoes allocations for deterministic fault injection
-// (faults.Plan implements it). FailAlloc is consulted once per
-// AllocOrder call with the requested order; returning true makes the
-// call fail as if no block of sufficient order were free, counted under
-// the allocator's existing failures counter.
-type AllocHook interface {
-	FailAlloc(order int) bool
-}
-
-// SetAllocHook installs h (nil removes it). The zero-hook path is one
-// nil check per allocation.
-func (a *Allocator) SetAllocHook(h AllocHook) { a.hook = h }
 
 type frameState struct {
 	order  int8
@@ -168,10 +154,6 @@ func (a *Allocator) RegisterObs(r *obs.Registry, prefix string) {
 func (a *Allocator) AllocOrder(order int) (frame uint64, ok bool) {
 	if order < 0 || order > MaxOrder {
 		panic(fmt.Sprintf("buddy: bad order %d", order))
-	}
-	if a.hook != nil && a.hook.FailAlloc(order) {
-		a.stats.Failures++
-		return 0, false
 	}
 	o := order
 	for o <= MaxOrder && a.freeHead[o] == noFrame {

@@ -58,9 +58,6 @@ type LevelConfig struct {
 	SizeBytes uint64
 	// Ways is the set associativity, 1 to MaxWays.
 	Ways int
-	// Latency is the access latency in cycles when this level serves the
-	// access (load-to-use, inclusive of lookups above it).
-	Latency uint64
 	// HashedIndex selects hashed set indexing (Intel "complex
 	// addressing", used by the LLC on the paper's Broadwell parts). It
 	// decorrelates set placement from physical page layout, so physical
@@ -73,8 +70,6 @@ type LevelConfig struct {
 // Config describes a full hierarchy.
 type Config struct {
 	L1, L2, LLC LevelConfig
-	// MemLatency is charged when all levels miss.
-	MemLatency uint64
 	// NumCPUs is the number of cores, each with private L1 and L2.
 	NumCPUs int
 }
@@ -84,13 +79,23 @@ type Config struct {
 // proportion to the simulator's scaled workload footprints.
 func DefaultConfig(numCPUs int) Config {
 	return Config{
-		L1:         LevelConfig{SizeBytes: 32 << 10, Ways: 8, Latency: 4},
-		L2:         LevelConfig{SizeBytes: 256 << 10, Ways: 8, Latency: 12, HashedIndex: true},
-		LLC:        LevelConfig{SizeBytes: 2 << 20, Ways: 16, Latency: 42, HashedIndex: true},
-		MemLatency: 220,
-		NumCPUs:    numCPUs,
+		L1:      LevelConfig{SizeBytes: 32 << 10, Ways: 8},
+		L2:      LevelConfig{SizeBytes: 256 << 10, Ways: 8, HashedIndex: true},
+		LLC:     LevelConfig{SizeBytes: 2 << 20, Ways: 16, HashedIndex: true},
+		NumCPUs: numCPUs,
 	}
 }
+
+// Access latencies in cycles, charged by the level that serves an access
+// (load-to-use, inclusive of the lookups above it); memLatency is charged
+// when every level misses. Every hierarchy uses these Broadwell-like
+// prices; only the geometry varies.
+const (
+	l1Latency  = 4
+	l2Latency  = 12
+	llcLatency = 42
+	memLatency = 220
+)
 
 // invalid is the key of an empty way.
 const invalid = ^uint64(0)
@@ -373,16 +378,16 @@ func (h *Hierarchy) Access(cpu int, pa arch.PhysAddr) (Level, uint64) {
 	switch {
 	case p.l1.Access(block):
 		h.hits[LevelL1]++
-		return LevelL1, h.cfg.L1.Latency
+		return LevelL1, l1Latency
 	case p.l2.Access(block):
 		h.hits[LevelL2]++
-		return LevelL2, h.cfg.L2.Latency
+		return LevelL2, l2Latency
 	case h.llc.Access(block):
 		h.hits[LevelLLC]++
-		return LevelLLC, h.cfg.LLC.Latency
+		return LevelLLC, llcLatency
 	default:
 		h.hits[LevelMemory]++
-		return LevelMemory, h.cfg.MemLatency
+		return LevelMemory, memLatency
 	}
 }
 

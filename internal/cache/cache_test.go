@@ -8,11 +8,10 @@ import (
 
 func tinyConfig() Config {
 	return Config{
-		L1:         LevelConfig{SizeBytes: 1 << 10, Ways: 2, Latency: 4},  // 8 sets
-		L2:         LevelConfig{SizeBytes: 4 << 10, Ways: 4, Latency: 12}, // 16 sets
-		LLC:        LevelConfig{SizeBytes: 16 << 10, Ways: 4, Latency: 42},
-		MemLatency: 220,
-		NumCPUs:    2,
+		L1:      LevelConfig{SizeBytes: 1 << 10, Ways: 2}, // 8 sets
+		L2:      LevelConfig{SizeBytes: 4 << 10, Ways: 4}, // 16 sets
+		LLC:     LevelConfig{SizeBytes: 16 << 10, Ways: 4},
+		NumCPUs: 2,
 	}
 }
 
@@ -148,9 +147,9 @@ func TestWorkingSetExceedsLLCThrashes(t *testing.T) {
 
 func TestBadConfigsPanic(t *testing.T) {
 	cases := []Config{
-		{L1: LevelConfig{SizeBytes: 1 << 10, Ways: 0, Latency: 1}, L2: tinyConfig().L2, LLC: tinyConfig().LLC, MemLatency: 1, NumCPUs: 1},
-		{L1: LevelConfig{SizeBytes: 100, Ways: 2, Latency: 1}, L2: tinyConfig().L2, LLC: tinyConfig().LLC, MemLatency: 1, NumCPUs: 1},
-		{L1: tinyConfig().L1, L2: tinyConfig().L2, LLC: tinyConfig().LLC, MemLatency: 1, NumCPUs: 0},
+		{L1: LevelConfig{SizeBytes: 1 << 10, Ways: 0}, L2: tinyConfig().L2, LLC: tinyConfig().LLC, NumCPUs: 1},
+		{L1: LevelConfig{SizeBytes: 100, Ways: 2}, L2: tinyConfig().L2, LLC: tinyConfig().LLC, NumCPUs: 1},
+		{L1: tinyConfig().L1, L2: tinyConfig().L2, LLC: tinyConfig().LLC, NumCPUs: 0},
 	}
 	for i, cfg := range cases {
 		func() {
@@ -170,7 +169,7 @@ func TestDefaultConfigSane(t *testing.T) {
 	if lv, _ := h.Access(3, 0x1234); lv != LevelMemory {
 		t.Errorf("cold access on default config served by %v", lv)
 	}
-	if cfg.L1.Latency >= cfg.L2.Latency || cfg.L2.Latency >= cfg.LLC.Latency || cfg.LLC.Latency >= cfg.MemLatency {
+	if l1Latency >= l2Latency || l2Latency >= llcLatency || llcLatency >= memLatency {
 		t.Error("latencies not monotonically increasing")
 	}
 }
@@ -238,7 +237,7 @@ func TestHashedIndexingDecorrelatesLayout(t *testing.T) {
 	// The property the hashed LLC exists for: a strided physical layout
 	// (every 8th block, as page-coloring produces) must spread over many
 	// sets instead of hammering a few.
-	cfg := LevelConfig{SizeBytes: 64 << 10, Ways: 4, Latency: 1, HashedIndex: true}
+	cfg := LevelConfig{SizeBytes: 64 << 10, Ways: 4, HashedIndex: true}
 	b := newLevel(cfg) // 256 sets
 	sets := map[uint64]int{}
 	for i := 0; i < 1024; i++ {
@@ -248,7 +247,7 @@ func TestHashedIndexingDecorrelatesLayout(t *testing.T) {
 		t.Errorf("strided blocks cover only %d/256 sets with hashing", len(sets))
 	}
 	// Plain indexing collapses the same stride onto one set.
-	plain := newLevel(LevelConfig{SizeBytes: 64 << 10, Ways: 4, Latency: 1})
+	plain := newLevel(LevelConfig{SizeBytes: 64 << 10, Ways: 4})
 	plainSets := map[uint64]int{}
 	for i := 0; i < 1024; i++ {
 		plainSets[plain.set(uint64(i*256))]++
@@ -259,7 +258,7 @@ func TestHashedIndexingDecorrelatesLayout(t *testing.T) {
 }
 
 func TestHashedIndexIsDeterministicAndInRange(t *testing.T) {
-	b := newLevel(LevelConfig{SizeBytes: 32 << 10, Ways: 8, Latency: 1, HashedIndex: true})
+	b := newLevel(LevelConfig{SizeBytes: 32 << 10, Ways: 8, HashedIndex: true})
 	for i := 0; i < 10_000; i++ {
 		s1 := b.set(uint64(i) * 977)
 		s2 := b.set(uint64(i) * 977)

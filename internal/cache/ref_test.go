@@ -134,19 +134,19 @@ func (h *refHierarchy) Access(cpu int, pa arch.PhysAddr) (Level, uint64) {
 	block := pa.CacheBlock()
 	switch {
 	case h.l1[cpu].lookup(block):
-		return LevelL1, h.cfg.L1.Latency
+		return LevelL1, l1Latency
 	case h.l2[cpu].lookup(block):
 		h.l1[cpu].insert(block)
-		return LevelL2, h.cfg.L2.Latency
+		return LevelL2, l2Latency
 	case h.llc.lookup(block):
 		h.l2[cpu].insert(block)
 		h.l1[cpu].insert(block)
-		return LevelLLC, h.cfg.LLC.Latency
+		return LevelLLC, llcLatency
 	default:
 		h.llc.insert(block)
 		h.l2[cpu].insert(block)
 		h.l1[cpu].insert(block)
-		return LevelMemory, h.cfg.MemLatency
+		return LevelMemory, memLatency
 	}
 }
 
@@ -197,11 +197,10 @@ func (l level) sameState(t *testing.T, op int) {
 // few accesses: a plain-indexed L1 and hashed L2 and LLC.
 func fuzzConfig() Config {
 	return Config{
-		L1:         LevelConfig{SizeBytes: 512, Ways: 2, Latency: 4},                         // 4 sets
-		L2:         LevelConfig{SizeBytes: 1 << 10, Ways: 4, Latency: 12, HashedIndex: true}, // 4 sets
-		LLC:        LevelConfig{SizeBytes: 4 << 10, Ways: 4, Latency: 42, HashedIndex: true}, // 16 sets
-		MemLatency: 220,
-		NumCPUs:    2,
+		L1:      LevelConfig{SizeBytes: 512, Ways: 2},                        // 4 sets
+		L2:      LevelConfig{SizeBytes: 1 << 10, Ways: 4, HashedIndex: true}, // 4 sets
+		LLC:     LevelConfig{SizeBytes: 4 << 10, Ways: 4, HashedIndex: true}, // 16 sets
+		NumCPUs: 2,
 	}
 }
 

@@ -303,6 +303,10 @@ const (
 	// FaultNoMemory: the group allocation failed; the caller must fall
 	// back to the default single-page path.
 	FaultNoMemory
+	// FaultClaimed: va's page is already claimed from a live reservation
+	// (a forked child took it, §4.4); nothing was claimed and the caller
+	// must fall back to the default single-page path.
+	FaultClaimed
 )
 
 // String names the result.
@@ -314,19 +318,26 @@ func (r FaultResult) String() string {
 		return "reservation-hit"
 	case FaultNoMemory:
 		return "no-memory"
+	case FaultClaimed:
+		return "claimed"
 	default:
 		return fmt.Sprintf("FaultResult(%d)", uint8(r))
 	}
 }
 
-// HandleFault implements the PTEMagnet page-fault path for va. alloc must
-// allocate one naturally aligned contiguous group of GroupPages pages and
-// return its base (it is invoked at most once, outside any reservation that
-// already exists). The returned pa is the physical page for va's page.
+// HandleFault implements the PTEMagnet page-fault path for va: it claims
+// va's page from its group's live reservation, or, when the group has none,
+// calls alloc for one naturally aligned contiguous group of GroupPages pages
+// and reserves it. alloc returns the group's base, or false to decline (the
+// result is then FaultNoMemory); it is invoked at most once, only when no
+// reservation exists, and runs while the leaf node's lock (the table lock
+// in CoarseLocking mode) is held, so it must not call back into the PaRT.
+// The returned pa is the physical page for va's page.
 //
 // When the claim fills the reservation, the entry is deleted (§4.2: "Once
 // all the reserved pages inside a reservation are mapped, their PaRT entry
-// can be safely deleted").
+// can be safely deleted"). A page already claimed from a live reservation
+// is left alone and reported as FaultClaimed.
 func (p *PaRT) HandleFault(va arch.VirtAddr, alloc func() (arch.PhysAddr, bool)) (pa arch.PhysAddr, res FaultResult) {
 	if p.cfg.CoarseLocking {
 		p.coarse.Lock()
@@ -345,11 +356,8 @@ func (p *PaRT) HandleFault(va arch.VirtAddr, alloc func() (arch.PhysAddr, bool))
 			continue
 		}
 		if r.mask&(1<<idx) != 0 {
-			// The page is already claimed. This indicates a kernel bug
-			// (a fault on a mapped page should be handled before PaRT);
-			// surface it loudly.
 			r.mu.Unlock()
-			panic(fmt.Sprintf("core: double claim of page %d in group %#x", idx, uint64(r.groupVA)))
+			return arch.NoPhysAddr, FaultClaimed
 		}
 		pa = p.claim(r, idx)
 		if existed {
@@ -438,11 +446,11 @@ func (p *PaRT) remove(groupVA arch.VirtAddr) {
 // after a forked child claimed the slot, §4.4 — in which case the frame is
 // foreign and must go back to the buddy allocator directly), the page
 // returns to reserved state; when the mask drops to empty the reservation
-// is deleted and every group page is released through release. handled
-// reports whether the free was absorbed by a reservation — when false the
-// caller frees the frame through the default kernel path (§4.3: frees of
-// fully-mapped groups "[are] performed as in the default kernel, without
-// involving PTEMagnet").
+// is deleted and every group page is released through release, which runs
+// only then. handled reports whether the free was absorbed by a
+// reservation — when false the caller frees the frame through the default
+// kernel path (§4.3: frees of fully-mapped groups "[are] performed as in
+// the default kernel, without involving PTEMagnet").
 func (p *PaRT) NotifyFree(va arch.VirtAddr, pa arch.PhysAddr, release func(arch.PhysAddr)) (handled bool) {
 	if p.cfg.CoarseLocking {
 		p.coarse.Lock()
@@ -476,24 +484,6 @@ func (p *PaRT) NotifyFree(va arch.VirtAddr, pa arch.PhysAddr, release func(arch.
 		p.bump(func(s *Stats) { s.FullyFreed++ })
 	}
 	return true
-}
-
-// ReservedPageFor returns the physical address backing va's page inside a
-// live reservation and whether that page is currently mapped. It exists for
-// the fork path (§4.4): a child's fault first consults the parent's
-// reservation map.
-func (p *PaRT) ReservedPageFor(va arch.VirtAddr) (pa arch.PhysAddr, mapped bool, found bool) {
-	r, ok := p.Lookup(va)
-	if !ok {
-		return arch.NoPhysAddr, false, false
-	}
-	idx := p.GroupIndex(va)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dead {
-		return arch.NoPhysAddr, false, false
-	}
-	return r.base + arch.PhysAddr(idx<<arch.PageShift), r.mask&(1<<idx) != 0, true
 }
 
 // ClaimFromParent claims the page for va in this (parent) table on behalf of

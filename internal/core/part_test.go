@@ -244,23 +244,31 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestReservedPageFor(t *testing.T) {
-	p, mem := newPart(t)
-	base := arch.VirtAddr(0x40000000)
-	pa0, _ := p.HandleFault(base, testAlloc(mem, 8))
-	pa, mapped, found := p.ReservedPageFor(base)
-	if !found || !mapped || pa != pa0 {
-		t.Errorf("mapped page: pa=%#x mapped=%v found=%v", pa, mapped, found)
-	}
-	pa, mapped, found = p.ReservedPageFor(base + arch.PageSize)
-	if !found || mapped {
-		t.Errorf("reserved page: mapped=%v found=%v", mapped, found)
-	}
-	if pa != pa0+arch.PageSize {
-		t.Errorf("reserved page pa = %#x", pa)
-	}
-	if _, _, found = p.ReservedPageFor(0x90000000); found {
-		t.Error("found reservation where none exists")
+// TestHandleFaultClaimedSlot: a fault on a page a forked child already
+// claimed from a live reservation is reported as FaultClaimed, claims
+// nothing, moves no counter and never asks for a new group.
+func TestHandleFaultClaimedSlot(t *testing.T) {
+	for _, coarse := range []bool{false, true} {
+		p := MustNew(Config{GroupPages: arch.GroupPages, CoarseLocking: coarse})
+		mem := physmem.New(64 << 20)
+		base := arch.VirtAddr(0x40000000)
+		p.HandleFault(base, testAlloc(mem, 8))
+		if _, ok := p.ClaimFromParent(base + arch.PageSize); !ok {
+			t.Fatal("child claim failed")
+		}
+		r, _ := p.Lookup(base)
+		hits, mask, unused := p.Snapshot().Hits, r.Mask(), p.UnusedPages()
+		pa, res := p.HandleFault(base+arch.PageSize, func() (arch.PhysAddr, bool) {
+			t.Fatal("alloc called under a live reservation")
+			return arch.NoPhysAddr, false
+		})
+		if res != FaultClaimed || pa != arch.NoPhysAddr {
+			t.Errorf("coarse=%v: HandleFault on a claimed slot = %#x, %v; want FaultClaimed", coarse, pa, res)
+		}
+		if p.Snapshot().Hits != hits || r.Mask() != mask || p.UnusedPages() != unused {
+			t.Errorf("coarse=%v: claimed-slot fault moved state: hits %d→%d, mask %#b→%#b, unused %d→%d",
+				coarse, hits, p.Snapshot().Hits, mask, r.Mask(), unused, p.UnusedPages())
+		}
 	}
 }
 
@@ -633,6 +641,7 @@ func TestFaultResultStrings(t *testing.T) {
 		FaultNewReservation: "new-reservation",
 		FaultReservationHit: "reservation-hit",
 		FaultNoMemory:       "no-memory",
+		FaultClaimed:        "claimed",
 	}
 	for r, s := range want {
 		if r.String() != s {

@@ -126,40 +126,6 @@ type Event struct {
 	Err error
 }
 
-// Heartbeat is a periodic progress report for a set still in flight,
-// delivered between scenario completions so long-running sweeps stay
-// observable.
-type Heartbeat struct {
-	// Set names the executing set.
-	Set string
-	// Done of Total scenarios have completed so far.
-	Done, Total int
-	// Elapsed is the wall-clock time since Execute started on this set.
-	Elapsed time.Duration
-}
-
-// Stats counts the engine's lifetime activity (DESIGN.md §8).
-type Stats struct {
-	// Sets counts Execute calls; Scenarios completed scenario runs;
-	// Failures the scenarios that returned an error (or were skipped).
-	Sets      uint64
-	Scenarios uint64
-	Failures  uint64
-	// Retries counts extra attempts granted by a set's RetryPolicy
-	// (a scenario that succeeds on its third attempt adds two).
-	Retries uint64
-}
-
-// Delta returns the counter-wise difference s - prev.
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Sets:      s.Sets - prev.Sets,
-		Scenarios: s.Scenarios - prev.Scenarios,
-		Failures:  s.Failures - prev.Failures,
-		Retries:   s.Retries - prev.Retries,
-	}
-}
-
 // Engine executes scenario sets through a worker pool.
 type Engine struct {
 	// Workers bounds concurrent scenarios. Zero or negative means
@@ -168,34 +134,10 @@ type Engine struct {
 	// OnEvent, if set, receives one Event per finished scenario.
 	// Calls are serialized; the callback must not block for long.
 	OnEvent func(Event)
-	// HeartbeatEvery enables periodic progress heartbeats while a set is
-	// executing: OnHeartbeat fires roughly every HeartbeatEvery until the
-	// set completes. Zero disables heartbeats. Heartbeats are pure
-	// progress reporting — they never influence results.
-	HeartbeatEvery time.Duration
-	// OnHeartbeat receives the periodic reports. Calls are serialized
-	// with OnEvent; the callback must not block for long.
-	OnHeartbeat func(Heartbeat)
-
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // New returns an engine with the given worker count (<= 0 → GOMAXPROCS).
 func New(workers int) *Engine { return &Engine{Workers: workers} }
-
-// Snapshot returns the engine's lifetime counters.
-func (e *Engine) Snapshot() Stats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.stats
-}
-
-func (e *Engine) bump(f func(*Stats)) {
-	e.statsMu.Lock()
-	f(&e.stats)
-	e.statsMu.Unlock()
-}
 
 func (e *Engine) workerCount(jobs int) int {
 	w := e.Workers
@@ -233,13 +175,11 @@ func Execute[R, O any](ctx context.Context, e *Engine, set Set[R, O]) (O, error)
 		seen[s.Name] = struct{}{}
 	}
 
-	e.bump(func(s *Stats) { s.Sets++ })
-
 	results := make([]R, n)
 	errs := make([]error, n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes the done counter and OnEvent/OnHeartbeat calls
+	var mu sync.Mutex // serializes the done counter and OnEvent calls
 	done := 0
 
 	finish := func(i int, elapsed time.Duration) {
@@ -252,32 +192,6 @@ func Execute[R, O any](ctx context.Context, e *Engine, set Set[R, O]) (O, error)
 				Done: done, Total: n, Elapsed: elapsed, Err: errs[i],
 			})
 		}
-	}
-
-	// Heartbeats are progress-only: they run on their own goroutine, read
-	// the done counter under mu, and stop when the set completes. They
-	// never touch results, so enabling them cannot perturb determinism.
-	var hbStop chan struct{}
-	var hbWG sync.WaitGroup
-	if e.HeartbeatEvery > 0 && e.OnHeartbeat != nil {
-		hbStop = make(chan struct{})
-		setElapsed := StartTimer()
-		ticker := time.NewTicker(e.HeartbeatEvery)
-		hbWG.Add(1)
-		go func() {
-			defer hbWG.Done()
-			defer ticker.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-ticker.C:
-					mu.Lock()
-					e.OnHeartbeat(Heartbeat{Set: set.Name, Done: done, Total: n, Elapsed: setElapsed()})
-					mu.Unlock()
-				}
-			}
-		}()
 	}
 
 	for w := e.workerCount(n); w > 0; w-- {
@@ -297,14 +211,7 @@ func Execute[R, O any](ctx context.Context, e *Engine, set Set[R, O]) (O, error)
 					if errs[i] == nil || !set.Retry.allows(attempt, errs[i]) {
 						break
 					}
-					e.bump(func(s *Stats) { s.Retries++ })
 				}
-				e.bump(func(s *Stats) {
-					s.Scenarios++
-					if errs[i] != nil {
-						s.Failures++
-					}
-				})
 				finish(i, stop())
 			}
 		}()
@@ -314,10 +221,6 @@ func Execute[R, O any](ctx context.Context, e *Engine, set Set[R, O]) (O, error)
 	}
 	close(jobs)
 	wg.Wait()
-	if hbStop != nil {
-		close(hbStop)
-		hbWG.Wait()
-	}
 
 	res := Results[R]{
 		order:  make([]string, n),

@@ -100,10 +100,6 @@ func (e *Error) Error() string {
 // Is makes every injected fault errors.Is-reachable from ErrInjected.
 func (e *Error) Is(target error) bool { return target == ErrInjected }
 
-// IsInjected reports whether err carries an injected fault anywhere in
-// its chain.
-func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
-
 // IsTransient reports whether err carries a transient injected fault —
 // the classifier engine.RetryPolicy uses to decide whether another
 // attempt can help.
@@ -287,8 +283,8 @@ func (p *Plan) InjectedTotal() uint64 {
 	return total
 }
 
-// FailAlloc implements the buddy allocator's fault hook
-// (buddy.AllocHook): consulted once per AllocOrder call, firing on the
+// FailAlloc implements guest memory's fault hook (physmem.AllocHook):
+// consulted once per user or reserved-frame allocation, firing on the
 // scheduled allocation counts.
 func (p *Plan) FailAlloc(order int) bool {
 	if p == nil || !p.active {

@@ -515,38 +515,40 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 	return FaultDefault, nil
 }
 
-// magnetFault attempts the PTEMagnet path. ok=false means the caller should
-// use the default path instead.
+// magnetFault attempts the PTEMagnet path with one PaRT call, which claims
+// the page from its group's live reservation or reserves the group. ok=false
+// means the caller should use the default path instead.
 func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	k := p.kernel
 	part := p.part
-
-	// A reservation is only created for a group with no prior mappings;
-	// if the group was partially populated through another path (reclaim
-	// destroyed its reservation, fork, …) the default allocator serves
-	// the fault. A live reservation always takes precedence — unless a
-	// forked child already claimed this very page from it (§4.4), in
-	// which case the frame belongs to the child and the parent takes the
-	// default path.
-	if _, exists := part.Lookup(page); !exists {
-		if p.pt.AnyMapped(part.GroupBase(page), part.Config().GroupPages) {
-			return 0, false, nil
-		}
-	} else if _, mapped, found := part.ReservedPageFor(page); found && mapped {
-		return 0, false, nil
+	pages := part.Config().GroupPages
+	allocGroup := func() (arch.PhysAddr, bool) {
+		return k.mem.AllocGroup(pages, physmem.KindReserved, k.own(p.pid))
 	}
-
+	// A reservation is only created for a group with no prior mappings; if
+	// the group was partially populated through another path (reclaim
+	// destroyed its reservation, fork, …) the default allocator serves the
+	// fault. The PaRT asks only when the group has no reservation, and
+	// holds its leaf lock meanwhile, so the callback must not reclaim: a
+	// failed group allocation is retried after reclaim, outside the PaRT.
+	var allocFailed bool
 	pa, res := part.HandleFault(page, func() (arch.PhysAddr, bool) {
-		k.stats.BuddyCalls++
-		base, ok := k.mem.AllocGroup(part.Config().GroupPages, physmem.KindReserved, k.own(p.pid))
-		if !ok {
-			// Try to relieve pressure once, then retry.
-			k.runReclaim()
-			base, ok = k.mem.AllocGroup(part.Config().GroupPages, physmem.KindReserved, k.own(p.pid))
+		if p.pt.AnyMapped(part.GroupBase(page), pages) {
+			return arch.NoPhysAddr, false
 		}
+		k.stats.BuddyCalls++
+		base, ok := allocGroup()
+		allocFailed = !ok
 		return base, ok
 	})
-	if res == core.FaultNoMemory {
+	if allocFailed {
+		k.runReclaim()
+		pa, res = part.HandleFault(page, allocGroup)
+	}
+	// FaultClaimed: a forked child already claimed this very page from the
+	// live reservation (§4.4), so the frame is the child's and the parent
+	// takes the default path.
+	if res == core.FaultNoMemory || res == core.FaultClaimed {
 		return 0, false, nil
 	}
 	k.mem.SetKind(pa, physmem.KindUser, k.own(p.pid))
@@ -742,15 +744,17 @@ func (p *Process) freePage(page arch.VirtAddr) {
 		return
 	}
 	if p.part != nil {
+		dissolved := false
 		handled := p.part.NotifyFree(page, pa, func(groupPA arch.PhysAddr) {
 			// Whole group dissolves: every page returns to the buddy
 			// allocator, whatever state it was in.
+			dissolved = true
 			k.mem.FreeBlock(groupPA)
 		})
 		if handled {
 			// If the group is still alive the freed frame goes back to
 			// reserved state under kernel ownership.
-			if _, live := p.part.Lookup(page); live {
+			if !dissolved {
 				k.mem.SetKind(pa, physmem.KindReserved, k.own(p.pid))
 			}
 			return

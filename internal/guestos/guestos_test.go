@@ -3,6 +3,7 @@ package guestos
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/physmem"
@@ -326,6 +327,59 @@ func TestReclaimDaemonUnderPressure(t *testing.T) {
 	}
 	if k.UnusedReservedPages() > int(0.6*float64(k.Memory().NumFrames())) {
 		t.Errorf("unused reserved pages = %d, pressure not relieved", k.UnusedReservedPages())
+	}
+}
+
+// TestFailedGroupAllocReclaimsOutsideThePaRT: when a fault's group
+// allocation fails, the reclaim daemon runs after the PaRT call returns,
+// not inside its allocation callback. Inside, it would walk the faulting
+// process's own table while the fault holds one of its leaf locks.
+func TestFailedGroupAllocReclaimsOutsideThePaRT(t *testing.T) {
+	k := NewKernel(Config{MemBytes: 4 << 20, Policy: PolicyPTEMagnet, Seed: 1})
+	p := mustSpawn(t, k, "a")
+	va := mustMmap(t, p, 1<<20)
+	if _, err := p.HandlePageFault(va, false); err != nil {
+		t.Fatal(err)
+	}
+	if p.Part().Live() != 1 {
+		t.Fatalf("live reservations = %d, want 1", p.Part().Live())
+	}
+	// Take every free frame: memory sits above the watermark with no free
+	// group, so the next group's allocation fails and triggers reclaim.
+	for {
+		if _, ok := k.Memory().AllocFrame(physmem.KindKernel, physmem.NoOwner); !ok {
+			break
+		}
+	}
+	before := k.Snapshot()
+	// The next group shares the first one's PaRT leaf node.
+	type result struct {
+		kind FaultKind
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		kind, err := p.HandlePageFault(va+arch.GroupBytes, false)
+		done <- result{kind, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || r.kind != FaultDefault {
+			t.Fatalf("fault = %v, %v; want a default-path fault", r.kind, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fault never returned: reclaim ran under the PaRT leaf lock")
+	}
+	if p.Part().Live() != 0 || k.Snapshot().ReclaimedReservations != 1 {
+		t.Errorf("live reservations %d, reclaimed %d; want the first group reclaimed",
+			p.Part().Live(), k.Snapshot().ReclaimedReservations)
+	}
+	// One group attempt and one single page, one fallback; reclaim runs
+	// once after the failed group and once at the page's pressure check.
+	d := k.Snapshot().Delta(before)
+	if d.BuddyCalls != 2 || d.ReclaimRuns != 2 || d.OOMFallbacks != 1 {
+		t.Errorf("buddy calls %d, reclaim runs %d, fallbacks %d; want 2, 2, 1",
+			d.BuddyCalls, d.ReclaimRuns, d.OOMFallbacks)
 	}
 }
 

@@ -196,11 +196,6 @@ func MigrateCtx(ctx context.Context, src *vm.Guest, dst *vm.Machine, opts Option
 	if srcM == dst {
 		return fail("validate", 0, errors.New("source and destination are the same machine"))
 	}
-	// Frozen registries make the hand-off impossible; refuse before
-	// touching any state so the failure is always clean.
-	if srcM.RegistryBuilt() || dst.RegistryBuilt() {
-		return fail("validate", 0, errors.New("a machine with a built counter registry cannot migrate guests; build registries after migration"))
-	}
 	srcVM := src.HostVM()
 	dstVM, err := dst.Host().CreateVMWithLevels(srcVM.GuestMemBytes(), srcVM.PageTable().Levels())
 	if err != nil {
@@ -332,9 +327,8 @@ func MigrateCtx(ctx context.Context, src *vm.Guest, dst *vm.Machine, opts Option
 	}
 	if err := dst.AttachGuest(src, dstVM); err != nil {
 		// The source VM is already destroyed; the guest cannot be
-		// restored. This only fires on caller contract violations
-		// (e.g. a frozen destination registry), checked before any state
-		// was touched on well-formed calls.
+		// restored. This only fires on caller contract violations,
+		// checked before any state was touched on well-formed calls.
 		return fail("handoff", rep.Rounds, err)
 	}
 	return rep, nil

@@ -289,20 +289,32 @@ func TestMigrateDestinationOOM(t *testing.T) {
 	}
 }
 
-// TestMigrateFrozenRegistryRefused pins the loud contract: machines whose
-// counter registries are built cannot take part in a migration.
-func TestMigrateFrozenRegistryRefused(t *testing.T) {
+// TestRegistryAfterMigration: registries read before a migration do not
+// stop it, and a registry read afterwards sees the move — the adopted guest
+// under the destination's vm1.* names, the source without it.
+func TestRegistryAfterMigration(t *testing.T) {
 	src := buildSource(t, guestos.PolicyDefault)
 	if err := src.RunWith(context.Background(), vm.WithStopAtAccesses(4000)); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildDestination(t, 128<<20)
-	dst.Registry()
-	if _, err := migrate.MigrateCtx(context.Background(), src.Guests()[0], dst, migrate.Options{}); err == nil {
-		t.Fatal("migration onto a registry-frozen destination succeeded")
+	src.Registry().Snapshot()
+	dst.Registry().Snapshot()
+	g := src.Guests()[0]
+	if _, err := migrate.MigrateCtx(context.Background(), g, dst, migrate.Options{}); err != nil {
+		t.Fatalf("migration after registry reads: %v", err)
 	}
-	// The refusal happened in validation: nothing was built on dst.
-	if n := len(dst.Host().VMs()); n != 1 {
-		t.Errorf("destination has %d VMs after refusal, want 1", n)
+	after := dst.Registry().Snapshot()
+	for name, want := range map[string]uint64{
+		"vm1.walker.walks":      g.Walker().Snapshot().Walks,
+		"vm1.guest.buddy_calls": g.Kernel().Snapshot().BuddyCalls,
+		"vm0.guest.buddy_calls": dst.Guests()[0].Kernel().Snapshot().BuddyCalls,
+	} {
+		if got, ok := after.Get(name); !ok || got != want {
+			t.Errorf("destination registry: %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if _, ok := src.Registry().Snapshot().Get("walker.walks"); ok {
+		t.Error("source registry still carries the departed guest's walker")
 	}
 }

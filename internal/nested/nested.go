@@ -46,25 +46,27 @@ type Config struct {
 	// node).
 	GuestPWC tlb.Config
 	HostPWC  tlb.Config
-	// TLBHitCycles is charged for a main-TLB hit (address translation
-	// fully pipelined ≈ 1 cycle).
-	TLBHitCycles uint64
-	// HostFaultCycles is charged per host page fault (VM exit + hypervisor
-	// allocation). Host faults are rare after warm-up.
-	HostFaultCycles uint64
 }
 
 // DefaultConfig returns Broadwell-like sizes.
 func DefaultConfig() Config {
 	return Config{
-		TLB:             tlb.DefaultConfig(),
-		NTLB:            tlb.Config{Entries: 128, Ways: 8},
-		GuestPWC:        tlb.Config{Entries: 32, Ways: 4},
-		HostPWC:         tlb.Config{Entries: 32, Ways: 4},
-		TLBHitCycles:    1,
-		HostFaultCycles: 2200,
+		TLB:      tlb.DefaultConfig(),
+		NTLB:     tlb.Config{Entries: 128, Ways: 8},
+		GuestPWC: tlb.Config{Entries: 32, Ways: 4},
+		HostPWC:  tlb.Config{Entries: 32, Ways: 4},
 	}
 }
+
+// Translation prices in cycles, the same for every walker.
+const (
+	// tlbHitCycles is charged for a main-TLB hit (address translation
+	// fully pipelined ≈ 1 cycle).
+	tlbHitCycles = 1
+	// hostFaultCycles is charged per host page fault (VM exit + hypervisor
+	// allocation). Host faults are rare after warm-up.
+	hostFaultCycles = 2200
+)
 
 // Dimension distinguishes the two page tables of a nested walk.
 type Dimension uint8
@@ -312,7 +314,7 @@ func (w *Walker) TranslateFast(asid uint32, va arch.VirtAddr, write bool) (Outco
 				HPA:    (payload &^ writableBit) + arch.PhysAddr(va.PageOffset()),
 				Ok:     true,
 				TLBHit: true,
-				Cycles: w.cfg.TLBHitCycles,
+				Cycles: tlbHitCycles,
 			}, true
 		}
 		// Write to a read-only translation: force the fault path.
@@ -370,10 +372,7 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 		gpa, flags, found, leafNode = gpt.Lookup(va)
 	}
 	if !found {
-		w.stats.GuestFaults++
-		w.stats.WalkCycles += cycles
-		w.stats.WalkHist[histBucket(cycles)]++
-		return Outcome{GuestFault: true, Cycles: cycles}
+		return w.guestFault(cycles)
 	}
 	if write && flags&pagetable.FlagWritable == 0 {
 		w.stats.GuestFaults++
@@ -385,10 +384,18 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 	}
 
 	// Host dimension for the data page.
+	hostFaults = w.stats.HostFaults
 	hpaPage, c, err := w.translateGPA(cpu, gpa.PageBase())
 	cycles += c
 	if err != nil {
 		return Outcome{Cycles: cycles, Err: err}
+	}
+	if w.stats.HostFaults != hostFaults {
+		// The data page's own host fault can run balloon relief too: a
+		// page dropped meanwhile faults, and the TLB never caches it.
+		if _, _, found, _ = gpt.Lookup(va); !found {
+			return w.guestFault(cycles)
+		}
 	}
 	hpa := hpaPage + arch.PhysAddr(gpa.PageOffset())
 
@@ -400,6 +407,15 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 	w.stats.WalkCycles += cycles
 	w.stats.WalkHist[histBucket(cycles)]++
 	return Outcome{HPA: hpa, Ok: true, Cycles: cycles}
+}
+
+// guestFault ends a walk that found no present mapping for va: the caller
+// runs the guest fault handler and retries.
+func (w *Walker) guestFault(cycles uint64) Outcome {
+	w.stats.GuestFaults++
+	w.stats.WalkCycles += cycles
+	w.stats.WalkHist[histBucket(cycles)]++
+	return Outcome{GuestFault: true, Cycles: cycles}
 }
 
 // translateGPA resolves a guest-physical address to host-physical, charging
@@ -453,7 +469,7 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			return 0, cycles, fmt.Errorf("nested: host fault failed: %w", err)
 		}
 		w.stats.HostFaults++
-		cycles += w.cfg.HostFaultCycles
+		cycles += hostFaultCycles
 	}
 }
 

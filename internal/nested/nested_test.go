@@ -90,7 +90,7 @@ func TestTranslateThenTLBHit(t *testing.T) {
 	if out2.HPA != hpa+0x456 {
 		t.Errorf("TLB-hit HPA = %#x, want %#x", out2.HPA, hpa+0x456)
 	}
-	if out2.Cycles != DefaultConfig().TLBHitCycles {
+	if out2.Cycles != tlbHitCycles {
 		t.Errorf("TLB-hit cycles = %d", out2.Cycles)
 	}
 }
@@ -167,6 +167,39 @@ func TestPageDroppedMidWalkFaults(t *testing.T) {
 	}
 	if _, ok := r.vm.Translate(gpa); ok {
 		t.Error("the dropped page's guest frame got host backing")
+	}
+}
+
+// TestPageDroppedByDataPageFaultFaults: with every guest PT node already
+// host-backed, the data page's host fault is the walk's only one; when its
+// balloon relief drops the walked page, the walk still ends in a guest fault
+// and the main TLB caches nothing.
+func TestPageDroppedByDataPageFaultFaults(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	va := arch.VirtAddr(0x7f0000000000)
+	gpa := arch.PhysAddr(0x100000)
+	r.mapGuest(t, va, gpa, pagetable.FlagWritable)
+	nodes, _, _, _ := r.gpt.WalkAppend(nil, va, r.gpt.Levels(), r.gpt.Root())
+	for _, a := range nodes {
+		if err := r.vm.HandleFault(a.EntryAddr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.host.SetOOMInjector(&oneHostOOM{})
+	r.host.SetPressureReliever(relieveBy(func() { r.gpt.Unmap(va) }))
+	out := r.w.Translate(0, 1, r.gpt, va, false)
+	if out.Ok || !out.GuestFault || out.Err != nil {
+		t.Fatalf("outcome = %+v, want a guest fault", out)
+	}
+	if s := r.w.Snapshot(); s.HostFaults != 1 || s.GuestFaults != 1 {
+		t.Fatalf("host faults %d, guest faults %d; want 1 and 1", s.HostFaults, s.GuestFaults)
+	}
+	if _, hit := r.w.TranslateFast(1, va, false); hit {
+		t.Error("main TLB caches the dropped page")
+	}
+	// The fault whose relief dropped the page was backing its frame.
+	if _, ok := r.vm.Translate(gpa); !ok {
+		t.Error("the data page's guest frame has no host backing")
 	}
 }
 

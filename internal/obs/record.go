@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -100,6 +101,20 @@ func WriteJSONL(w io.Writer, recs []RunRecord) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile creates the file at path and writes recs into it with write
+// (WriteJSONL or WriteCSV).
+func WriteFile(path string, recs []RunRecord, write func(io.Writer, []RunRecord) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f, recs); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteCSV writes the records as CSV: a header row of

@@ -90,8 +90,17 @@ type Memory struct {
 	alloc *buddy.Allocator
 	kind  []FrameKind
 	owner []Owner
-	hook  buddy.AllocHook
+	hook  AllocHook
 	empty func(kind FrameKind) bool
+}
+
+// AllocHook vetoes allocations for deterministic fault injection
+// (faults.Plan implements it). FailAlloc is consulted once per data
+// allocation (see SetAllocHook) with the requested buddy order; returning
+// true makes the allocation fail as if no block of sufficient order were
+// free.
+type AllocHook interface {
+	FailAlloc(order int) bool
 }
 
 // New creates a memory of the given size in bytes, which must be a positive
@@ -137,7 +146,7 @@ func (m *Memory) Buddy() *buddy.Allocator { return m.alloc }
 // (reclaim-retry, reservation fallback) — never for page-table or kernel
 // frames, whose allocation failure has no graceful handler and would
 // turn a transient injected fault into a fatal one.
-func (m *Memory) SetAllocHook(h buddy.AllocHook) { m.hook = h }
+func (m *Memory) SetAllocHook(h AllocHook) { m.hook = h }
 
 // SetEmptyHook installs a last-resort handler consulted when a
 // single-frame allocation finds the pool exhausted (nil removes it). The

@@ -256,7 +256,7 @@ func runChaosJob(ctx context.Context, j chaosJob, st *chaosState) (res ChaosRunR
 		return res, nil
 	}
 	res.Migration = true
-	res.Frag = guestFrag(o.guest).Mean
+	res.Frag = o.report.Guests[o.guest.Index()].Frag.Mean
 	res.Rounds = o.migration.Rounds
 	res.LogOverflows = o.migration.LogOverflows
 	res.Downtime = o.migration.DowntimeAccesses

@@ -100,16 +100,6 @@ func (s MigrationScenario) spec() runSpec {
 	return sp
 }
 
-// guestFrag combines host-PT fragmentation over every process of a guest.
-func guestFrag(g *vm.Guest) metrics.FragReport {
-	var frag metrics.FragReport
-	hpt := g.HostVM().PageTable()
-	for _, p := range g.Kernel().Processes() {
-		frag = metrics.Combine(frag, metrics.HostPTFragmentation(p.PageTable(), hpt))
-	}
-	return frag
-}
-
 // result reduces a finished migration run: what the move cost (copy
 // rounds, downtime) and what it preserved (fragmentation).
 func (s MigrationScenario) result(o outcome) MigrationRunResult {
@@ -118,7 +108,7 @@ func (s MigrationScenario) result(o outcome) MigrationRunResult {
 		Scenario:     s,
 		Migration:    o.migration,
 		FragBefore:   o.fragBefore,
-		FragAfter:    guestFrag(o.guest),
+		FragAfter:    o.report.Guests[o.guest.Index()].Frag,
 		PostWalk:     final.Walker.Delta(o.adopted.Walker),
 		PostAccesses: final.Accesses - o.adopted.Accesses,
 		Report:       o.report,

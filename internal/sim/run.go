@@ -123,7 +123,8 @@ type runSpec struct {
 // outcome is a finished run, handed to the scenario kind's reducer.
 type outcome struct {
 	// m is the machine the run finished on (the destination after a
-	// migration); report is its post-run observation.
+	// migration); report is its post-run observation, in which the moved
+	// guest is report.Guests[guest.Index()].
 	m      *vm.Machine
 	report vm.Report
 	// After a migration: the moved guest, the copy report, the guest's
@@ -206,7 +207,7 @@ func migrateRun(ctx context.Context, src *vm.Machine, sp runSpec) (outcome, erro
 		return outcome{}, fmt.Errorf("sim: source finished before the migration point (accesses %d)", pauseAt)
 	}
 	g := src.Guests()[0]
-	o := outcome{m: dst, guest: g, fragBefore: guestFrag(g)}
+	o := outcome{m: dst, guest: g, fragBefore: src.Observe().Guests[g.Index()].Frag}
 	opts := migrate.Options{
 		RoundAccesses:   sp.machine.scale.Accesses / 16,
 		DirtyLogEntries: sp.dirtyLogEntries,

@@ -341,7 +341,7 @@ func TestHostConfigGeometry(t *testing.T) {
 	checkHostConfigCases(t, []hostConfigCase{
 		{"3 MB LLC", withCache(func(cc *cache.Config) { cc.LLC.SizeBytes = 3 << 20 }), "Cache.LLC.SizeBytes"},
 		{"17-way L1", withCache(func(cc *cache.Config) {
-			cc.L1 = cache.LevelConfig{SizeBytes: 17 * 64 * 64, Ways: 17, Latency: 4}
+			cc.L1 = cache.LevelConfig{SizeBytes: 17 * 64 * 64, Ways: 17}
 		}), "Cache.L1.Ways"},
 		{"zero-way L2", withCache(func(cc *cache.Config) { cc.L2.Ways = 0 }), "Cache.L2.Ways"},
 		{"L1 smaller than a set", withCache(func(cc *cache.Config) { cc.L1.SizeBytes = 128 }), "Cache.L1.SizeBytes"},

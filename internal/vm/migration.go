@@ -23,20 +23,12 @@ import (
 // Callers normally use migrate.MigrateCtx rather than calling this
 // directly: the guest-physical image must be copied to the destination
 // before detach, while the source page table still describes it.
-//
-// Fails if m's counter registry was already built — the registry holds read
-// closures over the guest's live components and its name set is frozen, so
-// a machine that has started reporting cannot lose a tenant from the
-// registry's view. Build registries after migration instead.
 func (m *Machine) DetachGuest(g *Guest) error {
 	if g == nil || g.m != m {
 		return fmt.Errorf("vm: guest does not belong to this machine")
 	}
 	if !g.alive || g.migratedOut {
 		return fmt.Errorf("vm: guest %d is not alive", g.index)
-	}
-	if m.registry != nil {
-		return fmt.Errorf("vm: counter registry already built; a registered guest cannot detach")
 	}
 	m.guests[g.index] = &Guest{
 		m:           m,
@@ -73,14 +65,11 @@ func (m *Machine) DetachGuest(g *Guest) error {
 // rebound to m's cache hierarchy and the new host VM, its tasks join m's
 // schedule with vCPU pins recomputed by the same round-robin rule AddTask
 // uses, and the guest resumes exactly where the source paused it. Fails if
-// m's registry is already frozen, if hostVM is not a live VM of m's host,
-// or if the guest is not actually detached.
+// hostVM is not a live VM of m's host, or if the guest is not actually
+// detached.
 func (m *Machine) AttachGuest(g *Guest, hostVM *hostos.VM) error {
 	if g == nil || g.m != nil || g.migratedOut {
 		return fmt.Errorf("vm: guest is not detached")
-	}
-	if m.registry != nil {
-		return fmt.Errorf("vm: counter registry already built; an attached guest could not be registered")
 	}
 	owned := false
 	for _, v := range m.host.VMs() {

@@ -1,6 +1,6 @@
 // Observability for the assembled machine (DESIGN.md §8): one aggregated
 // Stats snapshot across every stat-bearing component, per-guest stats for
-// the multi-tenant host, the Report returned to the facade, and the named
+// the multi-tenant host, the Report returned by Observe, and the named
 // counter registry behind run telemetry.
 package vm
 
@@ -164,8 +164,8 @@ type Report struct {
 }
 
 // guestReport assembles one guest's post-run observation, with each
-// task's fragmentation taken from frag.
-func (g *Guest) guestReport(frag func(*Task) metrics.FragReport) GuestReport {
+// task's fragmentation taken from frags (indexed by task index).
+func (g *Guest) guestReport(frags []metrics.FragReport) GuestReport {
 	vmid := g.frozenVMID
 	if g.hostVM != nil {
 		vmid = g.hostVM.ID()
@@ -181,7 +181,7 @@ func (g *Guest) guestReport(frag func(*Task) metrics.FragReport) GuestReport {
 		r.MappedGuestPages = g.hostVM.MappedGuestPages()
 		r.HostUserFrames = g.m.host.Memory().CountOwnedVM(physmem.KindUser, g.hostVM.ID())
 		for _, t := range g.tasks {
-			r.Frag = metrics.Combine(r.Frag, frag(t))
+			r.Frag = metrics.Combine(r.Frag, frags[t.index])
 		}
 	}
 	return r
@@ -201,10 +201,9 @@ func (m *Machine) Observe() Report {
 	for _, t := range m.tasks {
 		frags[t.index] = taskFrag(t)
 	}
-	frag := func(t *Task) metrics.FragReport { return frags[t.index] }
-	rep := Report{Whole: whole, Steady: steady, Tasks: m.report(frag)}
+	rep := Report{Whole: whole, Steady: steady, Tasks: m.report(frags)}
 	for _, g := range m.guests {
-		gr := g.guestReport(frag)
+		gr := g.guestReport(frags)
 		rep.Guests = append(rep.Guests, gr)
 		if gr.Alive {
 			rep.HostFrag = metrics.Combine(rep.HostFrag, gr.Frag)
@@ -213,70 +212,62 @@ func (m *Machine) Observe() Report {
 	return rep
 }
 
-// Registry returns the machine's named counter registry, built on first
-// use. Registration order is fixed by code order here — never reordered,
-// only appended to — because it is the output order of every telemetry
-// encoding. The registry holds read closures over the components' own
-// counter fields: the hot loop keeps bumping plain struct fields, and
-// counters are only read when a snapshot is taken.
+// Registry returns a named counter registry over the machine as it stands:
+// each call builds a fresh one, so guests booted, destroyed, detached or
+// adopted since an earlier call are reflected. Registration order is fixed
+// by code order here — never reordered, only appended to — because it is
+// the output order of every telemetry encoding. The registry holds read
+// closures over the components' own counter fields: the hot loop keeps
+// bumping plain struct fields, and counters are only read when a snapshot
+// is taken.
 //
 // A single-guest machine registers the original flat names (walker.*,
 // tlb.*, guest.*, buddy.guest.*), keeping historical telemetry byte-
 // identical. With N>1 guests each guest's components get a vm<index>.
-// prefix, followed by the shared cache.* and buddy.host.* groups. The
-// name set is frozen at the first call — build the registry after any
-// mid-run guest churn (destroyed guests stay registered; their counters
-// freeze). Migrated-out placeholder slots are skipped entirely: their
-// components left with the guest, and the adopting machine registers them.
-// RegistryBuilt reports whether Registry has been called — i.e. the name
-// set is frozen. Guests can only detach from or attach to machines whose
-// registries are not yet built; the migration engine checks this up front
-// so a migration never half-completes on a frozen machine.
-func (m *Machine) RegistryBuilt() bool { return m.registry != nil }
-
+// prefix, followed by the shared cache.* and buddy.host.* groups.
+// Destroyed guests stay registered (their counters are frozen).
+// Migrated-out placeholder slots are skipped entirely: their components
+// left with the guest, and the adopting machine registers them.
 func (m *Machine) Registry() *obs.Registry {
-	if m.registry == nil {
-		r := obs.NewRegistry()
-		r.Counter("machine.accesses", func() uint64 { return m.totalAccesses })
-		if len(m.guests) == 1 && !m.guests[0].migratedOut {
-			g := m.guests[0]
-			g.walker.RegisterObs(r, "walker.")
-			g.walker.TLB().RegisterObs(r, "tlb.")
-			m.hier.RegisterObs(r, "cache.")
-			g.kernel.RegisterObs(r, "guest.")
-			g.kernel.Memory().Buddy().RegisterObs(r, "buddy.guest.")
-		} else {
-			for _, g := range m.guests {
-				if g.migratedOut {
-					continue
-				}
-				p := fmt.Sprintf("vm%d.", g.index)
-				g.walker.RegisterObs(r, p+"walker.")
-				g.walker.TLB().RegisterObs(r, p+"tlb.")
-				g.kernel.RegisterObs(r, p+"guest.")
-				g.kernel.Memory().Buddy().RegisterObs(r, p+"buddy.guest.")
+	r := obs.NewRegistry()
+	r.Counter("machine.accesses", func() uint64 { return m.totalAccesses })
+	if len(m.guests) == 1 && !m.guests[0].migratedOut {
+		g := m.guests[0]
+		g.walker.RegisterObs(r, "walker.")
+		g.walker.TLB().RegisterObs(r, "tlb.")
+		m.hier.RegisterObs(r, "cache.")
+		g.kernel.RegisterObs(r, "guest.")
+		g.kernel.Memory().Buddy().RegisterObs(r, "buddy.guest.")
+	} else {
+		for _, g := range m.guests {
+			if g.migratedOut {
+				continue
 			}
-			m.hier.RegisterObs(r, "cache.")
+			p := fmt.Sprintf("vm%d.", g.index)
+			g.walker.RegisterObs(r, p+"walker.")
+			g.walker.TLB().RegisterObs(r, p+"tlb.")
+			g.kernel.RegisterObs(r, p+"guest.")
+			g.kernel.Memory().Buddy().RegisterObs(r, p+"buddy.guest.")
 		}
-		m.host.Memory().Buddy().RegisterObs(r, "buddy.host.")
-		if m.balloon != nil {
-			// Balloon counters exist only on balloon-armed machines, so
-			// zero-pressure telemetry keeps its historical schema.
-			m.balloon.RegisterObs(r, "balloon.")
-			for _, g := range m.guests {
-				if g.migratedOut {
-					continue
-				}
-				g := g
-				p := "guest."
-				if len(m.guests) > 1 {
-					p = fmt.Sprintf("vm%d.guest.", g.index)
-				}
-				r.Counter(p+"balloon_pages", g.kernel.BalloonPages)
-				r.Counter(p+"balloon_target", g.kernel.BalloonTarget)
-			}
-		}
-		m.registry = r
+		m.hier.RegisterObs(r, "cache.")
 	}
-	return m.registry
+	m.host.Memory().Buddy().RegisterObs(r, "buddy.host.")
+	if m.balloon != nil {
+		// Balloon counters exist only on balloon-armed machines, so
+		// zero-pressure telemetry keeps its historical schema.
+		m.balloon.RegisterObs(r, "balloon.")
+		for _, g := range m.guests {
+			if g.migratedOut {
+				continue
+			}
+			g := g
+			p := "guest."
+			if len(m.guests) > 1 {
+				p = fmt.Sprintf("vm%d.guest.", g.index)
+			}
+			r.Counter(p+"balloon_pages", g.kernel.BalloonPages)
+			r.Counter(p+"balloon_target", g.kernel.BalloonTarget)
+		}
+	}
+	return r
 }

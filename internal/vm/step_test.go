@@ -111,7 +111,7 @@ func TestQuantumKeepsSoloRunIdentical(t *testing.T) {
 		if err := m.RunWith(context.Background()); err != nil {
 			t.Fatalf("quantum %d: %v", q, err)
 		}
-		return m.Report(), m.Snapshot()
+		return m.Observe().Tasks, m.Snapshot()
 	}
 	wantRep, wantSnap := run(1)
 	if r := wantRep[0]; r.SteadyAccesses == 0 || r.SteadyAccesses == r.Accesses {

@@ -27,7 +27,6 @@ import (
 	"ptemagnet/internal/hostos"
 	"ptemagnet/internal/metrics"
 	"ptemagnet/internal/nested"
-	"ptemagnet/internal/obs"
 	"ptemagnet/internal/workload"
 )
 
@@ -437,9 +436,6 @@ type Machine struct {
 	// lifetime, so a paused-and-resumed run schedules exactly the quanta an
 	// uninterrupted run would.
 	corunnersStopped bool
-
-	// registry is the named counter view, built lazily by Registry.
-	registry *obs.Registry
 }
 
 // NewHost builds a multi-tenant machine: the shared host plus one guest
@@ -561,9 +557,6 @@ func (m *Machine) InstallFaultPlan(p *faults.Plan) {
 		g.hostVM.SetDirtyLogInjector(p)
 	}
 }
-
-// FaultPlan returns the installed fault plan (nil when none is armed).
-func (m *Machine) FaultPlan() *faults.Plan { return m.faultPlan }
 
 // Balloon returns the armed overcommit pressure controller, or nil on a
 // balloon-free machine.
@@ -994,9 +987,6 @@ type TaskReport struct {
 	Frag metrics.FragReport
 }
 
-// Report assembles the post-run measurements for every primary task.
-func (m *Machine) Report() []TaskReport { return m.report(taskFrag) }
-
 // taskFrag computes the host-PT fragmentation of t's process. A destroyed
 // guest's host page table is gone; its tasks keep their cycle totals but
 // report zero-valued fragmentation.
@@ -1007,8 +997,9 @@ func taskFrag(t *Task) metrics.FragReport {
 	return metrics.HostPTFragmentation(t.proc.PageTable(), t.guest.hostVM.PageTable())
 }
 
-// report is Report with each task's fragmentation taken from frag.
-func (m *Machine) report(frag func(*Task) metrics.FragReport) []TaskReport {
+// report assembles the post-run measurements for every primary task, with
+// each task's fragmentation taken from frags (indexed by task index).
+func (m *Machine) report(frags []metrics.FragReport) []TaskReport {
 	var out []TaskReport
 	for _, t := range m.tasks {
 		if t.role != RolePrimary {
@@ -1024,7 +1015,7 @@ func (m *Machine) report(frag func(*Task) metrics.FragReport) []TaskReport {
 			FaultCycles:       t.FaultCycles,
 			Accesses:          t.Accesses,
 			DataServed:        t.DataServed,
-			Frag:              frag(t),
+			Frag:              frags[t.index],
 		}
 		snap := t.initSnapshot
 		if !t.initSeen {

@@ -47,7 +47,7 @@ func TestRunSoloBenchmark(t *testing.T) {
 		t.Errorf("cycle components %d+%d+%d+%d != total %d",
 			task.WorkCycles, task.DataCycles, task.TranslationCycles, task.FaultCycles, task.Cycles)
 	}
-	reports := m.Report()
+	reports := m.Observe().Tasks
 	if len(reports) != 1 || reports[0].Name != "pagerank" {
 		t.Fatalf("reports = %+v", reports)
 	}
@@ -123,7 +123,7 @@ func TestMagnetEliminatesFragmentationUnderColocation(t *testing.T) {
 		if err := m.RunWith(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return m.Report()[0].Frag.Mean
+		return m.Observe().Tasks[0].Frag.Mean
 	}
 	def := run(guestos.PolicyDefault)
 	mag := run(guestos.PolicyPTEMagnet)
@@ -153,7 +153,7 @@ func TestMagnetImprovesColocatedPerformance(t *testing.T) {
 		if err := m.RunWith(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return m.Report()[0].SteadyCycles
+		return m.Observe().Tasks[0].SteadyCycles
 	}
 	def := run(guestos.PolicyDefault)
 	mag := run(guestos.PolicyPTEMagnet)

@@ -71,7 +71,7 @@ func TestMachineFacadeSmoke(t *testing.T) {
 	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Report()) != 1 {
+	if len(m.Observe().Tasks) != 1 {
 		t.Fatal("no report")
 	}
 }
