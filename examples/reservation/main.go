@@ -21,7 +21,7 @@ func main() {
 	}
 	mem := physmem.New(64 << 20) // 64MB of simulated guest-physical memory
 	alloc := func() (ptemagnet.PhysAddr, bool) {
-		return mem.AllocGroup(ptemagnet.GroupPages, physmem.KindReserved, physmem.Own(0, 1))
+		return mem.AllocGroup(ptemagnet.GroupPages, physmem.KindReserved)
 	}
 
 	// --- First fault to a 32KB group reserves the whole group. ---------

@@ -33,7 +33,7 @@ func newRig(t *testing.T, hostBytes, guestBytes, touchBytes uint64, n int, back 
 		if err != nil {
 			t.Fatal(err)
 		}
-		gk := guestos.NewKernel(guestos.Config{MemBytes: guestBytes, Policy: guestos.PolicyDefault, Seed: 1, VMID: vm.ID()})
+		gk := guestos.NewKernel(guestos.Config{MemBytes: guestBytes, Policy: guestos.PolicyDefault, Seed: 1})
 		p, err := gk.Spawn("w", guestBytes)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func drainHost(t *testing.T, host *hostos.Kernel, keepFree uint64) []arch.PhysAd
 	t.Helper()
 	var held []arch.PhysAddr
 	for host.Memory().FreeFrames() > keepFree {
-		pa, ok := host.Memory().AllocFrame(physmem.KindUser, physmem.Own(0, 0))
+		pa, ok := host.Memory().AllocFrame(physmem.KindUser)
 		if !ok {
 			t.Fatal("host drain allocation failed")
 		}

@@ -13,7 +13,7 @@ import (
 // testAlloc builds an alloc callback over a physmem backing.
 func testAlloc(mem *physmem.Memory, groupPages int) func() (arch.PhysAddr, bool) {
 	return func() (arch.PhysAddr, bool) {
-		return mem.AllocGroup(groupPages, physmem.KindReserved, physmem.Own(0, 1))
+		return mem.AllocGroup(groupPages, physmem.KindReserved)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestSubsequentFaultsHitReservation(t *testing.T) {
 	calls := 0
 	countingAlloc := func() (arch.PhysAddr, bool) {
 		calls++
-		return mem.AllocGroup(8, physmem.KindReserved, physmem.Own(0, 1))
+		return mem.AllocGroup(8, physmem.KindReserved)
 	}
 	for i := 1; i < 8; i++ {
 		pa, res := p.HandleFault(base+arch.VirtAddr(i*arch.PageSize), countingAlloc)
@@ -401,7 +401,7 @@ func TestConcurrentFaultsOneGroupPerThreadSafe(t *testing.T) {
 		alloc := func() (arch.PhysAddr, bool) {
 			mu.Lock()
 			defer mu.Unlock()
-			return mem.AllocGroup(8, physmem.KindReserved, physmem.Own(0, 1))
+			return mem.AllocGroup(8, physmem.KindReserved)
 		}
 		const groups = 32
 		results := make([][]arch.PhysAddr, groups)
@@ -517,7 +517,7 @@ func TestConcurrentFaultsFreesAndReclaim(t *testing.T) {
 		alloc := func() (arch.PhysAddr, bool) {
 			memMu.Lock()
 			defer memMu.Unlock()
-			return mem.AllocGroup(8, physmem.KindReserved, physmem.Own(0, 1))
+			return mem.AllocGroup(8, physmem.KindReserved)
 		}
 		release := func(pa arch.PhysAddr) {
 			memMu.Lock()

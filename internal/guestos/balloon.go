@@ -94,7 +94,7 @@ func (k *Kernel) balloonAlloc() (arch.PhysAddr, bool) {
 	if k.mem.FreeFrames() <= balloonReserveFrames {
 		return arch.NoPhysAddr, false
 	}
-	return k.mem.AllocFrame(physmem.KindBalloon, k.own(0))
+	return k.mem.AllocFrame(physmem.KindBalloon)
 }
 
 // inflateOnePage produces one frame for the balloon, escalating from

@@ -184,7 +184,7 @@ func TestBalloonWatermarkBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k.Memory().UsedFrames() < padTo {
-			if _, ok := k.Memory().AllocFrame(physmem.KindUser, k.own(0)); !ok {
+			if _, ok := k.Memory().AllocFrame(physmem.KindUser); !ok {
 				t.Fatal("pad allocation failed")
 			}
 		}

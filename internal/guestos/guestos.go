@@ -107,11 +107,6 @@ type Config struct {
 	// PTLevels selects the guest page-table depth: 4 (default) or 5
 	// (LA57 five-level paging, the §2.5 migration).
 	PTLevels int
-	// VMID is the host-side id of the VM this kernel runs in. It only
-	// tags frame ownership — (VM, process) attribution on a multi-tenant
-	// host — and never changes allocation behaviour. Zero is fine for a
-	// standalone kernel.
-	VMID int
 }
 
 // FaultKind classifies how a page fault was satisfied, for cost accounting.
@@ -299,9 +294,6 @@ func NewKernel(cfg Config) *Kernel {
 // Memory exposes guest-physical memory for inspection.
 func (k *Kernel) Memory() *physmem.Memory { return k.mem }
 
-// own tags a frame owner as (this kernel's VM, pid).
-func (k *Kernel) own(pid int) physmem.Owner { return physmem.Own(k.cfg.VMID, pid) }
-
 // Config returns the kernel configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 
@@ -343,7 +335,7 @@ func (k *Kernel) Spawn(name string, memLimit uint64) (*Process, error) {
 		return nil, fmt.Errorf("guestos: spawn %q: %w (pid %d)", name, ErrPIDSpace, pid)
 	}
 	k.next++
-	pt, err := pagetable.NewWithLevels(k.mem, k.own(pid), k.cfg.PTLevels)
+	pt, err := pagetable.NewWithLevels(k.mem, k.cfg.PTLevels)
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +458,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 	// §4.4 fork path: consult the parent's reservation map first.
 	if p.parent != nil && p.parent.alive && p.parent.part != nil {
 		if pa, ok := p.parent.part.ClaimFromParent(page); ok {
-			k.mem.SetKind(pa, physmem.KindUser, k.own(p.pid))
+			k.mem.SetKind(pa, physmem.KindUser)
 			if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
 				return 0, err
 			}
@@ -503,7 +495,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 		}
 	}
 
-	pa, ok := k.allocUserFrame(p.pid)
+	pa, ok := k.allocUserFrame()
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
@@ -523,7 +515,7 @@ func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	part := p.part
 	pages := part.Config().GroupPages
 	allocGroup := func() (arch.PhysAddr, bool) {
-		return k.mem.AllocGroup(pages, physmem.KindReserved, k.own(p.pid))
+		return k.mem.AllocGroup(pages, physmem.KindReserved)
 	}
 	// A reservation is only created for a group with no prior mappings; if
 	// the group was partially populated through another path (reclaim
@@ -551,7 +543,7 @@ func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	if res == core.FaultNoMemory || res == core.FaultClaimed {
 		return 0, false, nil
 	}
-	k.mem.SetKind(pa, physmem.KindUser, k.own(p.pid))
+	k.mem.SetKind(pa, physmem.KindUser)
 	if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
 		return 0, true, err
 	}
@@ -573,7 +565,7 @@ func (p *Process) caPlacement(page arch.VirtAddr) (arch.PhysAddr, bool) {
 	k := p.kernel
 	if prev, _, ok := p.pt.Translate(page - arch.PageSize); ok {
 		want := prev.PageBase() + arch.PageSize
-		if k.mem.AllocFrameAt(want, physmem.KindUser, k.own(p.pid)) {
+		if k.mem.AllocFrameAt(want, physmem.KindUser) {
 			return want, true
 		}
 	}
@@ -581,7 +573,7 @@ func (p *Process) caPlacement(page arch.VirtAddr) (arch.PhysAddr, bool) {
 		base := next.PageBase()
 		if base >= arch.PageSize {
 			want := base - arch.PageSize
-			if k.mem.AllocFrameAt(want, physmem.KindUser, k.own(p.pid)) {
+			if k.mem.AllocFrameAt(want, physmem.KindUser) {
 				return want, true
 			}
 		}
@@ -604,7 +596,7 @@ func (p *Process) thpFault(page arch.VirtAddr) (FaultKind, bool, error) {
 		return 0, false, nil
 	}
 	k.stats.BuddyCalls++
-	pa, ok := k.mem.AllocGroup(hugePages, physmem.KindUser, k.own(p.pid))
+	pa, ok := k.mem.AllocGroup(hugePages, physmem.KindUser)
 	if !ok {
 		return 0, false, nil
 	}
@@ -636,12 +628,12 @@ func (p *Process) demoteIfLarge(va arch.VirtAddr) (bool, error) {
 // here: the physmem empty-pool hook (deflateOnOOM) already fires inside
 // AllocFrame, so a host-inflated balloon can never starve the guest's own
 // allocations while it still holds frames it could give back.
-func (k *Kernel) allocUserFrame(pid int) (arch.PhysAddr, bool) {
+func (k *Kernel) allocUserFrame() (arch.PhysAddr, bool) {
 	k.stats.BuddyCalls++
-	pa, ok := k.mem.AllocFrame(physmem.KindUser, k.own(pid))
+	pa, ok := k.mem.AllocFrame(physmem.KindUser)
 	if !ok {
 		k.runReclaim()
-		pa, ok = k.mem.AllocFrame(physmem.KindUser, k.own(pid))
+		pa, ok = k.mem.AllocFrame(physmem.KindUser)
 	}
 	if ok {
 		k.checkPressure()
@@ -658,7 +650,7 @@ func (p *Process) copyOnWrite(page arch.VirtAddr, oldPA arch.PhysAddr) (FaultKin
 		k.stats.Faults[FaultCOW]++
 		return FaultCOW, nil
 	}
-	newPA, ok := k.allocUserFrame(p.pid)
+	newPA, ok := k.allocUserFrame()
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
@@ -753,9 +745,9 @@ func (p *Process) freePage(page arch.VirtAddr) {
 		})
 		if handled {
 			// If the group is still alive the freed frame goes back to
-			// reserved state under kernel ownership.
+			// reserved state, held by the reservation.
 			if !dissolved {
-				k.mem.SetKind(pa, physmem.KindReserved, k.own(p.pid))
+				k.mem.SetKind(pa, physmem.KindReserved)
 			}
 			return
 		}

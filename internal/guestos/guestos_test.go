@@ -103,7 +103,7 @@ func TestMagnetFaultReservesGroup(t *testing.T) {
 	if got := k.Memory().CountKind(physmem.KindReserved); got != 7 {
 		t.Errorf("reserved frames = %d, want 7", got)
 	}
-	if got := k.Memory().CountOwned(physmem.KindUser, physmem.Own(0, p.PID())); got != 1 {
+	if got := k.Memory().CountKind(physmem.KindUser); got != 1 {
 		t.Errorf("user frames = %d, want 1", got)
 	}
 	// Remaining group pages are reservation hits, physically contiguous.
@@ -347,7 +347,7 @@ func TestFailedGroupAllocReclaimsOutsideThePaRT(t *testing.T) {
 	// Take every free frame: memory sits above the watermark with no free
 	// group, so the next group's allocation fails and triggers reclaim.
 	for {
-		if _, ok := k.Memory().AllocFrame(physmem.KindKernel, physmem.NoOwner); !ok {
+		if _, ok := k.Memory().AllocFrame(physmem.KindKernel); !ok {
 			break
 		}
 	}

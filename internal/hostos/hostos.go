@@ -167,7 +167,7 @@ func (k *Kernel) CreateVMWithLevels(guestMemBytes uint64, levels int) (*VM, erro
 		return nil, fmt.Errorf("hostos: bad guest memory size %d", guestMemBytes)
 	}
 	id := k.nextID + 1
-	pt, err := pagetable.NewWithLevels(k.mem, physmem.VMOwner(id), levels)
+	pt, err := pagetable.NewWithLevels(k.mem, levels)
 	if err != nil {
 		return nil, err
 	}
@@ -258,20 +258,18 @@ func (vm *VM) HandleFault(gpa arch.PhysAddr) error {
 // backPage allocates one host frame and maps it at page, taking the
 // reliever's balloon-then-retry path when either the frame or a
 // page-table node allocation fails. isFault selects whether the mapping
-// counts as an EPT violation.
+// counts as an EPT violation; a failed one frees its frame and counts
+// nothing.
 func (vm *VM) backPage(page arch.VirtAddr, isFault bool) error {
 	k := vm.kernel
 	var summary string
-	hpa, ok := k.mem.AllocFrame(physmem.KindUser, physmem.VMOwner(vm.id))
+	hpa, ok := k.mem.AllocFrame(physmem.KindUser)
 	if !ok && k.reliever != nil {
 		summary, _ = k.reliever.RelieveFor(vm.id, 1)
-		hpa, ok = k.mem.AllocFrame(physmem.KindUser, physmem.VMOwner(vm.id))
+		hpa, ok = k.mem.AllocFrame(physmem.KindUser)
 	}
 	if !ok {
 		return &OOMError{VM: vm.id, NeedPages: 1, Balloon: summary}
-	}
-	if isFault {
-		vm.faults++
 	}
 	err := vm.pt.Map(page, hpa, pagetable.FlagWritable)
 	if err != nil && errors.Is(err, pagetable.ErrNoMemory) && k.reliever != nil {
@@ -285,12 +283,16 @@ func (vm *VM) backPage(page arch.VirtAddr, isFault bool) error {
 		}
 	}
 	if err != nil {
+		k.mem.FreeBlock(hpa)
 		// Node-allocation exhaustion is host OOM too: wrap it so callers
 		// see one taxonomy root instead of a bare pagetable error.
 		if errors.Is(err, pagetable.ErrNoMemory) {
 			return &OOMError{VM: vm.id, NeedPages: 1, Err: err, Balloon: summary}
 		}
 		return err
+	}
+	if isFault {
+		vm.faults++
 	}
 	return nil
 }

@@ -71,6 +71,31 @@ func TestHostOOM(t *testing.T) {
 	}
 }
 
+// TestFailedFaultFreesItsFrame pins the node-allocation failure of a host
+// fault: the data frame it took goes back, and no EPT violation is counted
+// for a page that was never mapped.
+func TestFailedFaultFreesItsFrame(t *testing.T) {
+	k := NewKernel(64 << 10)
+	vm, err := k.CreateVM(2 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k.Memory().FreeFrames() > 1 {
+		if _, ok := k.Memory().AllocFrame(physmem.KindKernel); !ok {
+			t.Fatal("fill allocation failed")
+		}
+	}
+	if err := vm.HandleFault(0x100000); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if got := k.Memory().FreeFrames(); got != 1 {
+		t.Errorf("free frames after the failed fault = %d, want 1", got)
+	}
+	if vm.Faults() != 0 || vm.MappedGuestPages() != 0 {
+		t.Errorf("faults=%d mapped=%d, want 0, 0", vm.Faults(), vm.MappedGuestPages())
+	}
+}
+
 func TestScatteredGPAsScatterHostPTEs(t *testing.T) {
 	// The §3.1 carry-over: contiguous guest-physical pages get adjacent
 	// host leaf PTEs; scattered ones do not.
@@ -176,13 +201,12 @@ func TestPerVMFaultCounters(t *testing.T) {
 	if a.Faults() != 5 || b.Faults() != 3 {
 		t.Errorf("faults = %d,%d, want 5,3", a.Faults(), b.Faults())
 	}
-	// Frame ownership is attributed per VM.
-	mem := k.Memory()
-	if got := mem.CountOwnedVM(physmem.KindUser, a.ID()); got != 5 {
-		t.Errorf("vm %d owns %d user frames, want 5", a.ID(), got)
+	// Each VM's frames are the pages its host page table maps.
+	if a.MappedGuestPages() != 5 || b.MappedGuestPages() != 3 {
+		t.Errorf("mapped = %d,%d, want 5,3", a.MappedGuestPages(), b.MappedGuestPages())
 	}
-	if got := mem.CountOwnedVM(physmem.KindUser, b.ID()); got != 3 {
-		t.Errorf("vm %d owns %d user frames, want 3", b.ID(), got)
+	if got := k.Memory().CountKind(physmem.KindUser); got != 8 {
+		t.Errorf("host holds %d user frames, want 8", got)
 	}
 }
 
@@ -233,11 +257,11 @@ func TestDestroyVMReturnsFrames(t *testing.T) {
 	if got := k.Memory().FreeFrames(); got != free0 {
 		t.Errorf("free frames after teardown = %d, want %d (all frames returned)", got, free0)
 	}
-	if got := k.Memory().CountOwnedVM(physmem.KindUser, vm.ID()); got != 0 {
-		t.Errorf("vm still owns %d user frames after teardown", got)
+	if got := k.Memory().CountKind(physmem.KindUser); got != 0 {
+		t.Errorf("host still holds %d user frames after teardown", got)
 	}
 	// Coalescing: a max-order block must be allocatable again.
-	if _, ok := k.Memory().AllocOrder(3, physmem.KindUser, physmem.VMOwner(99)); !ok {
+	if _, ok := k.Memory().AllocOrder(3, physmem.KindUser); !ok {
 		t.Error("order-3 allocation failed after teardown (no coalescing)")
 	}
 	// Double-destroy is a no-op.

@@ -37,7 +37,7 @@ func exhaust(t *testing.T, k *Kernel) []arch.PhysAddr {
 	t.Helper()
 	var held []arch.PhysAddr
 	for {
-		pa, ok := k.mem.AllocFrame(physmem.KindUser, physmem.Own(0, 0))
+		pa, ok := k.mem.AllocFrame(physmem.KindUser)
 		if !ok {
 			return held
 		}

@@ -15,11 +15,11 @@ func buildTables(t *testing.T, pages int, layout func(i int) arch.PhysAddr) (*pa
 	t.Helper()
 	gmem := physmem.New(64 << 20)
 	hmem := physmem.New(64 << 20)
-	gpt, err := pagetable.New(gmem, physmem.Own(0, 1))
+	gpt, err := pagetable.New(gmem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpt, err := pagetable.New(hmem, physmem.Own(0, 1))
+	hpt, err := pagetable.New(hmem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestFragmentationMisalignedContiguity(t *testing.T) {
 func TestFragmentationSkipsHostUnbacked(t *testing.T) {
 	gmem := physmem.New(64 << 20)
 	hmem := physmem.New(64 << 20)
-	gpt, _ := pagetable.New(gmem, physmem.Own(0, 1))
-	hpt, _ := pagetable.New(hmem, physmem.Own(0, 1))
+	gpt, _ := pagetable.New(gmem)
+	hpt, _ := pagetable.New(hmem)
 	base := arch.VirtAddr(0x7f0000000000)
 	for i := 0; i < 8; i++ {
 		gpt.Map(base+arch.VirtAddr(i*arch.PageSize), arch.PhysAddr(0x400000+i*arch.PageSize), 0)

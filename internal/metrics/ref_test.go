@@ -75,10 +75,10 @@ var fuzzRegions = [4]arch.VirtAddr{0, 0x200000, 0x40000000, 0x7f0000000000}
 func fuzzTables(t *testing.T, ops []byte) (gpt, hpt *pagetable.Table) {
 	t.Helper()
 	var err error
-	if gpt, err = pagetable.New(physmem.New(1<<20), physmem.Own(0, 1)); err != nil {
+	if gpt, err = pagetable.New(physmem.New(1 << 20)); err != nil {
 		t.Fatal(err)
 	}
-	if hpt, err = pagetable.New(physmem.New(1<<20), physmem.VMOwner(1)); err != nil {
+	if hpt, err = pagetable.New(physmem.New(1 << 20)); err != nil {
 		t.Fatal(err)
 	}
 	hostFrame := func(gpa arch.PhysAddr) arch.PhysAddr { return gpa + 0x40000000 }

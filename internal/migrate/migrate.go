@@ -319,8 +319,8 @@ func MigrateCtx(ctx context.Context, src *vm.Guest, dst *vm.Machine, opts Option
 	srcVM.DisableDirtyLogging()
 
 	// Hand-off: detach from the source (frames coalesce back into the
-	// source buddy — the physmem owner transfer), adopt on the destination
-	// (the walker rebind flushes every TLB and walk-cache dimension).
+	// source buddy), adopt on the destination (the walker rebind flushes
+	// every TLB and walk-cache dimension).
 	if err := srcM.DetachGuest(src); err != nil {
 		abort()
 		return fail("handoff", rep.Rounds, err)

@@ -375,9 +375,7 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 		return w.guestFault(cycles)
 	}
 	if write && flags&pagetable.FlagWritable == 0 {
-		w.stats.GuestFaults++
-		w.stats.WalkCycles += cycles
-		return Outcome{GuestFault: true, Cycles: cycles}
+		return w.guestFault(cycles)
 	}
 	if startLevel != 1 && leafNode != arch.NoPhysAddr {
 		w.gpwc.Insert(asid, pwcKey(uint64(va)), leafNode)
@@ -409,8 +407,9 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 	return Outcome{HPA: hpa, Ok: true, Cycles: cycles}
 }
 
-// guestFault ends a walk that found no present mapping for va: the caller
-// runs the guest fault handler and retries.
+// guestFault ends a walk that found no present mapping for va, or a
+// read-only one for a write: the caller runs the guest fault handler and
+// retries.
 func (w *Walker) guestFault(cycles uint64) Outcome {
 	w.stats.GuestFaults++
 	w.stats.WalkCycles += cycles
@@ -477,6 +476,14 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 // TLB. The guest kernel's unmap/COW paths call this, mirroring INVLPG.
 func (w *Walker) InvalidatePage(asid uint32, va arch.VirtAddr) {
 	w.tlb.InvalidatePage(asid, va.PageNumber())
+}
+
+// InvalidateGuestPWC drops the guest page-walk-cache entry for va's 2MB
+// region. A THP fault calls it: the region's new large mapping freed the
+// empty leaf node an earlier 4KB walk may have cached, so a walk starting
+// there would read a node the table no longer has.
+func (w *Walker) InvalidateGuestPWC(asid uint32, va arch.VirtAddr) {
+	w.gpwc.InvalidatePage(asid, pwcKey(uint64(va)))
 }
 
 // InvalidateGPA drops the nested-TLB translation for gpa's frame. The

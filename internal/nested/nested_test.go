@@ -30,7 +30,7 @@ func newRig(t testing.TB, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	guestMem := physmem.New(64 << 20)
-	gpt, err := pagetable.New(guestMem, physmem.Own(0, 1))
+	gpt, err := pagetable.New(guestMem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +222,26 @@ func TestWriteToReadOnlyFaults(t *testing.T) {
 	}
 }
 
+// TestReadOnlyWriteWalkIsBucketed pins that a walk ending in the
+// write-permission fault lands in the latency histogram like every other
+// walk, so walk_hist sums to walks.
+func TestReadOnlyWriteWalkIsBucketed(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	va := arch.VirtAddr(0x7f0000000000)
+	r.mapGuest(t, va, 0x100000, pagetable.FlagCOW)
+	if out := r.w.Translate(0, 1, r.gpt, va, true); !out.GuestFault {
+		t.Fatalf("write to COW page: %+v, want guest fault", out)
+	}
+	s := r.w.Snapshot()
+	var total uint64
+	for _, c := range s.WalkHist {
+		total += c
+	}
+	if s.Walks != 1 || s.GuestFaults != 1 || total != 1 {
+		t.Errorf("walks=%d guest faults=%d histogram total=%d, want 1, 1, 1", s.Walks, s.GuestFaults, total)
+	}
+}
+
 func TestWriteHittingReadOnlyTLBEntryFaults(t *testing.T) {
 	// A read first installs a read-only TLB entry; a subsequent write
 	// must not silently succeed through the TLB.
@@ -242,7 +262,7 @@ func TestASIDIsolationInWalker(t *testing.T) {
 	r.w.Translate(0, 1, r.gpt, va, false)
 	// A different ASID with a different (empty) table must not hit the
 	// first process's TLB entry.
-	gpt2, err := pagetable.New(r.guestMem, physmem.Own(0, 2))
+	gpt2, err := pagetable.New(r.guestMem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +382,7 @@ func TestContiguityReducesHostPTEFootprint(t *testing.T) {
 		host := hostos.NewKernel(256 << 20)
 		vm, _ := host.CreateVM(64 << 20)
 		guestMem := physmem.New(64 << 20)
-		gpt, _ := pagetable.New(guestMem, physmem.Own(0, 1))
+		gpt, _ := pagetable.New(guestMem)
 		hier := cache.NewHierarchy(cache.DefaultConfig(1))
 		w := New(tinyTLBConfig(), hier, vm)
 		base := arch.VirtAddr(0x7f0000000000)
@@ -418,7 +438,7 @@ func BenchmarkTranslateTLBHit(b *testing.B) {
 	host := hostos.NewKernel(256 << 20)
 	vm, _ := host.CreateVM(64 << 20)
 	guestMem := physmem.New(64 << 20)
-	gpt, _ := pagetable.New(guestMem, physmem.Own(0, 1))
+	gpt, _ := pagetable.New(guestMem)
 	hier := cache.NewHierarchy(cache.DefaultConfig(1))
 	w := New(DefaultConfig(), hier, vm)
 	gpt.Map(0x1000, 0x100000, pagetable.FlagWritable)
@@ -433,7 +453,7 @@ func BenchmarkTranslateWalk(b *testing.B) {
 	host := hostos.NewKernel(512 << 20)
 	vm, _ := host.CreateVM(256 << 20)
 	guestMem := physmem.New(256 << 20)
-	gpt, _ := pagetable.New(guestMem, physmem.Own(0, 1))
+	gpt, _ := pagetable.New(guestMem)
 	hier := cache.NewHierarchy(cache.DefaultConfig(1))
 	cfg := DefaultConfig()
 	cfg.TLB = tlb.TwoLevelConfig{L1: tlb.Config{Entries: 2, Ways: 2}, L2: tlb.Config{Entries: 2, Ways: 2}}

@@ -10,7 +10,7 @@ import (
 func largeTable(t *testing.T) (*Table, *physmem.Memory) {
 	t.Helper()
 	mem := physmem.New(64 << 20)
-	tbl, err := New(mem, physmem.Own(0, 1))
+	tbl, err := New(mem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestDescentMatchesModel(t *testing.T) {
 			if levels == 5 {
 				regions = append(regions, 0x1ab7f0000000000)
 			}
-			tbl, err := NewWithLevels(physmem.New(16<<20), physmem.Own(0, 1), levels)
+			tbl, err := NewWithLevels(physmem.New(16<<20), levels)
 			if err != nil {
 				t.Fatal(err)
 			}

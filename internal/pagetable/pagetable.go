@@ -100,7 +100,6 @@ type Access struct {
 // Table is one process's (or one VM's) page table.
 type Table struct {
 	mem    *physmem.Memory
-	owner  physmem.Owner
 	levels int
 	root   arch.PhysAddr
 	// slot maps a frame number to 1 + the index in nodes of the node that
@@ -118,20 +117,20 @@ type Table struct {
 }
 
 // New allocates a four-level page table with an empty root node in mem,
-// with its node frames tagged as page-table memory owned by owner.
-func New(mem *physmem.Memory, owner physmem.Owner) (*Table, error) {
-	return NewWithLevels(mem, owner, arch.PTLevels)
+// with its node frames tagged as page-table memory.
+func New(mem *physmem.Memory) (*Table, error) {
+	return NewWithLevels(mem, arch.PTLevels)
 }
 
 // NewWithLevels allocates a page table with the given radix depth: 4
 // (x86-64 four-level paging, 48-bit VAs) or 5 (LA57 five-level paging,
 // 57-bit VAs — the migration the paper's §2.5 anticipates, which lengthens
 // every dimension of a nested walk).
-func NewWithLevels(mem *physmem.Memory, owner physmem.Owner, levels int) (*Table, error) {
+func NewWithLevels(mem *physmem.Memory, levels int) (*Table, error) {
 	if levels != 4 && levels != 5 {
 		return nil, fmt.Errorf("pagetable: unsupported depth %d (want 4 or 5)", levels)
 	}
-	t := &Table{mem: mem, owner: owner, levels: levels, slot: make([]uint32, mem.NumFrames())}
+	t := &Table{mem: mem, levels: levels, slot: make([]uint32, mem.NumFrames())}
 	root, err := t.allocNode()
 	if err != nil {
 		return nil, err
@@ -153,9 +152,9 @@ func (t *Table) NodeCount() int { return len(t.nodes) }
 func (t *Table) MappedPages() uint64 { return t.mapped }
 
 func (t *Table) allocNode() (arch.PhysAddr, error) {
-	pa, ok := t.mem.AllocFrame(physmem.KindPageTable, t.owner)
+	pa, ok := t.mem.AllocFrame(physmem.KindPageTable)
 	if !ok {
-		return arch.NoPhysAddr, fmt.Errorf("%w (owner %v)", ErrNoMemory, t.owner)
+		return arch.NoPhysAddr, ErrNoMemory
 	}
 	t.nodes = append(t.nodes, &node{pa: pa})
 	t.slot[pa.FrameNumber()] = uint32(len(t.nodes))

@@ -12,7 +12,7 @@ import (
 func newTable(t *testing.T) (*Table, *physmem.Memory) {
 	t.Helper()
 	mem := physmem.New(16 << 20) // 16MB
-	tbl, err := New(mem, physmem.Own(0, 1))
+	tbl, err := New(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestForEachMappedEarlyStop(t *testing.T) {
 
 func TestDestroyReleasesNodes(t *testing.T) {
 	mem := physmem.New(16 << 20)
-	tbl, err := New(mem, physmem.Own(0, 1))
+	tbl, err := New(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,12 +291,11 @@ func TestDestroyReleasesNodes(t *testing.T) {
 // frames in descending address order, and Destroy must leave the
 // allocator as freeing those frames by hand in ascending order does.
 func TestDestroyFreesInAscendingFrameOrder(t *testing.T) {
-	owner := physmem.Own(0, 1)
 	build := func() (*physmem.Memory, *Table, []arch.PhysAddr) {
 		mem := physmem.New(16 << 20)
 		var frames []arch.PhysAddr
 		for i := 0; i < 32; i++ {
-			pa, ok := mem.AllocFrame(physmem.KindUser, owner)
+			pa, ok := mem.AllocFrame(physmem.KindUser)
 			if !ok {
 				t.Fatal("out of memory")
 			}
@@ -307,7 +306,7 @@ func TestDestroyFreesInAscendingFrameOrder(t *testing.T) {
 		for i := 0; i < len(frames); i += 2 {
 			mem.FreeBlock(frames[i])
 		}
-		tbl, err := New(mem, owner)
+		tbl, err := New(mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,8 +333,8 @@ func TestDestroyFreesInAscendingFrameOrder(t *testing.T) {
 		ref.FreeBlock(pa)
 	}
 	for i := 0; i < 2*len(nodes); i++ {
-		got, _ := mem.AllocFrame(physmem.KindUser, owner)
-		want, _ := ref.AllocFrame(physmem.KindUser, owner)
+		got, _ := mem.AllocFrame(physmem.KindUser)
+		want, _ := ref.AllocFrame(physmem.KindUser)
 		if got != want {
 			t.Fatalf("allocation %d after Destroy got %#x, after ascending frees %#x", i, got, want)
 		}
@@ -344,13 +343,13 @@ func TestDestroyFreesInAscendingFrameOrder(t *testing.T) {
 
 func TestMapFailsWhenMemoryExhausted(t *testing.T) {
 	mem := physmem.New(8 * arch.PageSize)
-	tbl, err := New(mem, physmem.Own(0, 1))
+	tbl, err := New(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Consume everything.
 	for {
-		if _, ok := mem.AllocFrame(physmem.KindUser, physmem.Own(0, 1)); !ok {
+		if _, ok := mem.AllocFrame(physmem.KindUser); !ok {
 			break
 		}
 	}
@@ -363,7 +362,7 @@ func TestMapFailsWhenMemoryExhausted(t *testing.T) {
 // page-aligned PAs.
 func TestQuickMapTranslate(t *testing.T) {
 	mem := physmem.New(64 << 20)
-	tbl, err := New(mem, physmem.Own(0, 1))
+	tbl, err := New(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +391,7 @@ func TestQuickMapTranslate(t *testing.T) {
 
 func BenchmarkMap(b *testing.B) {
 	mem := physmem.New(256 << 20)
-	tbl, _ := New(mem, physmem.Own(0, 1))
+	tbl, _ := New(mem)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := arch.VirtAddr(uint64(i%1_000_000) << arch.PageShift)
@@ -404,7 +403,7 @@ func BenchmarkMap(b *testing.B) {
 
 func BenchmarkWalk(b *testing.B) {
 	mem := physmem.New(64 << 20)
-	tbl, _ := New(mem, physmem.Own(0, 1))
+	tbl, _ := New(mem)
 	for i := 0; i < 1024; i++ {
 		tbl.Map(arch.VirtAddr(i)<<arch.PageShift, 0x100000, 0)
 	}
@@ -422,7 +421,7 @@ func BenchmarkWalk(b *testing.B) {
 // level-1 node, as after a page-walk-cache hit.
 func BenchmarkPipelineTable(b *testing.B) {
 	const pages = 8 << 10
-	tbl, err := New(physmem.New(64<<20), physmem.Own(0, 1))
+	tbl, err := New(physmem.New(64 << 20))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -470,7 +469,7 @@ func BenchmarkPipelineTable(b *testing.B) {
 
 func TestFiveLevelTable(t *testing.T) {
 	mem := physmem.New(16 << 20)
-	tbl, err := NewWithLevels(mem, physmem.Own(0, 1), 5)
+	tbl, err := NewWithLevels(mem, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +509,7 @@ func TestFiveLevelTable(t *testing.T) {
 func TestNewWithLevelsValidation(t *testing.T) {
 	mem := physmem.New(1 << 20)
 	for _, bad := range []int{0, 1, 3, 6} {
-		if _, err := NewWithLevels(mem, physmem.Own(0, 1), bad); err == nil {
+		if _, err := NewWithLevels(mem, bad); err == nil {
 			t.Errorf("depth %d accepted", bad)
 		}
 	}
@@ -538,7 +537,7 @@ func TestWalkUnknownNodePanics(t *testing.T) {
 
 func TestSetFlagsOnLargeRegionFails(t *testing.T) {
 	mem := physmem.New(64 << 20)
-	tbl, _ := New(mem, physmem.Own(0, 1))
+	tbl, _ := New(mem)
 	tbl.MapLarge(0x200000, 0x800000, FlagWritable)
 	// SetFlags targets 4KB leaves; a large region has none.
 	if tbl.SetFlags(0x200000, FlagCOW) {

@@ -1,13 +1,12 @@
 // Package physmem models the physical memory of one machine (the host) or
 // one virtual machine (guest-physical memory).
 //
-// It wraps a buddy allocator with per-frame bookkeeping: what kind of data
-// occupies each frame (user pages, page-table nodes, PTEMagnet reservations)
-// and which process owns it. The bookkeeping exists for two reasons: the
-// simulated kernels use it to validate their own behaviour (a page-table
-// walker must only ever touch page-table frames), and the metrics layer uses
-// it to attribute cache traffic to guest-PT versus host-PT structures —
-// the attribution at the heart of the paper's Tables 1 and 4.
+// It wraps a buddy allocator with one tag per frame: what kind of data
+// occupies it (user pages, page-table nodes, PTEMagnet reservations, balloon
+// pages). The tag steers the fault-injection and empty-pool hooks, which
+// treat data and kernel allocations differently, and lets inspection tools
+// and tests count frames by kind. Who holds a frame is not recorded here:
+// the page tables that map it already say so.
 package physmem
 
 import (
@@ -63,33 +62,11 @@ func (k FrameKind) String() string {
 	}
 }
 
-// Owner attributes a frame to a (VM, process) pair. On host-physical
-// memory the VM field is the owning virtual machine's id and Proc is
-// unused (-1); on guest-physical memory VM is the enclosing VM's id and
-// Proc the guest process id. The two-dimensional attribution is what lets
-// a multi-tenant host report per-VM frame counts and host-PT
-// fragmentation both per VM and host-wide.
-type Owner struct {
-	VM   int32
-	Proc int32
-}
-
-// Own returns the owner tag for process proc inside VM vm.
-func Own(vm, proc int) Owner { return Owner{VM: int32(vm), Proc: int32(proc)} }
-
-// VMOwner returns the owner tag for frames the host allocates on behalf of
-// VM vm as a whole (no specific guest process).
-func VMOwner(vm int) Owner { return Owner{VM: int32(vm), Proc: -1} }
-
-// NoOwner is the owner recorded for kernel-owned and free frames.
-var NoOwner = Owner{VM: -1, Proc: -1}
-
 // Memory is the physical memory of one machine, managed by a buddy
-// allocator with per-frame kind/owner bookkeeping.
+// allocator with a kind tag per frame.
 type Memory struct {
 	alloc *buddy.Allocator
 	kind  []FrameKind
-	owner []Owner
 	hook  AllocHook
 	empty func(kind FrameKind) bool
 }
@@ -113,10 +90,6 @@ func New(bytes uint64) *Memory {
 	m := &Memory{
 		alloc: buddy.New(nframes),
 		kind:  make([]FrameKind, nframes),
-		owner: make([]Owner, nframes),
-	}
-	for i := range m.owner {
-		m.owner[i] = NoOwner
 	}
 	// Frame 0 is permanently kernel-reserved (the buddy never hands it
 	// out); record it as such.
@@ -166,9 +139,9 @@ func (m *Memory) vetoed(kind FrameKind, order int) bool {
 	return m.hook.FailAlloc(order)
 }
 
-// AllocFrame allocates one frame of the given kind for the given owner and
-// returns its physical address. ok is false when memory is exhausted.
-func (m *Memory) AllocFrame(kind FrameKind, owner Owner) (arch.PhysAddr, bool) {
+// AllocFrame allocates one frame of the given kind and returns its physical
+// address. ok is false when memory is exhausted.
+func (m *Memory) AllocFrame(kind FrameKind) (arch.PhysAddr, bool) {
 	if m.vetoed(kind, 0) {
 		return arch.NoPhysAddr, false
 	}
@@ -179,14 +152,14 @@ func (m *Memory) AllocFrame(kind FrameKind, owner Owner) (arch.PhysAddr, bool) {
 	if !ok {
 		return arch.NoPhysAddr, false
 	}
-	m.tag(frame, 1, kind, owner)
+	m.tag(frame, 1, kind)
 	return arch.FrameToPhys(frame), true
 }
 
 // AllocOrder allocates a 2^order-frame contiguous, naturally aligned block
-// of the given kind and owner, returning the address of its first frame.
-// PTEMagnet's reservation path uses order 3 (eight pages).
-func (m *Memory) AllocOrder(order int, kind FrameKind, owner Owner) (arch.PhysAddr, bool) {
+// of the given kind, returning the address of its first frame. PTEMagnet's
+// reservation path uses order 3 (eight pages).
+func (m *Memory) AllocOrder(order int, kind FrameKind) (arch.PhysAddr, bool) {
 	if m.vetoed(kind, order) {
 		return arch.NoPhysAddr, false
 	}
@@ -194,15 +167,15 @@ func (m *Memory) AllocOrder(order int, kind FrameKind, owner Owner) (arch.PhysAd
 	if !ok {
 		return arch.NoPhysAddr, false
 	}
-	m.tag(frame, uint64(1)<<order, kind, owner)
+	m.tag(frame, uint64(1)<<order, kind)
 	return arch.FrameToPhys(frame), true
 }
 
 // AllocFrameAt allocates the specific frame containing pa if it is free,
-// tagging it with kind and owner. It reports whether the frame was
-// available. Best-effort contiguity allocators use it to extend a previous
-// allocation physically.
-func (m *Memory) AllocFrameAt(pa arch.PhysAddr, kind FrameKind, owner Owner) bool {
+// tagging it with kind. It reports whether the frame was available.
+// Best-effort contiguity allocators use it to extend a previous allocation
+// physically.
+func (m *Memory) AllocFrameAt(pa arch.PhysAddr, kind FrameKind) bool {
 	frame := pa.FrameNumber()
 	if frame >= m.alloc.NumFrames() {
 		return false
@@ -210,7 +183,7 @@ func (m *Memory) AllocFrameAt(pa arch.PhysAddr, kind FrameKind, owner Owner) boo
 	if !m.alloc.AllocAt(frame) {
 		return false
 	}
-	m.tag(frame, 1, kind, owner)
+	m.tag(frame, 1, kind)
 	return true
 }
 
@@ -218,7 +191,7 @@ func (m *Memory) AllocFrameAt(pa arch.PhysAddr, kind FrameKind, owner Owner) boo
 // frames (a power of two) and immediately splits it so each frame can be
 // freed individually — the allocation pattern of a PTEMagnet reservation.
 // It returns the address of the first frame.
-func (m *Memory) AllocGroup(pages int, kind FrameKind, owner Owner) (arch.PhysAddr, bool) {
+func (m *Memory) AllocGroup(pages int, kind FrameKind) (arch.PhysAddr, bool) {
 	if pages <= 0 || !arch.IsPowerOfTwo(uint64(pages)) {
 		panic(fmt.Sprintf("physmem: group of %d pages is not a power of two", pages))
 	}
@@ -236,7 +209,7 @@ func (m *Memory) AllocGroup(pages int, kind FrameKind, owner Owner) (arch.PhysAd
 	if order > 0 {
 		m.alloc.Split(frame)
 	}
-	m.tag(frame, uint64(pages), kind, owner)
+	m.tag(frame, uint64(pages), kind)
 	return arch.FrameToPhys(frame), true
 }
 
@@ -246,7 +219,7 @@ func (m *Memory) FreeBlock(pa arch.PhysAddr) {
 	frame := pa.FrameNumber()
 	order := m.alloc.BlockOrder(frame)
 	m.alloc.Free(frame)
-	m.tag(frame, uint64(1)<<order, KindFree, NoOwner)
+	m.tag(frame, uint64(1)<<order, KindFree)
 }
 
 // Kind returns the kind of the frame containing pa.
@@ -254,18 +227,11 @@ func (m *Memory) Kind(pa arch.PhysAddr) FrameKind {
 	return m.kind[m.checkFrame(pa)]
 }
 
-// Owner returns the owner of the frame containing pa, or NoOwner.
-func (m *Memory) Owner(pa arch.PhysAddr) Owner {
-	return m.owner[m.checkFrame(pa)]
-}
-
 // SetKind retags the single frame containing pa. The kernels use it when a
 // reserved frame is finally mapped to the application (reserved → user) and
 // when reservations are torn down.
-func (m *Memory) SetKind(pa arch.PhysAddr, kind FrameKind, owner Owner) {
-	f := m.checkFrame(pa)
-	m.kind[f] = kind
-	m.owner[f] = owner
+func (m *Memory) SetKind(pa arch.PhysAddr, kind FrameKind) {
+	m.kind[m.checkFrame(pa)] = kind
 }
 
 // CountKind returns how many frames currently carry the given kind.
@@ -279,34 +245,9 @@ func (m *Memory) CountKind(kind FrameKind) uint64 {
 	return n
 }
 
-// CountOwned returns how many frames of the given kind belong to owner.
-func (m *Memory) CountOwned(kind FrameKind, owner Owner) uint64 {
-	var n uint64
-	for i, k := range m.kind {
-		if k == kind && m.owner[i] == owner {
-			n++
-		}
-	}
-	return n
-}
-
-// CountOwnedVM returns how many frames of the given kind belong to any
-// owner inside VM vm — the per-VM host-frame attribution the multi-tenant
-// report uses.
-func (m *Memory) CountOwnedVM(kind FrameKind, vm int) uint64 {
-	var n uint64
-	for i, k := range m.kind {
-		if k == kind && m.owner[i].VM == int32(vm) {
-			n++
-		}
-	}
-	return n
-}
-
-func (m *Memory) tag(frame, count uint64, kind FrameKind, owner Owner) {
+func (m *Memory) tag(frame, count uint64, kind FrameKind) {
 	for i := uint64(0); i < count; i++ {
 		m.kind[frame+i] = kind
-		m.owner[frame+i] = owner
 	}
 }
 

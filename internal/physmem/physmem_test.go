@@ -34,15 +34,12 @@ func TestSizeAccounting(t *testing.T) {
 
 func TestAllocTagging(t *testing.T) {
 	m := New(1 << 20)
-	pa, ok := m.AllocFrame(KindUser, Own(0, 7))
+	pa, ok := m.AllocFrame(KindUser)
 	if !ok {
 		t.Fatal("alloc failed")
 	}
 	if m.Kind(pa) != KindUser {
 		t.Errorf("Kind = %v, want user", m.Kind(pa))
-	}
-	if m.Owner(pa) != Own(0, 7) {
-		t.Errorf("Owner = %d, want 7", m.Owner(pa))
 	}
 	if m.UsedFrames() != 1 {
 		t.Errorf("UsedFrames = %d", m.UsedFrames())
@@ -51,14 +48,11 @@ func TestAllocTagging(t *testing.T) {
 	if m.Kind(pa) != KindFree {
 		t.Errorf("Kind after free = %v", m.Kind(pa))
 	}
-	if m.Owner(pa) != NoOwner {
-		t.Errorf("Owner after free = %d", m.Owner(pa))
-	}
 }
 
 func TestAllocOrderTagsWholeBlock(t *testing.T) {
 	m := New(1 << 20)
-	pa, ok := m.AllocOrder(3, KindReserved, Own(0, 3))
+	pa, ok := m.AllocOrder(3, KindReserved)
 	if !ok {
 		t.Fatal("alloc failed")
 	}
@@ -67,8 +61,8 @@ func TestAllocOrderTagsWholeBlock(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		p := pa + arch.PhysAddr(i*arch.PageSize)
-		if m.Kind(p) != KindReserved || m.Owner(p) != Own(0, 3) {
-			t.Errorf("frame %d of block: kind=%v owner=%d", i, m.Kind(p), m.Owner(p))
+		if m.Kind(p) != KindReserved {
+			t.Errorf("frame %d of block: kind=%v", i, m.Kind(p))
 		}
 	}
 	m.FreeBlock(pa)
@@ -82,9 +76,9 @@ func TestAllocOrderTagsWholeBlock(t *testing.T) {
 
 func TestSetKindRetagsOneFrame(t *testing.T) {
 	m := New(1 << 20)
-	pa, _ := m.AllocOrder(3, KindReserved, Own(0, 3))
+	pa, _ := m.AllocOrder(3, KindReserved)
 	second := pa + arch.PageSize
-	m.SetKind(second, KindUser, Own(0, 3))
+	m.SetKind(second, KindUser)
 	if m.Kind(pa) != KindReserved {
 		t.Error("first frame retagged unexpectedly")
 	}
@@ -97,11 +91,11 @@ func TestCounting(t *testing.T) {
 	m := New(1 << 20)
 	var user, pt []arch.PhysAddr
 	for i := 0; i < 5; i++ {
-		pa, _ := m.AllocFrame(KindUser, Own(0, 1))
+		pa, _ := m.AllocFrame(KindUser)
 		user = append(user, pa)
 	}
 	for i := 0; i < 3; i++ {
-		pa, _ := m.AllocFrame(KindPageTable, Own(0, 2))
+		pa, _ := m.AllocFrame(KindPageTable)
 		pt = append(pt, pa)
 	}
 	if got := m.CountKind(KindUser); got != 5 {
@@ -109,12 +103,6 @@ func TestCounting(t *testing.T) {
 	}
 	if got := m.CountKind(KindPageTable); got != 3 {
 		t.Errorf("CountKind(pagetable) = %d", got)
-	}
-	if got := m.CountOwned(KindUser, Own(0, 1)); got != 5 {
-		t.Errorf("CountOwned(user,1) = %d", got)
-	}
-	if got := m.CountOwned(KindUser, Own(0, 2)); got != 0 {
-		t.Errorf("CountOwned(user,2) = %d", got)
 	}
 	_ = user
 	_ = pt
@@ -141,7 +129,7 @@ func TestExhaustion(t *testing.T) {
 	m := New(16 * arch.PageSize)
 	n := 0
 	for {
-		if _, ok := m.AllocFrame(KindUser, Own(0, 1)); !ok {
+		if _, ok := m.AllocFrame(KindUser); !ok {
 			break
 		}
 		n++
@@ -149,7 +137,7 @@ func TestExhaustion(t *testing.T) {
 	if n != 15 {
 		t.Errorf("allocated %d frames from 16-frame memory, want 15", n)
 	}
-	if _, ok := m.AllocOrder(3, KindUser, Own(0, 1)); ok {
+	if _, ok := m.AllocOrder(3, KindUser); ok {
 		t.Error("order-3 alloc succeeded on exhausted memory")
 	}
 }
@@ -171,7 +159,7 @@ func TestKindString(t *testing.T) {
 
 func TestAllocGroup(t *testing.T) {
 	m := New(1 << 20)
-	pa, ok := m.AllocGroup(8, KindReserved, Own(0, 4))
+	pa, ok := m.AllocGroup(8, KindReserved)
 	if !ok {
 		t.Fatal("AllocGroup failed")
 	}
@@ -204,7 +192,7 @@ func TestAllocGroupValidation(t *testing.T) {
 					t.Errorf("AllocGroup(%d) did not panic", bad)
 				}
 			}()
-			m.AllocGroup(bad, KindReserved, Own(0, 1))
+			m.AllocGroup(bad, KindReserved)
 		}()
 	}
 }
@@ -212,16 +200,16 @@ func TestAllocGroupValidation(t *testing.T) {
 func TestAllocFrameAt(t *testing.T) {
 	m := New(1 << 20)
 	target := arch.PhysAddr(100 * arch.PageSize)
-	if !m.AllocFrameAt(target, KindUser, Own(0, 5)) {
+	if !m.AllocFrameAt(target, KindUser) {
 		t.Fatal("AllocFrameAt failed on free frame")
 	}
-	if m.Kind(target) != KindUser || m.Owner(target) != Own(0, 5) {
-		t.Errorf("kind=%v owner=%d", m.Kind(target), m.Owner(target))
+	if m.Kind(target) != KindUser {
+		t.Errorf("kind=%v", m.Kind(target))
 	}
-	if m.AllocFrameAt(target, KindUser, Own(0, 6)) {
+	if m.AllocFrameAt(target, KindUser) {
 		t.Error("AllocFrameAt succeeded on taken frame")
 	}
-	if m.AllocFrameAt(arch.PhysAddr(2<<20), KindUser, Own(0, 5)) {
+	if m.AllocFrameAt(arch.PhysAddr(2<<20), KindUser) {
 		t.Error("AllocFrameAt succeeded beyond memory")
 	}
 	m.FreeBlock(target)

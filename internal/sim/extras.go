@@ -260,7 +260,7 @@ func RunLockingAblation(goroutines, faultsEach int) LockingResult {
 		alloc := func() (arch.PhysAddr, bool) {
 			memMu.Lock()
 			defer memMu.Unlock()
-			return mem.AllocGroup(arch.GroupPages, physmem.KindReserved, physmem.Own(0, 1))
+			return mem.AllocGroup(arch.GroupPages, physmem.KindReserved)
 		}
 		elapsed := engine.StartTimer()
 		var wg sync.WaitGroup

@@ -13,7 +13,6 @@ import (
 	"ptemagnet/internal/metrics"
 	"ptemagnet/internal/nested"
 	"ptemagnet/internal/obs"
-	"ptemagnet/internal/physmem"
 	"ptemagnet/internal/tlb"
 )
 
@@ -135,11 +134,10 @@ type GuestReport struct {
 	Migrated bool
 	// Stats is the guest's counter snapshot.
 	Stats GuestStats
-	// MappedGuestPages counts guest-physical pages with host backing;
-	// HostUserFrames counts host frames attributed to this VM. Both are 0
+	// MappedGuestPages counts guest-physical pages with host backing: the
+	// host frames this VM holds, read from its host page table. It is 0
 	// for destroyed guests (their frames went back to the host buddy).
 	MappedGuestPages uint64
-	HostUserFrames   uint64
 	// Frag aggregates host-PT fragmentation over every process of this
 	// guest (zero-valued for destroyed guests).
 	Frag metrics.FragReport
@@ -179,7 +177,6 @@ func (g *Guest) guestReport(frags []metrics.FragReport) GuestReport {
 	}
 	if g.alive {
 		r.MappedGuestPages = g.hostVM.MappedGuestPages()
-		r.HostUserFrames = g.m.host.Memory().CountOwnedVM(physmem.KindUser, g.hostVM.ID())
 		for _, t := range g.tasks {
 			r.Frag = metrics.Combine(r.Frag, frags[t.index])
 		}

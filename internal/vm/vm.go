@@ -498,7 +498,6 @@ func (m *Machine) addGuest(gc GuestConfig) (*Guest, error) {
 		ReclaimWatermark:     gc.ReclaimWatermark,
 		Seed:                 gc.Seed,
 		PTLevels:             m.cfg.PTLevels,
-		VMID:                 hostVM.ID(),
 	})
 	g := &Guest{
 		m:      m,
@@ -932,9 +931,15 @@ quantum:
 				}
 				tracer.Fault(t.index, acc.VA, uint8(kind), seq)
 			}
-			// COW remaps change the translation; drop any stale TLB entry.
-			if kind == guestos.FaultCOW {
+			switch kind {
+			case guestos.FaultCOW:
+				// COW remaps change the translation; drop any stale TLB
+				// entry.
 				walker.InvalidatePage(asid, acc.VA)
+			case guestos.FaultTHP:
+				// The large mapping freed the region's leaf node; drop
+				// the guest PWC entry that may still name it.
+				walker.InvalidateGuestPWC(asid, acc.VA)
 			}
 			fc := faultCost(kind)
 			t.FaultCycles += fc

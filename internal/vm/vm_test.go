@@ -314,6 +314,81 @@ func TestTHPThroughMachine(t *testing.T) {
 	}
 }
 
+// vetoOrder fails every guest allocation of one buddy order while armed.
+type vetoOrder struct {
+	order int
+	armed bool
+}
+
+func (v *vetoOrder) FailAlloc(order int) bool { return v.armed && order == v.order }
+
+// thpRefaultProgram faults a 2MB region in as 4KB pages while order-9
+// allocations are vetoed, so its walks cache the region's leaf node in the
+// guest PWC. It then frees the region, lifts the veto and touches it again:
+// the second fault maps the region as one huge page, which frees that
+// leaf node.
+type thpRefaultProgram struct {
+	veto *vetoOrder
+	base arch.VirtAddr
+	next int
+}
+
+var thpRefaultPages = []uint64{0, 1, 2, 3, 0, 5}
+
+func (p *thpRefaultProgram) Name() string           { return "thp-refault" }
+func (p *thpRefaultProgram) FootprintBytes() uint64 { return 4 << 20 }
+func (p *thpRefaultProgram) InitDone() bool         { return p.next > 4 }
+
+func (p *thpRefaultProgram) Setup(env workload.Env) (err error) {
+	p.base, err = env.Mmap(4 << 20)
+	return err
+}
+
+func (p *thpRefaultProgram) Step(env workload.Env) (workload.Access, bool) {
+	if p.next == len(thpRefaultPages) {
+		return workload.Access{}, true
+	}
+	if p.next == 4 {
+		if err := env.Free(p.base, 2<<20); err != nil {
+			return workload.Access{}, true
+		}
+		p.veto.armed = false
+	}
+	va := p.base + arch.VirtAddr(thpRefaultPages[p.next]*arch.PageSize)
+	p.next++
+	return workload.Access{VA: va, Write: true}, false
+}
+
+// TestTHPFaultDropsStaleGuestPWC pins the huge-page promotion of a region
+// whose leaf node a walk cached: the THP fault frees that node, and the
+// next walk in the region must start from the root, not from the freed
+// frame.
+func TestTHPFaultDropsStaleGuestPWC(t *testing.T) {
+	m, err := NewHost(HostConfig{
+		HostMemBytes: 64 << 20,
+		NumCPUs:      1,
+		Guests:       []GuestConfig{{MemBytes: 32 << 20, Policy: guestos.PolicyTHP, Seed: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	veto := &vetoOrder{order: 9, armed: true}
+	m.Guests()[0].Kernel().Memory().SetAllocHook(veto)
+	task, err := m.AddTask(&thpRefaultProgram{veto: veto}, RolePrimary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunWith(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if task.Accesses != 6 {
+		t.Errorf("accesses = %d, want 6", task.Accesses)
+	}
+	if got := task.Process().PageTable().LargeMappings(); got != 1 {
+		t.Errorf("large mappings = %d, want 1", got)
+	}
+}
+
 func TestCAPagingThroughMachine(t *testing.T) {
 	m, _ := NewHost(smallConfig(guestos.PolicyCAPaging))
 	m.AddTask(workload.NewPagerank(smallGraph(4)), RolePrimary)

@@ -93,8 +93,13 @@ type (
 const (
 	// FaultNewReservation: a fresh group was reserved.
 	FaultNewReservation = core.FaultNewReservation
+	// FaultReservationHit: the page came from a live reservation.
+	FaultReservationHit = core.FaultReservationHit
 	// FaultNoMemory: group allocation failed; fall back to single pages.
 	FaultNoMemory = core.FaultNoMemory
+	// FaultClaimed: a forked child already claimed the page
+	// (PaRT.ClaimFromParent); fall back to single pages.
+	FaultClaimed = core.FaultClaimed
 )
 
 // ConfigError is the typed validation failure returned when a PaRTConfig or

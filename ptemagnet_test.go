@@ -21,7 +21,7 @@ func TestPaRTFacade(t *testing.T) {
 	}
 	mem := physmem.New(16 << 20)
 	alloc := func() (ptemagnet.PhysAddr, bool) {
-		return mem.AllocGroup(ptemagnet.GroupPages, physmem.KindReserved, physmem.Own(0, 1))
+		return mem.AllocGroup(ptemagnet.GroupPages, physmem.KindReserved)
 	}
 	pa, res := part.HandleFault(0x40000000, alloc)
 	if res != ptemagnet.FaultNewReservation || pa == 0 {
@@ -32,6 +32,40 @@ func TestPaRTFacade(t *testing.T) {
 	}
 	if part.Live() != 1 || part.UnusedPages() != 7 {
 		t.Errorf("live=%d unused=%d", part.Live(), part.UnusedPages())
+	}
+}
+
+// TestPaRTFacadeFaultResults reaches each of HandleFault's four results
+// through the facade's names.
+func TestPaRTFacadeFaultResults(t *testing.T) {
+	part, err := ptemagnet.NewPaRT(ptemagnet.DefaultPaRTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := physmem.New(16 << 20)
+	alloc := func() (ptemagnet.PhysAddr, bool) {
+		return mem.AllocGroup(ptemagnet.GroupPages, physmem.KindReserved)
+	}
+	noMemory := func() (ptemagnet.PhysAddr, bool) { return 0, false }
+	const base = ptemagnet.VirtAddr(0x40000000)
+	page := func(i int) ptemagnet.VirtAddr { return base + ptemagnet.VirtAddr(i*ptemagnet.PageSize) }
+	if _, ok := part.ClaimFromParent(page(0)); ok {
+		t.Fatal("a child claimed from a group with no reservation")
+	}
+	if _, res := part.HandleFault(page(0), alloc); res != ptemagnet.FaultNewReservation {
+		t.Errorf("first fault = %v, want %v", res, ptemagnet.FaultNewReservation)
+	}
+	if _, res := part.HandleFault(page(1), alloc); res != ptemagnet.FaultReservationHit {
+		t.Errorf("second fault = %v, want %v", res, ptemagnet.FaultReservationHit)
+	}
+	if _, ok := part.ClaimFromParent(page(2)); !ok {
+		t.Fatal("a child could not claim a reserved page")
+	}
+	if _, res := part.HandleFault(page(2), alloc); res != ptemagnet.FaultClaimed {
+		t.Errorf("fault on the child's page = %v, want %v", res, ptemagnet.FaultClaimed)
+	}
+	if _, res := part.HandleFault(base+ptemagnet.GroupBytes, noMemory); res != ptemagnet.FaultNoMemory {
+		t.Errorf("fault with no group free = %v, want %v", res, ptemagnet.FaultNoMemory)
 	}
 }
 
