@@ -55,20 +55,22 @@ fuzz:
 # The Pipeline* benchmarks track the hot path layer by layer: workload Step,
 # the cache hierarchy and the two-level TLB alone, page-table lookups and
 # walks alone, the walker's TLB-hit fast path against the full Translate,
-# the machine loop, and the same run through the public facade.
+# the machine loop, and the same run through the public facade; and the
+# fault path's buddy allocator: page and group alloc/free, and the bytes
+# New spends per frame.
 # BENCH_pipeline.json is committed so future changes have a perf
 # trajectory to diff against.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Pipeline' -benchtime=2s -run=^$$ -json \
-		./internal/workload ./internal/cache ./internal/tlb ./internal/pagetable ./internal/nested ./internal/vm . \
+		./internal/workload ./internal/cache ./internal/tlb ./internal/pagetable ./internal/nested ./internal/vm ./internal/buddy . \
 		> BENCH_pipeline.json
 
 # Compile-and-run rot check for the bench harness; single iteration, no
 # timing claims. Every package listed keeps at least one Pipeline benchmark.
 bench-smoke:
 	$(GO) test -bench='Pipeline' -benchtime=1x -run=^$$ \
-		./internal/workload ./internal/cache ./internal/tlb ./internal/pagetable ./internal/nested ./internal/vm .
+		./internal/workload ./internal/cache ./internal/tlb ./internal/pagetable ./internal/nested ./internal/vm ./internal/buddy .
 
 experiments:
 	$(GO) run ./cmd/experiments -quick

@@ -15,6 +15,11 @@
 //   - Order-3 (eight-page, 32KB) allocations are natural and cheap, which is
 //     what PTEMagnet's reservation path relies on.
 //
+// Every frame costs 9 bytes of metadata: two 4-byte free-list links and one
+// state byte. Frame numbers stay uint64 at the API; internally they fit 32
+// bits, so an allocator manages at most MaxFrames frames (16 TiB of 4 KB
+// pages).
+//
 // The allocator is not safe for concurrent use; the simulated kernels
 // serialize calls the way a per-zone spinlock would.
 package buddy
@@ -62,38 +67,63 @@ type Allocator struct {
 	nframes uint64
 	// freeHead[o] is the frame number at the head of the order-o free
 	// list, or noFrame.
-	freeHead [MaxOrder + 1]uint64
+	freeHead [MaxOrder + 1]uint32
 	// next/prev link free blocks into doubly-linked lists, indexed by the
 	// block's first frame.
-	next []uint64
-	prev []uint64
+	next []uint32
+	prev []uint32
 	// state holds per-frame metadata: for the first frame of a free block,
-	// the block's order and a free bit; for allocated blocks, the order it
-	// was allocated with (needed by Free).
+	// the block's order and the free and head bits; for allocated blocks,
+	// the order it was allocated with (needed by Free) and the head bit.
 	state []frameState
 	free  uint64 // total free frames
 	stats Stats
 }
 
-type frameState struct {
-	order  int8
-	isFree bool
-	isHead bool // first frame of a tracked (free or allocated) block
-}
+// frameState packs one frame's metadata into a byte: the block order in
+// the low four bits, then a free bit and a head bit (first frame of a
+// tracked free or allocated block). Zero is a frame inside a block.
+type frameState uint8
 
-const noFrame = ^uint64(0)
+const (
+	orderBits frameState = 1<<4 - 1
+	freeBit   frameState = 1 << 4
+	headBit   frameState = 1 << 5
+)
+
+// freeHeadState and allocHeadState are the states of the first frame of a
+// free and an allocated block of the given order.
+func freeHeadState(order int) frameState  { return frameState(order) | freeBit | headBit }
+func allocHeadState(order int) frameState { return frameState(order) | headBit }
+
+func (s frameState) order() int { return int(s & orderBits) }
+
+// allocatedHead reports whether s heads an allocated block.
+func (s frameState) allocatedHead() bool { return s&(freeBit|headBit) == headBit }
+
+// noFrame ends a free list. It is one past the largest frame number an
+// allocator of MaxFrames frames holds.
+const noFrame = ^uint32(0)
+
+// MaxFrames is the most frames one allocator manages: frame numbers and
+// free-list links are 32 bits wide, with noFrame as the end marker.
+const MaxFrames = uint64(noFrame)
 
 // New creates an allocator managing nframes physical frames. Frame 0 is
 // permanently reserved so that physical address 0 can serve as a null
 // sentinel, mirroring real kernels keeping low memory out of the allocator.
+// nframes must lie in [2, MaxFrames].
 func New(nframes uint64) *Allocator {
 	if nframes < 2 {
 		panic(fmt.Sprintf("buddy: need at least 2 frames, got %d", nframes))
 	}
+	if nframes > MaxFrames {
+		panic(fmt.Sprintf("buddy: %d frames exceed the maximum of %d", nframes, MaxFrames))
+	}
 	a := &Allocator{
 		nframes: nframes,
-		next:    make([]uint64, nframes),
-		prev:    make([]uint64, nframes),
+		next:    make([]uint32, nframes),
+		prev:    make([]uint32, nframes),
 		state:   make([]frameState, nframes),
 	}
 	for o := range a.freeHead {
@@ -173,7 +203,7 @@ func (a *Allocator) AllocOrder(order int) (frame uint64, ok bool) {
 		a.pushFree(buddy, o)
 		a.stats.Splits++
 	}
-	a.state[frame] = frameState{order: int8(order), isFree: false, isHead: true}
+	a.state[frame] = allocHeadState(order)
 	a.free -= uint64(1) << order
 	a.stats.AllocCalls[order]++
 	return frame, true
@@ -211,7 +241,7 @@ func (a *Allocator) AllocAt(frame uint64) bool {
 		}
 		a.stats.Splits++
 	}
-	a.state[frame] = frameState{order: 0, isFree: false, isHead: true}
+	a.state[frame] = allocHeadState(0)
 	a.free--
 	a.stats.AllocCalls[0]++
 	return true
@@ -221,8 +251,7 @@ func (a *Allocator) AllocAt(frame uint64) bool {
 func (a *Allocator) freeBlockContaining(frame uint64) (head uint64, order int, ok bool) {
 	for o := 0; o <= MaxOrder; o++ {
 		h := frame &^ ((uint64(1) << o) - 1)
-		st := a.state[h]
-		if st.isFree && st.isHead && int(st.order) == o {
+		if a.state[h] == freeHeadState(o) {
 			return h, o, true
 		}
 	}
@@ -237,10 +266,10 @@ func (a *Allocator) Free(frame uint64) {
 		panic(fmt.Sprintf("buddy: free of invalid frame %d", frame))
 	}
 	st := a.state[frame]
-	if !st.isHead || st.isFree {
+	if !st.allocatedHead() {
 		panic(fmt.Sprintf("buddy: free of frame %d which is not an allocated block head", frame))
 	}
-	order := int(st.order)
+	order := st.order()
 	a.free += uint64(1) << order
 	a.stats.FreeCalls[order]++
 	// Coalesce with the buddy while possible.
@@ -249,16 +278,15 @@ func (a *Allocator) Free(frame uint64) {
 		if buddy >= a.nframes {
 			break
 		}
-		bst := a.state[buddy]
-		if !bst.isFree || int(bst.order) != order {
+		if a.state[buddy] != freeHeadState(order) {
 			break
 		}
 		a.unlinkFree(buddy, order)
 		if buddy < frame {
-			a.state[frame] = frameState{}
+			a.state[frame] = 0
 			frame = buddy
 		} else {
-			a.state[buddy] = frameState{}
+			a.state[buddy] = 0
 		}
 		order++
 		a.stats.Merges++
@@ -274,12 +302,12 @@ func (a *Allocator) Free(frame uint64) {
 // naturally.
 func (a *Allocator) Split(frame uint64) {
 	st := a.state[frame]
-	if !st.isHead || st.isFree {
+	if !st.allocatedHead() {
 		panic(fmt.Sprintf("buddy: split of frame %d which is not an allocated block head", frame))
 	}
-	order := int(st.order)
+	order := st.order()
 	for i := uint64(0); i < uint64(1)<<order; i++ {
-		a.state[frame+i] = frameState{order: 0, isFree: false, isHead: true}
+		a.state[frame+i] = allocHeadState(0)
 	}
 }
 
@@ -288,10 +316,10 @@ func (a *Allocator) Split(frame uint64) {
 // frames previously returned by AllocOrder.
 func (a *Allocator) BlockOrder(frame uint64) int {
 	st := a.state[frame]
-	if !st.isHead || st.isFree {
+	if !st.allocatedHead() {
 		panic(fmt.Sprintf("buddy: frame %d is not an allocated block head", frame))
 	}
-	return int(st.order)
+	return st.order()
 }
 
 // FreeBlocksByOrder returns, for each order, how many free blocks sit on
@@ -331,18 +359,18 @@ func (a *Allocator) LargestFreeOrder() int {
 }
 
 func (a *Allocator) pushFree(frame uint64, order int) {
-	a.state[frame] = frameState{order: int8(order), isFree: true, isHead: true}
+	a.state[frame] = freeHeadState(order)
 	head := a.freeHead[order]
 	a.next[frame] = head
 	a.prev[frame] = noFrame
 	if head != noFrame {
-		a.prev[head] = frame
+		a.prev[head] = uint32(frame)
 	}
-	a.freeHead[order] = frame
+	a.freeHead[order] = uint32(frame)
 }
 
 func (a *Allocator) popFree(order int) uint64 {
-	frame := a.freeHead[order]
+	frame := uint64(a.freeHead[order])
 	a.unlinkFree(frame, order)
 	return frame
 }
@@ -357,5 +385,5 @@ func (a *Allocator) unlinkFree(frame uint64, order int) {
 	if n != noFrame {
 		a.prev[n] = p
 	}
-	a.state[frame] = frameState{}
+	a.state[frame] = 0
 }

@@ -309,28 +309,54 @@ func TestQuickNoOverlapAndConservation(t *testing.T) {
 	}
 }
 
-func BenchmarkAllocFreePage(b *testing.B) {
-	a := New(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, ok := a.AllocPage()
-		if !ok {
-			b.Fatal("exhausted")
+// BenchmarkPipelineBuddy measures the allocator alone. AllocFreePage is
+// one order-0 allocation and its free; Group is a PTEMagnet reservation's
+// life: an order-3 allocation, Split, and the eight page frees that
+// coalesce it back. New builds a 1M-frame (4 GB) allocator; its B/op is
+// the per-frame metadata, 9 bytes a frame.
+func BenchmarkPipelineBuddy(b *testing.B) {
+	b.Run("AllocFreePage", func(b *testing.B) {
+		a := New(1 << 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, ok := a.AllocPage()
+			if !ok {
+				b.Fatal("exhausted")
+			}
+			a.Free(f)
 		}
-		a.Free(f)
-	}
+	})
+	b.Run("Group", func(b *testing.B) {
+		a := New(1 << 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, ok := a.AllocOrder(3)
+			if !ok {
+				b.Fatal("exhausted")
+			}
+			a.Split(f)
+			for p := f; p < f+8; p++ {
+				a.Free(p)
+			}
+		}
+	})
+	b.Run("New", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if New(1<<20).FreeFrames() != 1<<20-1 {
+				b.Fatal("fresh allocator not fully free")
+			}
+		}
+	})
 }
 
-func BenchmarkAllocFreeOrder3(b *testing.B) {
-	a := New(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, ok := a.AllocOrder(3)
-		if !ok {
-			b.Fatal("exhausted")
+func TestNewRejectsTooManyFrames(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New(MaxFrames+1) did not panic")
 		}
-		a.Free(f)
-	}
+	}()
+	New(MaxFrames + 1)
 }
 
 func TestSplitAllowsIndividualFrees(t *testing.T) {

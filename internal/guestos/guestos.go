@@ -460,6 +460,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 		if pa, ok := p.parent.part.ClaimFromParent(page); ok {
 			k.mem.SetKind(pa, physmem.KindUser)
 			if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+				k.unclaim(p.parent.part, page, pa)
 				return 0, err
 			}
 			p.rss++
@@ -486,6 +487,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 	if k.cfg.Policy == PolicyCAPaging {
 		if pa, ok := p.caPlacement(page); ok {
 			if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+				k.mem.FreeBlock(pa)
 				return 0, err
 			}
 			p.rss++
@@ -500,6 +502,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 		return 0, ErrOutOfMemory
 	}
 	if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+		k.mem.FreeBlock(pa)
 		return 0, err
 	}
 	p.rss++
@@ -545,6 +548,7 @@ func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	}
 	k.mem.SetKind(pa, physmem.KindUser)
 	if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+		k.unclaim(part, page, pa)
 		return 0, true, err
 	}
 	p.rss++
@@ -601,6 +605,10 @@ func (p *Process) thpFault(page arch.VirtAddr) (FaultKind, bool, error) {
 		return 0, false, nil
 	}
 	if err := p.pt.MapLarge(base, pa, pagetable.FlagWritable); err != nil {
+		// AllocGroup split the block: its frames go back one by one.
+		for i := arch.PhysAddr(0); i < hugePages; i++ {
+			k.mem.FreeBlock(pa + i<<arch.PageShift)
+		}
 		return 0, true, err
 	}
 	p.rss += hugePages
@@ -735,24 +743,37 @@ func (p *Process) freePage(page arch.VirtAddr) {
 		k.putFrame(pa)
 		return
 	}
-	if p.part != nil {
-		dissolved := false
-		handled := p.part.NotifyFree(page, pa, func(groupPA arch.PhysAddr) {
-			// Whole group dissolves: every page returns to the buddy
-			// allocator, whatever state it was in.
-			dissolved = true
-			k.mem.FreeBlock(groupPA)
-		})
-		if handled {
-			// If the group is still alive the freed frame goes back to
-			// reserved state, held by the reservation.
-			if !dissolved {
-				k.mem.SetKind(pa, physmem.KindReserved)
-			}
-			return
-		}
+	if p.part != nil && k.returnToReservation(p.part, page, pa) {
+		return
 	}
 	k.putFrame(pa)
+}
+
+// returnToReservation hands the frame pa of page back to part's live
+// reservation of its group, reporting false when no reservation holds it.
+// If the group is still alive the frame goes back to reserved state, held
+// by the reservation; if it was the group's last claimed page the whole
+// group dissolves and every page returns to the buddy allocator, whatever
+// state it was in.
+func (k *Kernel) returnToReservation(part *core.PaRT, page arch.VirtAddr, pa arch.PhysAddr) bool {
+	dissolved := false
+	handled := part.NotifyFree(page, pa, func(groupPA arch.PhysAddr) {
+		dissolved = true
+		k.mem.FreeBlock(groupPA)
+	})
+	if handled && !dissolved {
+		k.mem.SetKind(pa, physmem.KindReserved)
+	}
+	return handled
+}
+
+// unclaim gives back a frame a fault claimed from part but could not map:
+// to its reservation, or to the buddy allocator when the claim took the
+// group's last page and the reservation is gone.
+func (k *Kernel) unclaim(part *core.PaRT, page arch.VirtAddr, pa arch.PhysAddr) {
+	if !k.returnToReservation(part, page, pa) {
+		k.mem.FreeBlock(pa)
+	}
 }
 
 // SwapOut evicts the page at va, as the kernel choosing it for swapping or

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ptemagnet/internal/arch"
+	"ptemagnet/internal/pagetable"
 	"ptemagnet/internal/physmem"
 )
 
@@ -807,5 +808,159 @@ func TestSwapOutDefaultPolicy(t *testing.T) {
 	}
 	if used-k.Memory().UsedFrames() != 1 {
 		t.Error("default-policy SwapOut should release exactly one frame")
+	}
+}
+
+// starve takes every free frame of k's memory as a kernel frame, then frees
+// block, a block the caller took beforehand, so block is all the memory
+// left free (arch.NoPhysAddr leaves none).
+func starve(k *Kernel, block arch.PhysAddr) {
+	for {
+		if _, ok := k.Memory().AllocFrame(physmem.KindKernel); !ok {
+			break
+		}
+	}
+	if block != arch.NoPhysAddr {
+		k.Memory().FreeBlock(block)
+	}
+}
+
+// failedFaultLeaksNothing faults va in p, which must fail because no frame
+// is left for a page-table node, and requires the free and user frame
+// counts of guest memory, and p's RSS, to be back at their values from
+// before the fault.
+func failedFaultLeaksNothing(t *testing.T, p *Process, va arch.VirtAddr) {
+	t.Helper()
+	mem := p.kernel.Memory()
+	free, user, rss := mem.FreeFrames(), mem.CountKind(physmem.KindUser), p.RSS()
+	if kind, err := p.Touch(va); err == nil {
+		t.Fatalf("fault at %#x = %v with no frame left for a page-table node", uint64(va), kind)
+	}
+	if got := mem.FreeFrames(); got != free {
+		t.Errorf("free frames %d before the failed fault, %d after", free, got)
+	}
+	if got := mem.CountKind(physmem.KindUser); got != user {
+		t.Errorf("user frames %d before the failed fault, %d after", user, got)
+	}
+	if p.RSS() != rss {
+		t.Errorf("RSS %d before the failed fault, %d after", rss, p.RSS())
+	}
+}
+
+// The failed-Map tests leave free only the data frames the fault takes
+// (none when it claims a reserved page) and fault a page whose region has
+// no leaf page-table node yet, so Map finds no frame for the node.
+
+func TestFailedMapFreesDefaultFrame(t *testing.T) {
+	k := NewKernel(Config{MemBytes: 4 << 20, Policy: PolicyDefault, Seed: 1})
+	p := mustSpawn(t, k, "a")
+	va := mustMmap(t, p, 4<<20)
+	if _, err := p.Touch(va); err != nil {
+		t.Fatal(err)
+	}
+	frame, ok := k.Memory().AllocFrame(physmem.KindKernel)
+	if !ok {
+		t.Fatal("no free frame")
+	}
+	starve(k, frame)
+	failedFaultLeaksNothing(t, p, va+pagetable.LargePageBytes)
+}
+
+func TestFailedMapFreesCAPagingFrame(t *testing.T) {
+	k := NewKernel(Config{MemBytes: 4 << 20, Policy: PolicyCAPaging, Seed: 1})
+	p := mustSpawn(t, k, "a")
+	va := mustMmap(t, p, 4<<20)
+	// The last page before a 2MB boundary is the neighbour whose next
+	// frame the fault at the boundary asks for. Touching va first builds
+	// the neighbour's page-table nodes, so they do not take that frame.
+	boundary := arch.VirtAddr(arch.AlignUp(uint64(va)+1, pagetable.LargePageBytes))
+	for _, page := range []arch.VirtAddr{va, boundary - arch.PageSize} {
+		if _, err := p.Touch(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev, _ := p.Translate(boundary - arch.PageSize)
+	want := prev + arch.PageSize
+	if !k.Memory().AllocFrameAt(want, physmem.KindKernel) {
+		t.Fatalf("frame %#x after the neighbour's is not free", uint64(want))
+	}
+	starve(k, want)
+	before := k.Snapshot()
+	failedFaultLeaksNothing(t, p, boundary)
+	if k.Memory().Kind(want) != physmem.KindFree {
+		t.Errorf("frame %#x is %v, want free", uint64(want), k.Memory().Kind(want))
+	}
+	if d := k.Snapshot().Delta(before); d.Faults[FaultCAHit] != 0 || d.Faults[FaultDefault] != 0 {
+		t.Errorf("failed fault counted: %+v", d.Faults)
+	}
+}
+
+func TestFailedMapReturnsMagnetGroup(t *testing.T) {
+	k := NewKernel(Config{MemBytes: 4 << 20, Policy: PolicyPTEMagnet, Seed: 1})
+	p := mustSpawn(t, k, "a")
+	va := mustMmap(t, p, 4<<20)
+	if _, err := p.Touch(va); err != nil {
+		t.Fatal(err)
+	}
+	group, ok := k.Memory().AllocOrder(3, physmem.KindKernel)
+	if !ok {
+		t.Fatal("no free group")
+	}
+	starve(k, group)
+	live, unused := p.Part().Live(), p.Part().UnusedPages()
+	failedFaultLeaksNothing(t, p, va+pagetable.LargePageBytes)
+	// The new reservation dissolved: its group is free again.
+	if p.Part().Live() != live || p.Part().UnusedPages() != unused {
+		t.Errorf("reservations %d with %d unused pages, want %d with %d",
+			p.Part().Live(), p.Part().UnusedPages(), live, unused)
+	}
+	if got := k.Memory().Buddy().LargestFreeOrder(); got != 3 {
+		t.Errorf("largest free order %d, want the group's 3", got)
+	}
+}
+
+func TestFailedMapReturnsParentClaim(t *testing.T) {
+	k := NewKernel(Config{MemBytes: 4 << 20, Policy: PolicyPTEMagnet, Seed: 1})
+	parent := mustSpawn(t, k, "parent")
+	va := mustMmap(t, parent, 4<<20)
+	child, err := parent.Fork("child")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parent reserves a group the child's page table has no leaf
+	// node for: the child's claim from it cannot be mapped.
+	group := va + pagetable.LargePageBytes
+	if _, err := parent.Touch(group); err != nil {
+		t.Fatal(err)
+	}
+	starve(k, arch.NoPhysAddr)
+	unused := parent.Part().UnusedPages()
+	failedFaultLeaksNothing(t, child, group+arch.PageSize)
+	if parent.Part().UnusedPages() != unused {
+		t.Errorf("parent reservation holds %d unused pages, want %d", parent.Part().UnusedPages(), unused)
+	}
+	// The page is the parent's reservation's again.
+	if kind, err := parent.Touch(group + arch.PageSize); err != nil || kind != FaultMagnetHit {
+		t.Errorf("parent fault on the returned page = %v, %v; want a reservation hit", kind, err)
+	}
+}
+
+func TestFailedMapFreesHugePage(t *testing.T) {
+	k := NewKernel(Config{MemBytes: 8 << 20, Policy: PolicyTHP, Seed: 1})
+	p := mustSpawn(t, k, "a")
+	// A region that crosses a 1GB boundary: a huge page there needs a
+	// level-2 node of its own.
+	va := mustMmap(t, p, 2<<30)
+	if _, err := p.Touch(va); err != nil {
+		t.Fatal(err)
+	}
+	huge, ok := k.Memory().AllocOrder(9, physmem.KindKernel)
+	if !ok {
+		t.Fatal("no free 2MB block")
+	}
+	starve(k, huge)
+	failedFaultLeaksNothing(t, p, arch.VirtAddr(arch.AlignUp(uint64(va)+1, 1<<30)))
+	if got := k.Memory().Buddy().LargestFreeOrder(); got != 9 {
+		t.Errorf("largest free order %d, want the huge page's 9", got)
 	}
 }

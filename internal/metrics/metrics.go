@@ -65,11 +65,20 @@ func HostPTFragmentation(gpt, hpt *pagetable.Table) FragReport {
 		rep.Groups++
 		rep.Histogram[n-1]++
 	}
+	// hostLeaf is the host leaf node of the 2MB guest-physical region
+	// numbered region (NoPhysAddr when the host table has none there).
+	// Guest pages come in runs that share a region, and one host descent
+	// serves the whole run; the entry address is LeafEntryAddr's.
+	region, hostLeaf := ^uint64(0), arch.NoPhysAddr
 	gpt.ForEachLeafEntry(func(_ arch.VirtAddr, gEntry, gpa arch.PhysAddr) bool {
-		hEntry, ok := hpt.LeafEntryAddr(arch.VirtAddr(gpa))
-		if !ok {
+		if r := uint64(gpa) >> pagetable.LargePageShift; r != region {
+			region = r
+			_, _, _, hostLeaf = hpt.Lookup(arch.VirtAddr(gpa))
+		}
+		if hostLeaf == arch.NoPhysAddr {
 			return true // page never touched under virtualization
 		}
+		hEntry := hostLeaf + arch.PhysAddr(arch.VirtAddr(gpa).PTIndex(1)*arch.PTEBytes)
 		if b := gEntry.CacheBlock(); b != group {
 			fold()
 			group, pages = b, 0

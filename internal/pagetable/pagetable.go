@@ -433,8 +433,13 @@ func (t *Table) ClearDirty(va arch.VirtAddr) bool {
 	return true
 }
 
-// IsLargeMapped reports whether va is covered by a 2MB mapping.
+// IsLargeMapped reports whether va is covered by a 2MB mapping. A table
+// without large mappings (every table outside the THP policy) answers
+// without a descent.
 func (t *Table) IsLargeMapped(va arch.VirtAddr) bool {
+	if t.largeMapped == 0 {
+		return false
+	}
 	n, _ := t.largeEntry(va)
 	return n != nil
 }

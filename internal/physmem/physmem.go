@@ -80,8 +80,12 @@ type AllocHook interface {
 	FailAlloc(order int) bool
 }
 
+// MaxBytes is the largest memory New accepts: as many frames as one buddy
+// allocator manages (16 TiB).
+const MaxBytes = buddy.MaxFrames << arch.PageShift
+
 // New creates a memory of the given size in bytes, which must be a positive
-// multiple of the page size.
+// multiple of the page size no larger than MaxBytes.
 func New(bytes uint64) *Memory {
 	if bytes == 0 || bytes%arch.PageSize != 0 {
 		panic(fmt.Sprintf("physmem: size %d is not a positive page multiple", bytes))

@@ -310,6 +310,9 @@ func TestConfigValidate(t *testing.T) {
 		{"zero host mem", func(c *HostConfig) { c.HostMemBytes = 0 }, "HostMemBytes"},
 		{"zero guest mem", func(c *HostConfig) { c.Guests[0].MemBytes = 0 }, "Guests[0].MemBytes"},
 		{"guest exceeds host", func(c *HostConfig) { c.Guests[0].MemBytes = c.HostMemBytes * 2 }, "Guests[0].MemBytes"},
+		{"host mem not a page multiple", func(c *HostConfig) { c.HostMemBytes = 4097 }, "HostMemBytes"},
+		{"guest mem not a page multiple", func(c *HostConfig) { c.Guests[0].MemBytes = 4097 }, "Guests[0].MemBytes"},
+		{"host mem beyond the buddy's frame limit", func(c *HostConfig) { c.HostMemBytes = 16 << 40 }, "HostMemBytes"},
 		{"negative cpus", func(c *HostConfig) { c.NumCPUs = -1 }, "NumCPUs"},
 		{"negative quantum", func(c *HostConfig) { c.Quantum = -4 }, "Quantum"},
 		{"bad levels", func(c *HostConfig) { c.PTLevels = 3 }, "PTLevels"},

@@ -27,6 +27,7 @@ import (
 	"ptemagnet/internal/hostos"
 	"ptemagnet/internal/metrics"
 	"ptemagnet/internal/nested"
+	"ptemagnet/internal/physmem"
 	"ptemagnet/internal/workload"
 )
 
@@ -143,8 +144,8 @@ type HostConfig struct {
 // (when one is set at all). A failure names its field by path, e.g.
 // "Guests[0].MemBytes" or "Cache.LLC.SizeBytes".
 func (c HostConfig) Validate() error {
-	if c.HostMemBytes == 0 {
-		return &ConfigError{Field: "HostMemBytes", Value: c.HostMemBytes, Reason: "must be set"}
+	if err := checkMemBytes("HostMemBytes", c.HostMemBytes); err != nil {
+		return err
 	}
 	if c.NumCPUs < 0 {
 		return &ConfigError{Field: "NumCPUs", Value: c.NumCPUs, Reason: "must be positive (zero selects the default)"}
@@ -203,8 +204,8 @@ func (c HostConfig) validateGeometry() error {
 
 // validate checks one guest config against the host memory size.
 func (g GuestConfig) validate(hostMemBytes uint64, prefix string) error {
-	if g.MemBytes == 0 {
-		return &ConfigError{Field: prefix + "MemBytes", Value: g.MemBytes, Reason: "must be set"}
+	if err := checkMemBytes(prefix+"MemBytes", g.MemBytes); err != nil {
+		return err
 	}
 	if g.MemBytes > hostMemBytes {
 		return &ConfigError{Field: prefix + "MemBytes", Value: g.MemBytes, Reason: "guest memory cannot exceed host memory"}
@@ -216,6 +217,20 @@ func (g GuestConfig) validate(hostMemBytes uint64, prefix string) error {
 		if err := g.Magnet.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkMemBytes rejects a memory size physmem cannot model: zero, not a
+// whole number of pages, or more frames than one buddy allocator manages.
+func checkMemBytes(field string, bytes uint64) error {
+	switch {
+	case bytes == 0:
+		return &ConfigError{Field: field, Value: bytes, Reason: "must be set"}
+	case bytes%arch.PageSize != 0:
+		return &ConfigError{Field: field, Value: bytes, Reason: fmt.Sprintf("must be a multiple of the %d-byte page", arch.PageSize)}
+	case bytes > physmem.MaxBytes:
+		return &ConfigError{Field: field, Value: bytes, Reason: fmt.Sprintf("must not exceed %d bytes, the most frames one buddy allocator manages", physmem.MaxBytes)}
 	}
 	return nil
 }
