@@ -35,7 +35,6 @@ import (
 	"ptemagnet/internal/metrics"
 	"ptemagnet/internal/obs"
 	"ptemagnet/internal/pagetable"
-	"ptemagnet/internal/physmem"
 	"ptemagnet/internal/sim"
 	"ptemagnet/internal/vm"
 )
@@ -130,14 +129,14 @@ func buildMachine(sc sim.Scale, pol guestos.AllocPolicy, seed int64, n, overcomm
 			if i == 0 {
 				bytes = sc.DatasetBytes * 3 / 2
 			}
-			return (bytes + arch.PageSize - 1) / arch.PageSize * arch.PageSize
+			return arch.AlignUp(bytes, arch.PageSize)
 		}
 		var combined uint64
 		for i := 0; i < n; i++ {
 			combined += guestMem(i)
 		}
 		hostMem := combined * 100 / uint64(overcommitPct)
-		hc.HostMemBytes = (hostMem + arch.PageSize - 1) / arch.PageSize * arch.PageSize
+		hc.HostMemBytes = arch.AlignUp(hostMem, arch.PageSize)
 		hc.Balloon = balloon.Config{Enabled: true}
 	}
 	for i := 0; i < n; i++ {
@@ -323,11 +322,9 @@ func dumpBuddy(label string, b *buddy.Allocator, s buddy.Stats, k *guestos.Kerne
 	}
 	fmt.Println()
 	fmt.Printf("  splits %d  merges %d  failures %d\n", s.Splits, s.Merges, s.Failures)
-	// Balloon-armed runs only: frames this guest surrendered to the host,
-	// cross-checked against the physmem kind tags.
+	// Balloon-armed runs only: frames this guest surrendered to the host.
 	if pages := k.BalloonPages(); pages > 0 {
-		fmt.Printf("  ballooned out: %d frames (target %d, %d tagged balloon in guest physmem)\n",
-			pages, k.BalloonTarget(), k.Memory().CountKind(physmem.KindBalloon))
+		fmt.Printf("  ballooned out: %d frames (target %d)\n", pages, k.BalloonTarget())
 	}
 }
 

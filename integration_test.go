@@ -8,14 +8,14 @@ import (
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/pagetable"
-	"ptemagnet/internal/physmem"
 	"ptemagnet/internal/vm"
 	"ptemagnet/internal/workload"
 )
 
 // TestIntegrationFrameConservation runs a full colocated machine under every
-// policy and checks that guest-physical frames are exactly accounted for:
-// used frames == page-table nodes + user pages + live-reservation pages.
+// policy and checks that guest-physical frames are exactly accounted for by
+// their owners: used frames == frames the page tables map + their nodes +
+// the PaRTs' unused reserved pages + the balloon's frames.
 func TestIntegrationFrameConservation(t *testing.T) {
 	for _, policy := range []guestos.AllocPolicy{
 		guestos.PolicyDefault, guestos.PolicyPTEMagnet, guestos.PolicyCAPaging, guestos.PolicyTHP,
@@ -40,22 +40,26 @@ func TestIntegrationFrameConservation(t *testing.T) {
 			if err := m.RunWith(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			mem := m.Guests()[0].Kernel().Memory()
-			user := mem.CountKind(physmem.KindUser)
-			pt := mem.CountKind(physmem.KindPageTable)
-			reserved := mem.CountKind(physmem.KindReserved)
-			if user+pt+reserved != mem.UsedFrames() {
-				t.Errorf("frames unaccounted: user %d + pt %d + reserved %d != used %d",
-					user, pt, reserved, mem.UsedFrames())
-			}
-			// RSS across processes matches user frames net of COW sharing
-			// (no fork here, so exactly).
-			var rss uint64
-			for _, p := range m.Guests()[0].Kernel().Processes() {
+			k := m.Guests()[0].Kernel()
+			frames := map[arch.PhysAddr]bool{}
+			var rss, nodes uint64
+			for _, p := range k.Processes() {
+				p.PageTable().ForEachMapped(func(_ arch.VirtAddr, pa arch.PhysAddr, _ pagetable.Flags) bool {
+					frames[pa] = true
+					return true
+				})
 				rss += p.RSS()
+				nodes += uint64(p.PageTable().NodeCount())
 			}
+			user, reserved := uint64(len(frames)), uint64(k.UnusedReservedPages())
+			if held := user + nodes + reserved + k.BalloonPages(); held != k.Memory().UsedFrames() {
+				t.Errorf("frames unaccounted: mapped %d + pt %d + reserved %d + balloon %d != used %d",
+					user, nodes, reserved, k.BalloonPages(), k.Memory().UsedFrames())
+			}
+			// RSS across processes matches mapped frames net of COW
+			// sharing (no fork here, so exactly).
 			if rss != user {
-				t.Errorf("sum RSS %d != user frames %d", rss, user)
+				t.Errorf("sum RSS %d != mapped frames %d", rss, user)
 			}
 		})
 	}

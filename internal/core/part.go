@@ -95,7 +95,6 @@ func (r *Reservation) Mask() uint64 {
 type radixNode struct {
 	mu       sync.Mutex
 	children [radixFanout]any // *radixNode or *Reservation
-	live     int
 }
 
 // Stats captures PaRT activity counters.
@@ -279,7 +278,6 @@ func (p *PaRT) leafNode(key uint64, create bool) *radixNode {
 		if child == nil && create {
 			child = &radixNode{}
 			n.children[idx] = child
-			n.live++
 		}
 		n.mu.Unlock()
 		if child == nil {
@@ -415,7 +413,6 @@ func (p *PaRT) lookupOrInsert(va arch.VirtAddr, alloc func() (arch.PhysAddr, boo
 	}
 	r = &Reservation{base: base, groupVA: p.GroupBase(va)}
 	n.children[idx] = r
-	n.live++
 	p.live.Add(1)
 	p.unusedPages.Add(int64(p.cfg.GroupPages))
 	p.bump(func(s *Stats) { s.Created++ })
@@ -432,10 +429,7 @@ func (p *PaRT) remove(groupVA arch.VirtAddr) {
 	}
 	idx := radixIndex(key, 1)
 	n.mu.Lock()
-	if n.children[idx] != nil {
-		n.children[idx] = nil
-		n.live--
-	}
+	n.children[idx] = nil
 	n.mu.Unlock()
 }
 

@@ -75,8 +75,10 @@ func TestFirstFaultCreatesReservation(t *testing.T) {
 	if p.UnusedPages() != 7 {
 		t.Errorf("UnusedPages = %d, want 7", p.UnusedPages())
 	}
-	if got := mem.CountKind(physmem.KindReserved); got != 8 {
-		t.Errorf("reserved frames = %d, want 8 (caller retags mapped ones)", got)
+	// The whole group left the buddy; the PaRT holds the seven the
+	// fault did not claim.
+	if got := mem.UsedFrames(); got != 8 {
+		t.Errorf("used frames = %d, want the group's 8", got)
 	}
 }
 

@@ -2,12 +2,11 @@
 //
 // The host sets a per-guest balloon target (in pages); the driver brings
 // the number of guest frames it holds to that target. Inflation takes
-// frames out of the guest's own buddy allocator — tagged
-// physmem.KindBalloon so inspection tools can label them — making them
-// unusable by guest processes, which tells the host their backing frames
-// can be dropped. Frames come from three sources, tried in order of
-// increasing pain, mirroring how a real guest kernel reacts to balloon
-// pressure:
+// frames out of the guest's own buddy allocator into the balloon's list
+// (BalloonPages counts them), making them unusable by guest processes,
+// which tells the host their backing frames can be dropped. Frames come
+// from three sources, tried in order of increasing pain, mirroring how a
+// real guest kernel reacts to balloon pressure:
 //
 //  1. free frames straight from the buddy allocator;
 //  2. the §4.3 reclaim daemon, run past its watermark gate, breaking

@@ -21,9 +21,10 @@ func TestBalloonInflateFromFreeFrames(t *testing.T) {
 	if k.BalloonPages() != 10 || k.BalloonTarget() != 10 {
 		t.Errorf("balloon holds %d pages toward target %d, want 10/10", k.BalloonPages(), k.BalloonTarget())
 	}
-	if got := k.Memory().CountKind(physmem.KindBalloon); got != 10 {
-		t.Errorf("%d frames tagged KindBalloon, want 10", got)
+	if got := k.Memory().UsedFrames(); got != 10 {
+		t.Errorf("%d frames out of the buddy, want the balloon's 10", got)
 	}
+	checkInvariants(t, k, 0)
 }
 
 // TestBalloonInflationBreaksReservations pins escalation source 2: when
@@ -72,7 +73,7 @@ func TestBalloonSwapOutLastResort(t *testing.T) {
 		}
 		return k, p, va
 	}
-	k1, _, _ := build()
+	k1, p1, _ := build()
 	target := k1.Memory().FreeFrames() + 40
 	d1 := k1.SetBalloonTarget(target)
 	if len(d1.SwappedOut) == 0 {
@@ -84,9 +85,12 @@ func TestBalloonSwapOutLastResort(t *testing.T) {
 		t.Errorf("identical kernels produced different balloon deltas:\n%+v\n%+v", d1, d2)
 	}
 	// Swapped pages must really be gone: their translations are dropped.
-	if got := k1.Memory().CountKind(physmem.KindBalloon); got != k1.BalloonPages() {
-		t.Errorf("kind tags (%d) disagree with balloon bookkeeping (%d)", got, k1.BalloonPages())
+	for _, rec := range d1.SwappedOut {
+		if _, ok := p1.Translate(rec.VA); ok {
+			t.Errorf("swapped-out page %#x still mapped", uint64(rec.VA))
+		}
 	}
+	checkInvariants(t, k1, 0)
 }
 
 // TestBalloonDeflateRestoresAllocator pins the satellite contract: after

@@ -234,7 +234,6 @@ type Process struct {
 	// memLimit is the cgroup-style declared limit used by the §4.4
 	// enable threshold.
 	memLimit uint64
-	rss      uint64 // mapped user pages
 	alive    bool
 }
 
@@ -382,14 +381,15 @@ func (p *Process) PageTable() *pagetable.Table { return p.pt }
 // Part returns the process's PaRT, or nil when PTEMagnet does not apply.
 func (p *Process) Part() *core.PaRT { return p.part }
 
-// RSS returns the number of mapped user pages.
-func (p *Process) RSS() uint64 { return p.rss }
+// RSS returns the number of mapped user pages: the page table's count.
+func (p *Process) RSS() uint64 { return p.pt.MappedPages() }
 
 // Mmap eagerly allocates a virtual region of the given size (rounded up to
 // whole pages) and returns its base. Physical memory is not allocated —
-// that happens page by page on fault (§2.2).
+// that happens page by page on fault (§2.2). A size of zero or beyond the
+// virtual address space is ErrBadRange.
 func (p *Process) Mmap(bytes uint64) (arch.VirtAddr, error) {
-	if bytes == 0 {
+	if bytes == 0 || bytes > 1<<arch.VABits {
 		return 0, ErrBadRange
 	}
 	span := arch.PagesToBytes(arch.BytesToPages(bytes))
@@ -458,12 +458,10 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 	// §4.4 fork path: consult the parent's reservation map first.
 	if p.parent != nil && p.parent.alive && p.parent.part != nil {
 		if pa, ok := p.parent.part.ClaimFromParent(page); ok {
-			k.mem.SetKind(pa, physmem.KindUser)
 			if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
 				k.unclaim(p.parent.part, page, pa)
 				return 0, err
 			}
-			p.rss++
 			k.stats.Faults[FaultParentClaim]++
 			return FaultParentClaim, nil
 		}
@@ -490,7 +488,6 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 				k.mem.FreeBlock(pa)
 				return 0, err
 			}
-			p.rss++
 			k.stats.Faults[FaultCAHit]++
 			k.checkPressure()
 			return FaultCAHit, nil
@@ -505,7 +502,6 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 		k.mem.FreeBlock(pa)
 		return 0, err
 	}
-	p.rss++
 	k.stats.Faults[FaultDefault]++
 	return FaultDefault, nil
 }
@@ -546,12 +542,10 @@ func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	if res == core.FaultNoMemory || res == core.FaultClaimed {
 		return 0, false, nil
 	}
-	k.mem.SetKind(pa, physmem.KindUser)
 	if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
 		k.unclaim(part, page, pa)
 		return 0, true, err
 	}
-	p.rss++
 	k.checkPressure()
 	if res == core.FaultReservationHit {
 		k.stats.Faults[FaultMagnetHit]++
@@ -569,7 +563,7 @@ func (p *Process) caPlacement(page arch.VirtAddr) (arch.PhysAddr, bool) {
 	k := p.kernel
 	if prev, _, ok := p.pt.Translate(page - arch.PageSize); ok {
 		want := prev.PageBase() + arch.PageSize
-		if k.mem.AllocFrameAt(want, physmem.KindUser) {
+		if k.mem.AllocFrameAt(want) {
 			return want, true
 		}
 	}
@@ -577,7 +571,7 @@ func (p *Process) caPlacement(page arch.VirtAddr) (arch.PhysAddr, bool) {
 		base := next.PageBase()
 		if base >= arch.PageSize {
 			want := base - arch.PageSize
-			if k.mem.AllocFrameAt(want, physmem.KindUser) {
+			if k.mem.AllocFrameAt(want) {
 				return want, true
 			}
 		}
@@ -611,7 +605,6 @@ func (p *Process) thpFault(page arch.VirtAddr) (FaultKind, bool, error) {
 		}
 		return 0, true, err
 	}
-	p.rss += hugePages
 	k.stats.Faults[FaultTHP]++
 	k.checkPressure()
 	return FaultTHP, true, nil
@@ -733,7 +726,6 @@ func (p *Process) freePage(page arch.VirtAddr) {
 	if !ok {
 		return
 	}
-	p.rss--
 	if p.part != nil && k.frameRefs(pa) > 1 {
 		// The frame is COW-shared with a forked relative, so it cannot
 		// return to the reservation (the sharer keeps using it). Dissolve
@@ -743,35 +735,20 @@ func (p *Process) freePage(page arch.VirtAddr) {
 		k.putFrame(pa)
 		return
 	}
-	if p.part != nil && k.returnToReservation(p.part, page, pa) {
+	// A live reservation of the group takes the frame back; if it was the
+	// group's last claimed page the whole group returns to the buddy
+	// allocator.
+	if p.part != nil && p.part.NotifyFree(page, pa, k.mem.FreeBlock) {
 		return
 	}
 	k.putFrame(pa)
-}
-
-// returnToReservation hands the frame pa of page back to part's live
-// reservation of its group, reporting false when no reservation holds it.
-// If the group is still alive the frame goes back to reserved state, held
-// by the reservation; if it was the group's last claimed page the whole
-// group dissolves and every page returns to the buddy allocator, whatever
-// state it was in.
-func (k *Kernel) returnToReservation(part *core.PaRT, page arch.VirtAddr, pa arch.PhysAddr) bool {
-	dissolved := false
-	handled := part.NotifyFree(page, pa, func(groupPA arch.PhysAddr) {
-		dissolved = true
-		k.mem.FreeBlock(groupPA)
-	})
-	if handled && !dissolved {
-		k.mem.SetKind(pa, physmem.KindReserved)
-	}
-	return handled
 }
 
 // unclaim gives back a frame a fault claimed from part but could not map:
 // to its reservation, or to the buddy allocator when the claim took the
 // group's last page and the reservation is gone.
 func (k *Kernel) unclaim(part *core.PaRT, page arch.VirtAddr, pa arch.PhysAddr) {
-	if !k.returnToReservation(part, page, pa) {
+	if !part.NotifyFree(page, pa, k.mem.FreeBlock) {
 		k.mem.FreeBlock(pa)
 	}
 }
@@ -792,7 +769,6 @@ func (p *Process) SwapOut(va arch.VirtAddr) bool {
 	if !ok {
 		return false
 	}
-	p.rss--
 	if p.part != nil {
 		p.part.DissolveGroup(page, func(groupPA arch.PhysAddr) { k.mem.FreeBlock(groupPA) })
 	}
@@ -849,7 +825,6 @@ func (p *Process) Fork(name string) (*Process, error) {
 			return false
 		}
 		k.getFrame(pa)
-		child.rss++
 		return true
 	})
 	if mapErr != nil {
@@ -873,7 +848,6 @@ func (p *Process) Exit() {
 		return true
 	})
 	p.pt.Destroy()
-	p.rss = 0
 	p.alive = false
 }
 

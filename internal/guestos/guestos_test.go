@@ -76,13 +76,11 @@ func TestDefaultFaultAllocatesOnePage(t *testing.T) {
 	if p.RSS() != 1 {
 		t.Errorf("RSS = %d", p.RSS())
 	}
-	pa, ok := p.Translate(va)
-	if !ok {
+	if _, ok := p.Translate(va); !ok {
 		t.Fatal("page not mapped after fault")
 	}
-	if k.Memory().Kind(pa) != physmem.KindUser {
-		t.Errorf("frame kind = %v", k.Memory().Kind(pa))
-	}
+	// The one data frame is held by the page table.
+	checkInvariants(t, k, 1)
 	// Second fault on the same page is a no-op.
 	kind, err = p.HandlePageFault(va+100, false)
 	if err != nil || kind != FaultAlreadyMapped {
@@ -101,12 +99,10 @@ func TestMagnetFaultReservesGroup(t *testing.T) {
 	if kind != FaultMagnetNew {
 		t.Fatalf("kind = %v", kind)
 	}
-	if got := k.Memory().CountKind(physmem.KindReserved); got != 7 {
-		t.Errorf("reserved frames = %d, want 7", got)
+	if k.UnusedReservedPages() != 7 || p.RSS() != 1 {
+		t.Errorf("reserved frames = %d, mapped %d; want 7 and 1", k.UnusedReservedPages(), p.RSS())
 	}
-	if got := k.Memory().CountKind(physmem.KindUser); got != 1 {
-		t.Errorf("user frames = %d, want 1", got)
-	}
+	checkInvariants(t, k, 1)
 	// Remaining group pages are reservation hits, physically contiguous.
 	base, _ := p.Translate(va)
 	for i := 1; i < 8; i++ {
@@ -122,7 +118,7 @@ func TestMagnetFaultReservesGroup(t *testing.T) {
 			t.Errorf("page %d at %#x, want contiguous from %#x", i, pa, base)
 		}
 	}
-	if k.Memory().CountKind(physmem.KindReserved) != 0 {
+	if k.UnusedReservedPages() != 0 {
 		t.Error("reserved frames remain after filling group")
 	}
 	s := k.Snapshot()
@@ -230,14 +226,17 @@ func TestFreeReturnsPageToReservation(t *testing.T) {
 	p.HandlePageFault(va, false)
 	p.HandlePageFault(va+arch.PageSize, false)
 	pa0, _ := p.Translate(va)
+	used := k.Memory().UsedFrames()
 	if err := p.Free(va, arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.Translate(va); ok {
 		t.Error("page still mapped after free")
 	}
-	if k.Memory().Kind(pa0) != physmem.KindReserved {
-		t.Errorf("freed frame kind = %v, want reserved", k.Memory().Kind(pa0))
+	// The reservation holds the frame: it stays out of the buddy.
+	if k.UnusedReservedPages() != 7 || k.Memory().UsedFrames() != used {
+		t.Errorf("%d reserved pages, %d used frames after the free; want 7 and %d",
+			k.UnusedReservedPages(), k.Memory().UsedFrames(), used)
 	}
 	// Refault gets the same frame back.
 	kind, _ := p.HandlePageFault(va, false)
@@ -421,14 +420,14 @@ func TestForkCOWSharing(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.HandlePageFault(va+arch.VirtAddr(i*arch.PageSize), false)
 	}
-	userFrames := k.Memory().CountKind(physmem.KindUser)
+	used := k.Memory().UsedFrames()
 	child, err := p.Fork("child")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fork allocates page-table nodes for the child but no user frames.
-	if k.Memory().CountKind(physmem.KindUser) != userFrames {
-		t.Error("fork allocated user frames")
+	if got, nodes := k.Memory().UsedFrames(), uint64(child.PageTable().NodeCount()); got != used+nodes {
+		t.Errorf("fork took %d frames, want only the child's %d page-table nodes", got-used, nodes)
 	}
 	if child.RSS() != p.RSS() {
 		t.Errorf("child RSS = %d, parent %d", child.RSS(), p.RSS())
@@ -514,9 +513,10 @@ func TestFreeSharedFrameDissolvesReservation(t *testing.T) {
 	if p.Part().Live() != 0 {
 		t.Error("reservation survived freeing of a shared page")
 	}
-	if k.Memory().Kind(cPA) != physmem.KindUser {
-		t.Errorf("child's frame kind = %v after parent free", k.Memory().Kind(cPA))
+	if pa, ok := child.Translate(va); !ok || pa != cPA {
+		t.Errorf("child maps %#x (%v) after parent free, want %#x", uint64(pa), ok, uint64(cPA))
 	}
+	checkInvariants(t, k, 0)
 	// Child still reads its page; freeing from the child now releases it.
 	if _, err := child.HandlePageFault(va, false); err != nil {
 		t.Fatal(err)
@@ -636,6 +636,15 @@ func TestMmapValidation(t *testing.T) {
 	p := mustSpawn(t, k, "a")
 	if _, err := p.Mmap(0); !errors.Is(err, ErrBadRange) {
 		t.Errorf("Mmap(0): %v", err)
+	}
+	// Sizes whose page rounding wraps, or that exceed the VA space.
+	for _, bytes := range []uint64{^uint64(0), ^uint64(0) - arch.PageSize + 2, 1<<arch.VABits + 1} {
+		if va, err := p.Mmap(bytes); !errors.Is(err, ErrBadRange) {
+			t.Errorf("Mmap(%#x) = %#x, %v; want ErrBadRange", bytes, uint64(va), err)
+		}
+	}
+	if len(p.vmas) != 0 {
+		t.Errorf("rejected mmaps recorded %d VMAs", len(p.vmas))
 	}
 	if err := p.Free(0x1000, 0); !errors.Is(err, ErrBadRange) {
 		t.Errorf("Free(len 0): %v", err)
@@ -826,21 +835,22 @@ func starve(k *Kernel, block arch.PhysAddr) {
 }
 
 // failedFaultLeaksNothing faults va in p, which must fail because no frame
-// is left for a page-table node, and requires the free and user frame
-// counts of guest memory, and p's RSS, to be back at their values from
-// before the fault.
+// is left for a page-table node, and requires the free frames of guest
+// memory, the frames page tables map, and p's RSS, to be back at their
+// values from before the fault.
 func failedFaultLeaksNothing(t *testing.T, p *Process, va arch.VirtAddr) {
 	t.Helper()
 	mem := p.kernel.Memory()
-	free, user, rss := mem.FreeFrames(), mem.CountKind(physmem.KindUser), p.RSS()
+	free, rss := mem.FreeFrames(), p.RSS()
+	maps, _, _, _ := heldFrames(p.kernel)
 	if kind, err := p.Touch(va); err == nil {
 		t.Fatalf("fault at %#x = %v with no frame left for a page-table node", uint64(va), kind)
 	}
 	if got := mem.FreeFrames(); got != free {
 		t.Errorf("free frames %d before the failed fault, %d after", free, got)
 	}
-	if got := mem.CountKind(physmem.KindUser); got != user {
-		t.Errorf("user frames %d before the failed fault, %d after", user, got)
+	if got, _, _, _ := heldFrames(p.kernel); len(got) != len(maps) {
+		t.Errorf("mapped frames %d before the failed fault, %d after", len(maps), len(got))
 	}
 	if p.RSS() != rss {
 		t.Errorf("RSS %d before the failed fault, %d after", rss, p.RSS())
@@ -881,14 +891,14 @@ func TestFailedMapFreesCAPagingFrame(t *testing.T) {
 	}
 	prev, _ := p.Translate(boundary - arch.PageSize)
 	want := prev + arch.PageSize
-	if !k.Memory().AllocFrameAt(want, physmem.KindKernel) {
+	if !k.Memory().AllocFrameAt(want) {
 		t.Fatalf("frame %#x after the neighbour's is not free", uint64(want))
 	}
 	starve(k, want)
 	before := k.Snapshot()
 	failedFaultLeaksNothing(t, p, boundary)
-	if k.Memory().Kind(want) != physmem.KindFree {
-		t.Errorf("frame %#x is %v, want free", uint64(want), k.Memory().Kind(want))
+	if !k.Memory().AllocFrameAt(want) {
+		t.Errorf("frame %#x is not free", uint64(want))
 	}
 	if d := k.Snapshot().Delta(before); d.Faults[FaultCAHit] != 0 || d.Faults[FaultDefault] != 0 {
 		t.Errorf("failed fault counted: %+v", d.Faults)

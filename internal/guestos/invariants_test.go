@@ -6,17 +6,11 @@ import (
 
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/pagetable"
-	"ptemagnet/internal/physmem"
 )
 
 // TestRandomOpsInvariants drives the kernel with random operation sequences
 // (spawn, mmap, fault, free, fork, COW write, swap-out, exit) under every
-// policy and checks global invariants after each step:
-//
-//   - frame conservation: used frames == PT nodes + user frames + reserved
-//     frames (nothing leaks, nothing is double-freed);
-//   - no two processes map the same frame unless it is COW-shared;
-//   - PaRT gauges match physmem's reserved-frame count.
+// policy and runs checkInvariants every 500 steps.
 func TestRandomOpsInvariants(t *testing.T) {
 	for _, policy := range []AllocPolicy{PolicyDefault, PolicyPTEMagnet, PolicyCAPaging, PolicyTHP} {
 		policy := policy
@@ -110,43 +104,49 @@ func TestRandomOpsInvariants(t *testing.T) {
 	}
 }
 
+// heldFrames counts the guest frames each owner holds: the frames live
+// processes' page tables map (with how many mappings each has), those
+// tables' nodes, the PaRTs' reserved-but-unmapped pages, and the balloon's
+// frames.
+func heldFrames(k *Kernel) (maps map[arch.PhysAddr]int, nodes, reserved, balloon uint64) {
+	maps = map[arch.PhysAddr]int{}
+	for _, p := range k.Processes() {
+		p.PageTable().ForEachMapped(func(_ arch.VirtAddr, pa arch.PhysAddr, _ pagetable.Flags) bool {
+			maps[pa.PageBase()]++
+			return true
+		})
+		nodes += uint64(p.PageTable().NodeCount())
+	}
+	return maps, nodes, uint64(k.UnusedReservedPages()), k.BalloonPages()
+}
+
+// checkInvariants checks the kernel's global invariants:
+//
+//   - frame conservation in the owners' terms: the buddy's used frames are
+//     exactly the frames page tables map or are built from, the PaRTs'
+//     unused reserved pages and the balloon's (nothing leaks, nothing is
+//     double-freed);
+//   - no frame has more mappings than its COW share count;
+//   - the processes' RSS adds up to the mappings their page tables hold.
 func checkInvariants(t *testing.T, k *Kernel, step int) {
 	t.Helper()
-	mem := k.Memory()
-	user := mem.CountKind(physmem.KindUser)
-	pt := mem.CountKind(physmem.KindPageTable)
-	reserved := mem.CountKind(physmem.KindReserved)
-	if got := user + pt + reserved; got != mem.UsedFrames() {
-		t.Fatalf("step %d: kind counts %d (user %d + pt %d + reserved %d) != used %d",
-			step, got, user, pt, reserved, mem.UsedFrames())
+	maps, nodes, reserved, balloon := heldFrames(k)
+	mapped := uint64(len(maps))
+	if held, used := mapped+nodes+reserved+balloon, k.Memory().UsedFrames(); held != used {
+		t.Fatalf("step %d: owners hold %d frames (mapped %d + pt nodes %d + reserved %d + balloon %d) != used %d",
+			step, held, mapped, nodes, reserved, balloon, used)
 	}
-	// PaRT unused-page gauges must equal the reserved-frame count.
-	if gauge := k.UnusedReservedPages(); uint64(gauge) != reserved {
-		t.Fatalf("step %d: PaRT gauge %d != reserved frames %d", step, gauge, reserved)
-	}
-	// No frame is mapped by two processes unless COW-shared.
-	owners := map[arch.PhysAddr][]*Process{}
-	for _, p := range k.Processes() {
-		p.PageTable().ForEachMapped(func(va arch.VirtAddr, pa arch.PhysAddr, flags pagetable.Flags) bool {
-			owners[pa.PageBase()] = append(owners[pa.PageBase()], p)
-			return true
-		})
-	}
-	for pa, ps := range owners {
-		if len(ps) > 1 && k.frameRefs(pa) < len(ps) {
-			t.Fatalf("step %d: frame %#x mapped by %d processes with refcount %d",
-				step, uint64(pa), len(ps), k.frameRefs(pa))
+	var mappings, rss uint64
+	for pa, n := range maps {
+		if n > 1 && k.frameRefs(pa) < n {
+			t.Fatalf("step %d: frame %#x has %d mappings with refcount %d", step, uint64(pa), n, k.frameRefs(pa))
 		}
+		mappings += uint64(n)
 	}
-	// RSS must match each process's actual mapped page count.
 	for _, p := range k.Processes() {
-		var mapped uint64
-		p.PageTable().ForEachMapped(func(arch.VirtAddr, arch.PhysAddr, pagetable.Flags) bool {
-			mapped++
-			return true
-		})
-		if mapped != p.RSS() {
-			t.Fatalf("step %d: pid %d RSS %d != mapped %d", step, p.PID(), p.RSS(), mapped)
-		}
+		rss += p.RSS()
+	}
+	if rss != mappings {
+		t.Fatalf("step %d: RSS adds up to %d, page tables hold %d mappings", step, rss, mappings)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/pagetable"
-	"ptemagnet/internal/physmem"
 )
 
 func thpKernel(t *testing.T) *Kernel {
@@ -193,7 +192,7 @@ func TestTHPExitReleasesHugePages(t *testing.T) {
 	for off := uint64(0); off < 8<<20; off += pagetable.LargePageBytes {
 		p.HandlePageFault(va+arch.VirtAddr(off), false)
 	}
-	if k.Memory().CountKind(physmem.KindUser) < 512 {
+	if p.PageTable().LargeMappings() == 0 {
 		t.Fatal("no huge pages mapped")
 	}
 	p.Exit()

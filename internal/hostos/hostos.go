@@ -139,7 +139,6 @@ type VM struct {
 	// pt is the host page table: guest-physical → host-physical.
 	pt            *pagetable.Table
 	guestMemBytes uint64
-	faults        uint64
 	alive         bool
 	// dlog, when non-nil, is the PML-style dirty-page log live migration
 	// uses to track writes between pre-copy rounds.
@@ -163,8 +162,8 @@ func (k *Kernel) CreateVM(guestMemBytes uint64) (*VM, error) {
 // CreateVMWithLevels is CreateVM with a selectable host page-table depth
 // (4-level EPT, or the 5-level EPT that accompanies LA57).
 func (k *Kernel) CreateVMWithLevels(guestMemBytes uint64, levels int) (*VM, error) {
-	if guestMemBytes == 0 || guestMemBytes%arch.PageSize != 0 {
-		return nil, fmt.Errorf("hostos: bad guest memory size %d", guestMemBytes)
+	if err := physmem.CheckSize(guestMemBytes); err != nil {
+		return nil, fmt.Errorf("hostos: bad guest memory: %w", err)
 	}
 	id := k.nextID + 1
 	pt, err := pagetable.NewWithLevels(k.mem, levels)
@@ -213,9 +212,6 @@ func (vm *VM) PageTable() *pagetable.Table { return vm.pt }
 // GuestMemBytes returns the guest-physical memory size.
 func (vm *VM) GuestMemBytes() uint64 { return vm.guestMemBytes }
 
-// Faults returns the number of host page faults (EPT violations) taken.
-func (vm *VM) Faults() uint64 { return vm.faults }
-
 // Translate maps a guest-physical address to host-physical, if mapped.
 func (vm *VM) Translate(gpa arch.PhysAddr) (arch.PhysAddr, bool) {
 	hpa, _, ok := vm.pt.Translate(arch.VirtAddr(gpa))
@@ -252,15 +248,13 @@ func (vm *VM) HandleFault(gpa arch.PhysAddr) error {
 			}
 		}
 	}
-	return vm.backPage(page, true)
+	return vm.backPage(page)
 }
 
 // backPage allocates one host frame and maps it at page, taking the
 // reliever's balloon-then-retry path when either the frame or a
-// page-table node allocation fails. isFault selects whether the mapping
-// counts as an EPT violation; a failed one frees its frame and counts
-// nothing.
-func (vm *VM) backPage(page arch.VirtAddr, isFault bool) error {
+// page-table node allocation fails. A failed mapping frees its frame.
+func (vm *VM) backPage(page arch.VirtAddr) error {
 	k := vm.kernel
 	var summary string
 	hpa, ok := k.mem.AllocFrame(physmem.KindUser)
@@ -290,9 +284,6 @@ func (vm *VM) backPage(page arch.VirtAddr, isFault bool) error {
 			return &OOMError{VM: vm.id, NeedPages: 1, Err: err, Balloon: summary}
 		}
 		return err
-	}
-	if isFault {
-		vm.faults++
 	}
 	return nil
 }
@@ -443,10 +434,11 @@ func (vm *VM) DrainDirtyLog() (pages []arch.PhysAddr, rescan bool) {
 // buddy path — the destination host re-allocates the image frame by frame,
 // and whether the guest's PTEs stay contiguous afterwards depends only on
 // the guest-physical layout the guest brings with it (§2: the host PT is
-// indexed by guest-physical addresses). Unlike HandleFault it does not
-// count as an EPT violation. Copying onto an already-backed page (a
-// re-dirtied page shipped again) rewrites contents, not the mapping, so it
-// is a mapping no-op here.
+// indexed by guest-physical addresses). Unlike HandleFault it is no EPT
+// violation: no walk takes it, so the walker's host-fault count never
+// sees it. Copying onto an already-backed page (a re-dirtied page shipped
+// again) rewrites contents, not the mapping, so it is a mapping no-op
+// here.
 func (vm *VM) MapMigratedPage(gpa arch.PhysAddr) error {
 	if uint64(gpa) >= vm.guestMemBytes {
 		return fmt.Errorf("hostos: migrated guest-physical address %#x beyond VM memory %d", uint64(gpa), vm.guestMemBytes)
@@ -455,7 +447,7 @@ func (vm *VM) MapMigratedPage(gpa arch.PhysAddr) error {
 	if _, _, ok := vm.pt.Translate(page); ok {
 		return nil
 	}
-	return vm.backPage(page, false)
+	return vm.backPage(page)
 }
 
 // Unback drops the host backing of the guest-physical page containing

@@ -14,8 +14,9 @@ func TestCreateVMValidation(t *testing.T) {
 	if _, err := k.CreateVM(0); err == nil {
 		t.Error("CreateVM(0) succeeded")
 	}
-	if _, err := k.CreateVM(100); err == nil {
-		t.Error("CreateVM(non-page-multiple) succeeded")
+	var se *physmem.SizeError
+	if _, err := k.CreateVM(100); !errors.As(err, &se) {
+		t.Errorf("CreateVM(non-page-multiple) = %v, want physmem's size rule", err)
 	}
 	if _, err := k.CreateVM(8 << 20); err != nil {
 		t.Errorf("CreateVM failed: %v", err)
@@ -39,13 +40,14 @@ func TestFaultMapsGuestPage(t *testing.T) {
 	if off := uint64(hpa) & arch.PageMask; off != 0x10 {
 		t.Errorf("offset not preserved: %#x", uint64(hpa))
 	}
-	if vm.Faults() != 1 || vm.MappedGuestPages() != 1 {
-		t.Errorf("faults=%d mapped=%d", vm.Faults(), vm.MappedGuestPages())
+	if vm.MappedGuestPages() != 1 {
+		t.Errorf("mapped=%d", vm.MappedGuestPages())
 	}
 	// Repeat fault is a no-op.
+	used := k.Memory().UsedFrames()
 	vm.HandleFault(gpa)
-	if vm.Faults() != 1 {
-		t.Errorf("spurious fault counted")
+	if got, _ := vm.Translate(gpa + 0x10); got != hpa || vm.MappedGuestPages() != 1 || k.Memory().UsedFrames() != used {
+		t.Errorf("spurious fault remapped or allocated: hpa %#x, mapped %d, used %d", uint64(got), vm.MappedGuestPages(), k.Memory().UsedFrames())
 	}
 }
 
@@ -72,8 +74,7 @@ func TestHostOOM(t *testing.T) {
 }
 
 // TestFailedFaultFreesItsFrame pins the node-allocation failure of a host
-// fault: the data frame it took goes back, and no EPT violation is counted
-// for a page that was never mapped.
+// fault: the data frame it took goes back, and the page stays unmapped.
 func TestFailedFaultFreesItsFrame(t *testing.T) {
 	k := NewKernel(64 << 10)
 	vm, err := k.CreateVM(2 << 20)
@@ -91,8 +92,8 @@ func TestFailedFaultFreesItsFrame(t *testing.T) {
 	if got := k.Memory().FreeFrames(); got != 1 {
 		t.Errorf("free frames after the failed fault = %d, want 1", got)
 	}
-	if vm.Faults() != 0 || vm.MappedGuestPages() != 0 {
-		t.Errorf("faults=%d mapped=%d, want 0, 0", vm.Faults(), vm.MappedGuestPages())
+	if vm.MappedGuestPages() != 0 {
+		t.Errorf("mapped=%d, want 0", vm.MappedGuestPages())
 	}
 }
 
@@ -198,15 +199,14 @@ func TestPerVMFaultCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Faults() != 5 || b.Faults() != 3 {
-		t.Errorf("faults = %d,%d, want 5,3", a.Faults(), b.Faults())
-	}
-	// Each VM's frames are the pages its host page table maps.
+	// Each VM's frames are the pages its host page table maps and the
+	// nodes it is built from.
 	if a.MappedGuestPages() != 5 || b.MappedGuestPages() != 3 {
 		t.Errorf("mapped = %d,%d, want 5,3", a.MappedGuestPages(), b.MappedGuestPages())
 	}
-	if got := k.Memory().CountKind(physmem.KindUser); got != 8 {
-		t.Errorf("host holds %d user frames, want 8", got)
+	nodes := uint64(a.PageTable().NodeCount() + b.PageTable().NodeCount())
+	if got := k.Memory().UsedFrames(); got != 8+nodes {
+		t.Errorf("host holds %d frames, want 8 mapped + %d nodes", got, nodes)
 	}
 }
 
@@ -257,8 +257,8 @@ func TestDestroyVMReturnsFrames(t *testing.T) {
 	if got := k.Memory().FreeFrames(); got != free0 {
 		t.Errorf("free frames after teardown = %d, want %d (all frames returned)", got, free0)
 	}
-	if got := k.Memory().CountKind(physmem.KindUser); got != 0 {
-		t.Errorf("host still holds %d user frames after teardown", got)
+	if got := k.Memory().UsedFrames(); got != 0 {
+		t.Errorf("host still holds %d frames after teardown", got)
 	}
 	// Coalescing: a max-order block must be allocatable again.
 	if _, ok := k.Memory().AllocOrder(3, physmem.KindUser); !ok {
@@ -378,8 +378,8 @@ func TestMapMigratedPage(t *testing.T) {
 	if !vm.Mapped(gpa) {
 		t.Fatal("page unmapped after MapMigratedPage")
 	}
-	if vm.Faults() != 0 {
-		t.Errorf("migration copy counted as %d EPT violations", vm.Faults())
+	if vm.MappedGuestPages() != 1 {
+		t.Errorf("migration copy mapped %d pages, want 1", vm.MappedGuestPages())
 	}
 	// Re-copying a shipped page keeps the existing mapping.
 	hpa0, _ := vm.Translate(gpa)

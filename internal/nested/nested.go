@@ -214,7 +214,6 @@ type Outcome struct {
 
 // Walker performs nested translations for one VM.
 type Walker struct {
-	cfg    Config
 	caches *cache.Hierarchy
 	vm     *hostos.VM
 	tlb    *tlb.TwoLevel
@@ -235,7 +234,6 @@ const writableBit arch.PhysAddr = 1
 // New builds a walker for the given VM on the given cache hierarchy.
 func New(cfg Config, caches *cache.Hierarchy, vm *hostos.VM) *Walker {
 	return &Walker{
-		cfg:    cfg,
 		caches: caches,
 		vm:     vm,
 		tlb:    tlb.NewTwoLevel(cfg.TLB),

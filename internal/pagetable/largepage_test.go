@@ -184,14 +184,14 @@ func TestMapLargeReclaimsEmptyLeaf(t *testing.T) {
 		tbl.Unmap(va + arch.VirtAddr(i*arch.PageSize))
 	}
 	nodes := tbl.NodeCount()
-	ptFrames := mem.CountKind(physmem.KindPageTable)
+	ptFrames := mem.UsedFrames() // the table's nodes: its data addresses are not allocated
 	if err := tbl.MapLarge(va, 0x800000, 0); err != nil {
 		t.Fatalf("MapLarge over empty leaf: %v", err)
 	}
 	if tbl.NodeCount() != nodes-1 {
 		t.Errorf("empty leaf not reclaimed: %d nodes, was %d", tbl.NodeCount(), nodes)
 	}
-	if got := mem.CountKind(physmem.KindPageTable); got != ptFrames-1 {
+	if got := mem.UsedFrames(); got != ptFrames-1 {
 		t.Errorf("leaf frame not freed: %d PT frames, was %d", got, ptFrames)
 	}
 	pa, _, ok := tbl.Translate(va + 0x1000)

@@ -116,8 +116,7 @@ type Table struct {
 	largeMapped uint64
 }
 
-// New allocates a four-level page table with an empty root node in mem,
-// with its node frames tagged as page-table memory.
+// New allocates a four-level page table with an empty root node in mem.
 func New(mem *physmem.Memory) (*Table, error) {
 	return NewWithLevels(mem, arch.PTLevels)
 }

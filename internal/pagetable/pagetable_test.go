@@ -124,8 +124,9 @@ func TestNodeAllocationShape(t *testing.T) {
 	if tbl.NodeCount() != 7 {
 		t.Errorf("distant mapping: %d nodes, want 7", tbl.NodeCount())
 	}
-	if got := mem.CountKind(physmem.KindPageTable); got != uint64(tbl.NodeCount()) {
-		t.Errorf("physmem tracks %d PT frames, table has %d nodes", got, tbl.NodeCount())
+	// The nodes are all the memory holds: data addresses are not allocated.
+	if got := mem.UsedFrames(); got != uint64(tbl.NodeCount()) {
+		t.Errorf("physmem holds %d frames, table has %d nodes", got, tbl.NodeCount())
 	}
 }
 
@@ -276,11 +277,11 @@ func TestDestroyReleasesNodes(t *testing.T) {
 	}
 	tbl.Map(0x1000, 0x5000, 0)
 	tbl.Map(0x7f0000000000, 0x6000, 0)
-	if mem.CountKind(physmem.KindPageTable) == 0 {
+	if mem.UsedFrames() == 0 {
 		t.Fatal("no PT frames allocated")
 	}
 	tbl.Destroy()
-	if got := mem.CountKind(physmem.KindPageTable); got != 0 {
+	if got := mem.UsedFrames(); got != 0 {
 		t.Errorf("%d PT frames remain after Destroy", got)
 	}
 }

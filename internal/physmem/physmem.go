@@ -1,12 +1,12 @@
 // Package physmem models the physical memory of one machine (the host) or
 // one virtual machine (guest-physical memory).
 //
-// It wraps a buddy allocator with one tag per frame: what kind of data
-// occupies it (user pages, page-table nodes, PTEMagnet reservations, balloon
-// pages). The tag steers the fault-injection and empty-pool hooks, which
-// treat data and kernel allocations differently, and lets inspection tools
-// and tests count frames by kind. Who holds a frame is not recorded here:
-// the page tables that map it already say so.
+// It is a buddy allocator plus two hooks: a fault-injection hook and an
+// empty-pool hook, which treat data and kernel allocations differently.
+// Each allocation names the kind of data it is for, and the kind steers
+// those hooks; it is not recorded. Who holds a frame is not recorded here
+// either: a page table (a mapped page or a node), a PTEMagnet reservation
+// or the balloon already says so.
 package physmem
 
 import (
@@ -16,37 +16,34 @@ import (
 	"ptemagnet/internal/buddy"
 )
 
-// FrameKind classifies the contents of a physical frame.
+// FrameKind names what an allocation is for. It steers the two hooks
+// (SetAllocHook, SetEmptyHook) and is not recorded once the allocation
+// returns.
 type FrameKind uint8
 
 const (
-	// KindFree marks an unallocated frame.
-	KindFree FrameKind = iota
-	// KindUser marks a frame holding application data.
-	KindUser
-	// KindPageTable marks a frame holding a page-table node of this
-	// memory's own kernel (guest PT nodes in guest-physical memory, host
-	// PT nodes in host-physical memory).
+	// KindUser is application data.
+	KindUser FrameKind = iota
+	// KindPageTable is a page-table node of this memory's own kernel
+	// (guest PT nodes in guest-physical memory, host PT nodes in
+	// host-physical memory).
 	KindPageTable
-	// KindReserved marks a frame inside a PTEMagnet reservation that has
-	// been taken from the buddy allocator but not yet mapped to the
-	// application. The kernel still owns it and can reclaim it quickly
-	// (paper §4.2).
+	// KindReserved is a PTEMagnet reservation group: taken from the buddy
+	// allocator on a group's first fault, mapped to the application page
+	// by page, and reclaimable until then (paper §4.2).
 	KindReserved
-	// KindKernel marks miscellaneous kernel-owned memory.
+	// KindKernel is miscellaneous kernel-owned memory.
 	KindKernel
-	// KindBalloon marks a frame held by the guest's balloon driver: taken
-	// from the guest buddy on host request so the host can drop its
-	// backing. The frame is unusable by the guest until the balloon
-	// deflates. Only meaningful in guest-physical memory.
+	// KindBalloon is a frame for the guest's balloon driver: taken from
+	// the guest buddy on host request so the host can drop its backing,
+	// and unusable by the guest until the balloon deflates. Only
+	// meaningful in guest-physical memory.
 	KindBalloon
 )
 
 // String returns a short human-readable name for the kind.
 func (k FrameKind) String() string {
 	switch k {
-	case KindFree:
-		return "free"
 	case KindUser:
 		return "user"
 	case KindPageTable:
@@ -63,10 +60,9 @@ func (k FrameKind) String() string {
 }
 
 // Memory is the physical memory of one machine, managed by a buddy
-// allocator with a kind tag per frame.
+// allocator.
 type Memory struct {
 	alloc *buddy.Allocator
-	kind  []FrameKind
 	hook  AllocHook
 	empty func(kind FrameKind) bool
 }
@@ -84,21 +80,43 @@ type AllocHook interface {
 // allocator manages (16 TiB).
 const MaxBytes = buddy.MaxFrames << arch.PageShift
 
-// New creates a memory of the given size in bytes, which must be a positive
-// multiple of the page size no larger than MaxBytes.
+// SizeError reports a memory size New cannot model.
+type SizeError struct {
+	// Bytes is the rejected size.
+	Bytes uint64
+	// Reason states the violated rule.
+	Reason string
+}
+
+// Error describes the rejected size.
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("physmem: size %d %s", e.Bytes, e.Reason)
+}
+
+// CheckSize returns a *SizeError unless New accepts a memory of bytes: a
+// whole number of pages, at least two (frame 0 is never allocated), and
+// at most MaxBytes.
+func CheckSize(bytes uint64) error {
+	switch {
+	case bytes == 0:
+		return &SizeError{Bytes: bytes, Reason: "must be set"}
+	case bytes%arch.PageSize != 0:
+		return &SizeError{Bytes: bytes, Reason: fmt.Sprintf("must be a multiple of the %d-byte page", arch.PageSize)}
+	case bytes < 2*arch.PageSize:
+		return &SizeError{Bytes: bytes, Reason: "must hold at least two pages: frame 0 is never allocated"}
+	case bytes > MaxBytes:
+		return &SizeError{Bytes: bytes, Reason: fmt.Sprintf("must not exceed %d bytes, the most frames one buddy allocator manages", MaxBytes)}
+	}
+	return nil
+}
+
+// New creates a memory of the given size in bytes. It panics with the
+// CheckSize error for a size CheckSize rejects.
 func New(bytes uint64) *Memory {
-	if bytes == 0 || bytes%arch.PageSize != 0 {
-		panic(fmt.Sprintf("physmem: size %d is not a positive page multiple", bytes))
+	if err := CheckSize(bytes); err != nil {
+		panic(err)
 	}
-	nframes := bytes >> arch.PageShift
-	m := &Memory{
-		alloc: buddy.New(nframes),
-		kind:  make([]FrameKind, nframes),
-	}
-	// Frame 0 is permanently kernel-reserved (the buddy never hands it
-	// out); record it as such.
-	m.kind[0] = KindKernel
-	return m
+	return &Memory{alloc: buddy.New(bytes >> arch.PageShift)}
 }
 
 // Size returns the memory size in bytes.
@@ -156,7 +174,6 @@ func (m *Memory) AllocFrame(kind FrameKind) (arch.PhysAddr, bool) {
 	if !ok {
 		return arch.NoPhysAddr, false
 	}
-	m.tag(frame, 1, kind)
 	return arch.FrameToPhys(frame), true
 }
 
@@ -171,24 +188,15 @@ func (m *Memory) AllocOrder(order int, kind FrameKind) (arch.PhysAddr, bool) {
 	if !ok {
 		return arch.NoPhysAddr, false
 	}
-	m.tag(frame, uint64(1)<<order, kind)
 	return arch.FrameToPhys(frame), true
 }
 
-// AllocFrameAt allocates the specific frame containing pa if it is free,
-// tagging it with kind. It reports whether the frame was available.
-// Best-effort contiguity allocators use it to extend a previous allocation
-// physically.
-func (m *Memory) AllocFrameAt(pa arch.PhysAddr, kind FrameKind) bool {
-	frame := pa.FrameNumber()
-	if frame >= m.alloc.NumFrames() {
-		return false
-	}
-	if !m.alloc.AllocAt(frame) {
-		return false
-	}
-	m.tag(frame, 1, kind)
-	return true
+// AllocFrameAt allocates the specific frame containing pa if it is free.
+// It reports whether the frame was available. Best-effort contiguity
+// allocators use it to extend a previous allocation physically. No hook
+// applies: the caller falls back to AllocFrame when it fails.
+func (m *Memory) AllocFrameAt(pa arch.PhysAddr) bool {
+	return m.alloc.AllocAt(pa.FrameNumber())
 }
 
 // AllocGroup allocates a naturally aligned contiguous group of `pages`
@@ -213,52 +221,10 @@ func (m *Memory) AllocGroup(pages int, kind FrameKind) (arch.PhysAddr, bool) {
 	if order > 0 {
 		m.alloc.Split(frame)
 	}
-	m.tag(frame, uint64(pages), kind)
 	return arch.FrameToPhys(frame), true
 }
 
 // FreeBlock returns the block starting at pa (previously returned by
-// AllocFrame or AllocOrder) to the allocator.
-func (m *Memory) FreeBlock(pa arch.PhysAddr) {
-	frame := pa.FrameNumber()
-	order := m.alloc.BlockOrder(frame)
-	m.alloc.Free(frame)
-	m.tag(frame, uint64(1)<<order, KindFree)
-}
-
-// Kind returns the kind of the frame containing pa.
-func (m *Memory) Kind(pa arch.PhysAddr) FrameKind {
-	return m.kind[m.checkFrame(pa)]
-}
-
-// SetKind retags the single frame containing pa. The kernels use it when a
-// reserved frame is finally mapped to the application (reserved → user) and
-// when reservations are torn down.
-func (m *Memory) SetKind(pa arch.PhysAddr, kind FrameKind) {
-	m.kind[m.checkFrame(pa)] = kind
-}
-
-// CountKind returns how many frames currently carry the given kind.
-func (m *Memory) CountKind(kind FrameKind) uint64 {
-	var n uint64
-	for _, k := range m.kind {
-		if k == kind {
-			n++
-		}
-	}
-	return n
-}
-
-func (m *Memory) tag(frame, count uint64, kind FrameKind) {
-	for i := uint64(0); i < count; i++ {
-		m.kind[frame+i] = kind
-	}
-}
-
-func (m *Memory) checkFrame(pa arch.PhysAddr) uint64 {
-	f := pa.FrameNumber()
-	if f >= m.alloc.NumFrames() {
-		panic(fmt.Sprintf("physmem: address %#x beyond memory of %d frames", uint64(pa), m.alloc.NumFrames()))
-	}
-	return f
-}
+// AllocFrame or AllocOrder, or one frame of an AllocGroup) to the
+// allocator.
+func (m *Memory) FreeBlock(pa arch.PhysAddr) { m.alloc.Free(pa.FrameNumber()) }

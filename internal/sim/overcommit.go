@@ -51,11 +51,6 @@ func (s OvercommitScenario) Identity() string {
 	return fmt.Sprintf("oc%d/%s", s.RatioPct, s.Policy)
 }
 
-// pageAlign rounds n up to a whole number of pages.
-func pageAlign(n uint64) uint64 {
-	return (n + arch.PageSize - 1) / arch.PageSize * arch.PageSize
-}
-
 // spec declares the oversubscribed host, balloon controller armed, with
 // role-derived guest sizes: primaries get 1.5× their dataset, pressure
 // guests 1.5× their co-runner footprint, so the declared total tracks
@@ -65,15 +60,15 @@ func (s OvercommitScenario) spec() runSpec {
 	ms := machineSpec{scale: s.Scale, balloon: true}
 	var combined uint64
 	for i := 0; i < s.NumVMs; i++ {
-		t := tenant{cfg: vm.GuestConfig{MemBytes: pageAlign(s.Scale.DatasetBytes * 3 / 2), Policy: s.Policy}, primary: "pagerank"}
+		t := tenant{cfg: vm.GuestConfig{MemBytes: arch.AlignUp(s.Scale.DatasetBytes*3/2, arch.PageSize), Policy: s.Policy}, primary: "pagerank"}
 		if i%2 == 1 {
-			t = tenant{cfg: vm.GuestConfig{MemBytes: pageAlign(s.Scale.CorunnerFootprint * 3 / 2), Policy: guestos.PolicyDefault}, corunners: []string{"objdet"}}
+			t = tenant{cfg: vm.GuestConfig{MemBytes: arch.AlignUp(s.Scale.CorunnerFootprint*3/2, arch.PageSize), Policy: guestos.PolicyDefault}, corunners: []string{"objdet"}}
 		}
 		t.cfg.Seed = s.Seed + int64(i)*10
 		ms.tenants = append(ms.tenants, t)
 		combined += t.cfg.MemBytes
 	}
-	ms.memBytes = pageAlign(combined * 100 / uint64(s.RatioPct))
+	ms.memBytes = arch.AlignUp(combined*100/uint64(s.RatioPct), arch.PageSize)
 	return runSpec{identity: s.Identity(), fingerprint: s.Fingerprint(), machine: ms, sampleEvery: s.SampleEvery}
 }
 

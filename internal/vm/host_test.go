@@ -313,6 +313,7 @@ func TestConfigValidate(t *testing.T) {
 		{"host mem not a page multiple", func(c *HostConfig) { c.HostMemBytes = 4097 }, "HostMemBytes"},
 		{"guest mem not a page multiple", func(c *HostConfig) { c.Guests[0].MemBytes = 4097 }, "Guests[0].MemBytes"},
 		{"host mem beyond the buddy's frame limit", func(c *HostConfig) { c.HostMemBytes = 16 << 40 }, "HostMemBytes"},
+		{"guest mem of one page", func(c *HostConfig) { c.Guests[0].MemBytes = 4096 }, "Guests[0].MemBytes"},
 		{"negative cpus", func(c *HostConfig) { c.NumCPUs = -1 }, "NumCPUs"},
 		{"negative quantum", func(c *HostConfig) { c.Quantum = -4 }, "Quantum"},
 		{"bad levels", func(c *HostConfig) { c.PTLevels = 3 }, "PTLevels"},

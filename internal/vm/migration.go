@@ -34,7 +34,6 @@ func (m *Machine) DetachGuest(g *Guest) error {
 		m:           m,
 		index:       g.index,
 		cfg:         g.cfg,
-		accesses:    g.accesses,
 		migratedOut: true,
 		frozen:      g.Snapshot(),
 		frozenVMID:  g.hostVM.ID(),

@@ -83,8 +83,12 @@ func (g *Guest) Snapshot() GuestStats {
 	if g.migratedOut {
 		return g.frozen
 	}
+	var accesses uint64
+	for _, t := range g.tasks {
+		accesses += t.Accesses
+	}
 	return GuestStats{
-		Accesses:   g.accesses,
+		Accesses:   accesses,
 		Walker:     g.walker.Snapshot(),
 		TLB:        g.walker.TLB().Snapshot(),
 		Guest:      g.kernel.Snapshot(),

@@ -144,7 +144,7 @@ type HostConfig struct {
 // (when one is set at all). A failure names its field by path, e.g.
 // "Guests[0].MemBytes" or "Cache.LLC.SizeBytes".
 func (c HostConfig) Validate() error {
-	if err := checkMemBytes("HostMemBytes", c.HostMemBytes); err != nil {
+	if err := CheckMemBytes("HostMemBytes", c.HostMemBytes); err != nil {
 		return err
 	}
 	if c.NumCPUs < 0 {
@@ -204,7 +204,7 @@ func (c HostConfig) validateGeometry() error {
 
 // validate checks one guest config against the host memory size.
 func (g GuestConfig) validate(hostMemBytes uint64, prefix string) error {
-	if err := checkMemBytes(prefix+"MemBytes", g.MemBytes); err != nil {
+	if err := CheckMemBytes(prefix+"MemBytes", g.MemBytes); err != nil {
 		return err
 	}
 	if g.MemBytes > hostMemBytes {
@@ -221,16 +221,12 @@ func (g GuestConfig) validate(hostMemBytes uint64, prefix string) error {
 	return nil
 }
 
-// checkMemBytes rejects a memory size physmem cannot model: zero, not a
-// whole number of pages, or more frames than one buddy allocator manages.
-func checkMemBytes(field string, bytes uint64) error {
-	switch {
-	case bytes == 0:
-		return &ConfigError{Field: field, Value: bytes, Reason: "must be set"}
-	case bytes%arch.PageSize != 0:
-		return &ConfigError{Field: field, Value: bytes, Reason: fmt.Sprintf("must be a multiple of the %d-byte page", arch.PageSize)}
-	case bytes > physmem.MaxBytes:
-		return &ConfigError{Field: field, Value: bytes, Reason: fmt.Sprintf("must not exceed %d bytes, the most frames one buddy allocator manages", physmem.MaxBytes)}
+// CheckMemBytes rejects a memory size physmem cannot model
+// (physmem.CheckSize) with a *ConfigError naming field.
+func CheckMemBytes(field string, bytes uint64) error {
+	var se *physmem.SizeError
+	if errors.As(physmem.CheckSize(bytes), &se) {
+		return &ConfigError{Field: field, Value: bytes, Reason: se.Reason}
 	}
 	return nil
 }
@@ -265,31 +261,32 @@ type Task struct {
 	index int
 	done  bool
 
-	// Cycle accounting, split by component.
-	Cycles            uint64
-	WorkCycles        uint64
-	DataCycles        uint64
-	TranslationCycles uint64
-	FaultCycles       uint64
-	Accesses          uint64
-	DataServed        [cache.NumLevels]uint64
+	// Cycle accounting, split by component: the DataCycles,
+	// TranslationCycles, FaultCycles, Accesses and DataServed fields.
+	// TaskReport derives the work cycles and the total from them.
+	taskCounters
 
 	// initSnapshot captures the counters at the task's init boundary.
 	initSnapshot taskCounters
 	initSeen     bool
 }
 
+// taskCounters is what a task's run accumulates. Work cycles and the
+// cycle total are not counted: they follow from these (TaskReport).
 type taskCounters struct {
-	cycles, work, data, translation, fault, accesses uint64
-	dataServed                                       [cache.NumLevels]uint64
+	DataCycles        uint64
+	TranslationCycles uint64
+	FaultCycles       uint64
+	Accesses          uint64
+	DataServed        [cache.NumLevels]uint64
 }
 
-func (t *Task) counters() taskCounters {
-	return taskCounters{
-		cycles: t.Cycles, work: t.WorkCycles, data: t.DataCycles,
-		translation: t.TranslationCycles, fault: t.FaultCycles,
-		accesses: t.Accesses, dataServed: t.DataServed,
-	}
+// workCycles is the non-memory compute of c's accesses.
+func (c taskCounters) workCycles() uint64 { return workCyclesPerAccess * c.Accesses }
+
+// cycles is c's total: work, data, translation and fault cycles.
+func (c taskCounters) cycles() uint64 {
+	return c.workCycles() + c.DataCycles + c.TranslationCycles + c.FaultCycles
 }
 
 // Name returns the underlying program name.
@@ -370,10 +367,6 @@ type Guest struct {
 	tasks  []*Task
 	alive  bool
 
-	// accesses counts this guest's executed accesses (the machine total is
-	// the sum across guests).
-	accesses uint64
-
 	// migratedOut marks the frozen placeholder a migrated guest leaves in
 	// its source machine's slot: the real Guest moved on (taking kernel,
 	// walker, and tasks with it), and the placeholder reports the frozen
@@ -401,9 +394,6 @@ func (g *Guest) Tasks() []*Task { return g.tasks }
 
 // Alive reports whether the guest has not been destroyed.
 func (g *Guest) Alive() bool { return g.alive }
-
-// Accesses returns the guest's executed access count.
-func (g *Guest) Accesses() uint64 { return g.accesses }
 
 // Machine returns the machine currently hosting the guest, or nil while the
 // guest is detached mid-migration.
@@ -891,10 +881,7 @@ quantum:
 			break
 		}
 		m.totalAccesses++
-		t.guest.accesses++
 		t.Accesses++
-		t.WorkCycles += workCyclesPerAccess
-		t.Cycles += workCyclesPerAccess
 		seq := m.totalAccesses
 		var accTranslation, accData uint64
 		var accServed cache.Level
@@ -908,12 +895,10 @@ quantum:
 				out = walker.TranslateSlow(cpu, asid, gpt, acc.VA, acc.Write)
 			}
 			t.TranslationCycles += out.Cycles
-			t.Cycles += out.Cycles
 			accTranslation += out.Cycles
 			if out.Ok {
 				lv, lat := hier.Access(cpu, out.HPA)
 				t.DataCycles += lat
-				t.Cycles += lat
 				t.DataServed[lv]++
 				accData = lat
 				accServed = lv
@@ -956,9 +941,7 @@ quantum:
 				// the guest PWC entry that may still name it.
 				walker.InvalidateGuestPWC(asid, acc.VA)
 			}
-			fc := faultCost(kind)
-			t.FaultCycles += fc
-			t.Cycles += fc
+			t.FaultCycles += faultCost(kind)
 		}
 		if dirtyLog && acc.Write {
 			// PML-style write tracking: the page walker sets the EPT dirty
@@ -977,7 +960,7 @@ quantum:
 		}
 		if !t.initSeen && prog.InitDone() {
 			t.initSeen = true
-			t.initSnapshot = t.counters()
+			t.initSnapshot = t.taskCounters
 		}
 	}
 	if tracer != nil && len(recs) > 0 {
@@ -1028,8 +1011,8 @@ func (m *Machine) report(frags []metrics.FragReport) []TaskReport {
 		r := TaskReport{
 			Name:              t.Name(),
 			Guest:             t.guest.index,
-			Cycles:            t.Cycles,
-			WorkCycles:        t.WorkCycles,
+			Cycles:            t.cycles(),
+			WorkCycles:        t.workCycles(),
 			DataCycles:        t.DataCycles,
 			TranslationCycles: t.TranslationCycles,
 			FaultCycles:       t.FaultCycles,
@@ -1039,14 +1022,14 @@ func (m *Machine) report(frags []metrics.FragReport) []TaskReport {
 		}
 		snap := t.initSnapshot
 		if !t.initSeen {
-			snap = t.counters() // never reached steady state
+			snap = t.taskCounters // never reached steady state
 		}
-		r.SteadyCycles = t.Cycles - snap.cycles
-		r.SteadyTranslationCycles = t.TranslationCycles - snap.translation
-		r.SteadyDataCycles = t.DataCycles - snap.data
-		r.SteadyAccesses = t.Accesses - snap.accesses
+		r.SteadyCycles = r.Cycles - snap.cycles()
+		r.SteadyTranslationCycles = t.TranslationCycles - snap.TranslationCycles
+		r.SteadyDataCycles = t.DataCycles - snap.DataCycles
+		r.SteadyAccesses = t.Accesses - snap.Accesses
 		for i := range r.SteadyDataServed {
-			r.SteadyDataServed[i] = t.DataServed[i] - snap.dataServed[i]
+			r.SteadyDataServed[i] = t.DataServed[i] - snap.DataServed[i]
 		}
 		out = append(out, r)
 	}

@@ -39,19 +39,27 @@ func TestRunSoloBenchmark(t *testing.T) {
 	if err := m.RunWith(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if task.Accesses == 0 || task.Cycles == 0 {
+	if task.Accesses == 0 || task.DataCycles == 0 {
 		t.Fatal("task did no work")
-	}
-	// Cycle components must sum to the total.
-	if task.WorkCycles+task.DataCycles+task.TranslationCycles+task.FaultCycles != task.Cycles {
-		t.Errorf("cycle components %d+%d+%d+%d != total %d",
-			task.WorkCycles, task.DataCycles, task.TranslationCycles, task.FaultCycles, task.Cycles)
 	}
 	reports := m.Observe().Tasks
 	if len(reports) != 1 || reports[0].Name != "pagerank" {
 		t.Fatalf("reports = %+v", reports)
 	}
 	r := reports[0]
+	// The report carries the task's counters, its work cycles follow from
+	// the accesses, and the components sum to the total.
+	if r.Accesses != task.Accesses || r.DataCycles != task.DataCycles ||
+		r.TranslationCycles != task.TranslationCycles || r.FaultCycles != task.FaultCycles {
+		t.Errorf("report %+v does not carry the task's counters", r)
+	}
+	if r.WorkCycles != workCyclesPerAccess*r.Accesses {
+		t.Errorf("work cycles %d for %d accesses", r.WorkCycles, r.Accesses)
+	}
+	if r.WorkCycles+r.DataCycles+r.TranslationCycles+r.FaultCycles != r.Cycles {
+		t.Errorf("cycle components %d+%d+%d+%d != total %d",
+			r.WorkCycles, r.DataCycles, r.TranslationCycles, r.FaultCycles, r.Cycles)
+	}
 	if r.SteadyAccesses == 0 || r.SteadyAccesses >= r.Accesses {
 		t.Errorf("steady accesses = %d of %d; init boundary not detected", r.SteadyAccesses, r.Accesses)
 	}

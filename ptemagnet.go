@@ -102,10 +102,10 @@ const (
 	FaultClaimed = core.FaultClaimed
 )
 
-// ConfigError is the typed validation failure returned when a PaRTConfig or
-// HostMachineConfig is rejected (PaRTConfig.Validate,
-// HostMachineConfig.Validate, NewPaRT, NewHostMachine). Match it with
-// errors.As.
+// ConfigError is the typed validation failure returned when a PaRTConfig,
+// HostMachineConfig or GuestConfig is rejected (PaRTConfig.Validate,
+// HostMachineConfig.Validate, NewPaRT, NewHostMachine, NewGuestKernel).
+// Match it with errors.As.
 type ConfigError = core.ConfigError
 
 // NewPaRT creates an empty Page Reservation Table. An invalid configuration
@@ -135,8 +135,15 @@ const (
 	PolicyPTEMagnet = guestos.PolicyPTEMagnet
 )
 
-// NewGuestKernel boots a guest kernel.
-func NewGuestKernel(cfg GuestConfig) *GuestKernel { return guestos.NewKernel(cfg) }
+// NewGuestKernel boots a guest kernel. A MemBytes the guest-physical
+// memory cannot have (zero, not a whole number of pages, fewer than two
+// pages, or beyond 16 TiB) is rejected with a *ConfigError.
+func NewGuestKernel(cfg GuestConfig) (*GuestKernel, error) {
+	if err := vm.CheckMemBytes("MemBytes", cfg.MemBytes); err != nil {
+		return nil, err
+	}
+	return guestos.NewKernel(cfg), nil
+}
 
 // Full platform.
 type (

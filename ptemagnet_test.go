@@ -2,6 +2,7 @@ package ptemagnet_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"ptemagnet"
@@ -70,10 +71,13 @@ func TestPaRTFacadeFaultResults(t *testing.T) {
 }
 
 func TestGuestKernelFacade(t *testing.T) {
-	k := ptemagnet.NewGuestKernel(ptemagnet.GuestConfig{
+	k, err := ptemagnet.NewGuestKernel(ptemagnet.GuestConfig{
 		MemBytes: 16 << 20,
 		Policy:   ptemagnet.PolicyPTEMagnet,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := k.Spawn("demo", 8<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +91,18 @@ func TestGuestKernelFacade(t *testing.T) {
 	}
 	if p.RSS() != 1 {
 		t.Errorf("RSS = %d", p.RSS())
+	}
+}
+
+// TestGuestKernelFacadeRejectsBadSize pins that a guest memory size
+// physmem cannot model is a *ConfigError naming MemBytes, not a panic.
+func TestGuestKernelFacadeRejectsBadSize(t *testing.T) {
+	for _, bytes := range []uint64{0, 4097, ptemagnet.PageSize} {
+		k, err := ptemagnet.NewGuestKernel(ptemagnet.GuestConfig{MemBytes: bytes})
+		var cerr *ptemagnet.ConfigError
+		if !errors.As(err, &cerr) || cerr.Field != "MemBytes" || k != nil {
+			t.Errorf("NewGuestKernel(MemBytes %d) = %v, %v; want a *ConfigError naming MemBytes", bytes, k, err)
+		}
 	}
 }
 
