@@ -45,10 +45,13 @@ race:
 # Every Fuzz* target in the module runs for 10 s of coverage-guided
 # fuzzing (go test accepts one -fuzz target per package run). Plain
 # go test already replays each target's seed corpus under testdata/fuzz.
+# Minimizing a new input may take 3 s, not the default 60 s: a target
+# whose input runs for milliseconds would otherwise spend its whole 10 s
+# minimizing its first finds.
 fuzz:
 	@for f in $$(grep -rl --include='*_test.go' --exclude-dir=_perfbench --exclude-dir=testdata '^func Fuzz' .); do \
 		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
-			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s $$(dirname $$f) || exit 1; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s -fuzzminimizetime 3s $$(dirname $$f) || exit 1; \
 		done; \
 	done
 

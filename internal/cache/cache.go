@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"ptemagnet/internal/arch"
@@ -101,7 +102,8 @@ const (
 const invalid = ^uint64(0)
 
 // MaxWays is the widest associativity Sets holds: a set's recency word
-// keeps one 4-bit way index per way in one uint64.
+// keeps one 4-bit way index per way in one uint64, and its tag bytes fill
+// at most two tag words.
 const MaxWays = 16
 
 // GeometryError reports a geometry Sets cannot hold: the field at fault
@@ -150,8 +152,30 @@ func checkGeometry(field string, value any, entries, ways int) error {
 	return nil
 }
 
-// nibbles has a 1 in every 4-bit nibble of a recency word.
-const nibbles = 0x1111111111111111
+// Word constants of the SWAR (SIMD within a register) probes: nibbles has
+// a 1 in every 4-bit nibble of a recency word, lowBytes a 1 in every byte
+// of a tag word, highBits the top bit of every byte and lowBits the other
+// seven.
+const (
+	nibbles  = 0x1111111111111111
+	lowBytes = 0x0101010101010101
+	highBits = 0x8080808080808080
+	lowBits  = 0x7F7F7F7F7F7F7F7F
+)
+
+// tagOf returns key's tag byte: 0x80 | the top seven bits of a
+// multiplicative hash of the whole key. The keys of a plain-indexed set
+// share their low bits, so the hash must fold in every bit. An empty way's
+// tag byte is 0.
+func tagOf(key uint64) uint64 { return 0x80 | key*0x9E3779B97F4A7C15>>57 }
+
+// matches returns a word with 0x80 in every byte of the tag word tags that
+// equals tag, and 0 in every other byte. The test is exact: no carry
+// crosses a byte.
+func matches(tags, tag uint64) uint64 {
+	x := tags ^ tag*lowBytes // zero in the bytes that equal tag
+	return ^(x&lowBits + lowBits | x) & highBits
+}
 
 // Sets is one set-associative array of uint64 keys with LRU replacement.
 // It is the tag store of every cache level here and of every translation
@@ -165,16 +189,25 @@ const nibbles = 0x1111111111111111
 // evicts the way at the back. Invalidation and Flush leave the word alone,
 // empty ways refill in way order, and a set evicts only once every way has
 // been filled, so the word ranks a full set's ways by their last use.
+//
+// Each way also has a tag byte (tagOf its key, 0 when empty). A probe
+// compares key against the ways whose tag byte is key's, in way order, so
+// a fingerprint never decides a hit, and the first empty way is the lowest
+// zero tag byte.
 type Sets struct {
 	setMask uint64
 	hashed  bool
 	ways    int
 	// keys[set*ways+way]; invalid marks an empty way.
 	keys []uint64
-	// recency[set] holds the set's way indices, most recent first, one
-	// per 4-bit nibble from the low end; its last used nibble is the LRU
-	// way.
-	recency []uint64
+	// meta holds one metadata block of metaWords words per set. The
+	// first is the recency word: the set's way indices, most recent
+	// first, one per 4-bit nibble from the low end, so its last used
+	// nibble is the LRU way. Tag word t follows it, with the tag bytes
+	// of ways 8t to 8t+7 from the low end; the bytes past the last way
+	// stay 0.
+	meta      []uint64
+	metaWords int
 }
 
 // NewSets builds an array of entries keys in ways-way sets; it panics
@@ -186,23 +219,22 @@ func NewSets(entries, ways int, hashed bool) *Sets {
 		panic(err)
 	}
 	sets := entries / ways
+	metaWords := 1 + (ways+7)/8
 	s := &Sets{
-		setMask: uint64(sets) - 1,
-		hashed:  hashed,
-		ways:    ways,
-		keys:    make([]uint64, entries),
-		recency: make([]uint64, sets),
+		setMask:   uint64(sets) - 1,
+		hashed:    hashed,
+		ways:      ways,
+		keys:      make([]uint64, entries),
+		meta:      make([]uint64, sets*metaWords),
+		metaWords: metaWords,
 	}
 	// Way w starts at position w; the order of never-used ways is moot.
-	for i := range s.recency {
-		s.recency[i] = 0xFEDCBA9876543210 & s.wordMask()
+	for b := 0; b < len(s.meta); b += metaWords {
+		s.meta[b] = 0xFEDCBA9876543210 & (^uint64(0) >> (4 * (MaxWays - ways)))
 	}
 	s.Flush()
 	return s
 }
-
-// wordMask selects the nibbles of a recency word that hold ways.
-func (s *Sets) wordMask() uint64 { return ^uint64(0) >> (4 * (MaxWays - s.ways)) }
 
 // set maps a key to its set index. Hashed arrays fold higher key bits into
 // the index (a simple XOR-fold model of Intel complex addressing); plain
@@ -216,99 +248,144 @@ func (s *Sets) set(key uint64) uint64 {
 	return key & s.setMask
 }
 
-// Lookup probes for key and, on a hit, makes it the most recent way of its
-// set. It returns key's slot, or -1 on a miss.
-func (s *Sets) Lookup(key uint64) int {
-	set := s.set(key)
-	base := int(set) * s.ways
-	for i, k := range s.keys[base : base+s.ways] {
-		if k == key {
-			s.use(set, i)
-			return base + i
+// firstEmpty returns the first empty way of the set with tag words tags,
+// the lowest zero tag byte, or -1 when the set is full. The bytes past the
+// last way are zero too, so one found there means a full set.
+func (s *Sets) firstEmpty(tags []uint64) int {
+	for i, w := range tags {
+		if e := ^w & highBits; e != 0 {
+			if way := i<<3 | bits.TrailingZeros64(e)>>3; way < s.ways {
+				return way
+			}
+			return -1
 		}
 	}
 	return -1
 }
 
-// Access is Lookup and, on a miss, Insert, in one scan of key's set: it
+// Lookup probes for key and, on a hit, makes it the most recent way of its
+// set. It returns key's slot, or -1 on a miss.
+func (s *Sets) Lookup(key uint64) int {
+	set := s.set(key)
+	keys, meta := s.keys, s.meta
+	base, b := int(set)*s.ways, int(set)*s.metaWords
+	tag := tagOf(key)
+	for i, w := range meta[b+1 : b+s.metaWords] {
+		for c := matches(w, tag); c != 0; c &= c - 1 {
+			if way := i<<3 | bits.TrailingZeros64(c)>>3; keys[base+way] == key {
+				use(&meta[b], way)
+				return base + way
+			}
+		}
+	}
+	return -1
+}
+
+// Access is Lookup and, on a miss, Insert, in one probe of key's set: it
 // reports whether key was resident, and leaves it resident and most
 // recent.
 func (s *Sets) Access(key uint64) bool {
 	set := s.set(key)
-	base := int(set) * s.ways
-	free := -1
-	for i, k := range s.keys[base : base+s.ways] {
-		if k == key {
-			s.use(set, i)
-			return true
-		}
-		if k == invalid && free < 0 {
-			free = i
+	keys, meta := s.keys, s.meta
+	base, b := int(set)*s.ways, int(set)*s.metaWords
+	tag := tagOf(key)
+	tags := meta[b+1 : b+s.metaWords]
+	for i, w := range tags {
+		for c := matches(w, tag); c != 0; c &= c - 1 {
+			if way := i<<3 | bits.TrailingZeros64(c)>>3; keys[base+way] == key {
+				use(&meta[b], way)
+				return true
+			}
 		}
 	}
-	s.fill(set, free, key)
+	// A miss fills the first empty way, or evicts the least-recent one.
+	way := s.firstEmpty(tags)
+	if way < 0 {
+		way = s.lru(meta[b])
+	}
+	use(&meta[b], way)
+	keys[base+way] = key
+	setTag(&meta[b+1+way>>3], way, tag)
 	return false
 }
 
 // Insert makes key resident and most recent, and returns its slot. The
-// scan stops at the set's first empty way: a copy of key met before it is
+// probe stops at the set's first empty way: a copy of key before it is
 // refreshed in place, otherwise key fills that way. Only a full set without
 // key evicts, its least-recent way, and reports the evicted key.
 func (s *Sets) Insert(key uint64) (slot int, victim uint64, evicted bool) {
 	set := s.set(key)
-	base := int(set) * s.ways
-	for i, k := range s.keys[base : base+s.ways] {
-		switch k {
-		case key:
-			s.use(set, i)
-			return base + i, 0, false
-		case invalid:
-			return s.fill(set, i, key)
+	keys, meta := s.keys, s.meta
+	base, b := int(set)*s.ways, int(set)*s.metaWords
+	tag := tagOf(key)
+	free := -1 // the first empty way; -1 while the set looks full
+	for i, w := range meta[b+1 : b+s.metaWords] {
+		e := ^w & highBits
+		// e&-e - 1 keeps the bytes below the first empty one (all of
+		// them when e is 0).
+		for c := matches(w, tag) & (e&-e - 1); c != 0; c &= c - 1 {
+			if way := i<<3 | bits.TrailingZeros64(c)>>3; keys[base+way] == key {
+				use(&meta[b], way)
+				return base + way, 0, false
+			}
+		}
+		if e != 0 {
+			if way := i<<3 | bits.TrailingZeros64(e)>>3; way < s.ways {
+				free = way
+			}
+			break
 		}
 	}
-	return s.fill(set, -1, key)
+	way := free
+	if way < 0 {
+		way = s.lru(meta[b])
+		victim, evicted = keys[base+way], true
+	}
+	use(&meta[b], way)
+	keys[base+way] = key
+	setTag(&meta[b+1+way>>3], way, tag)
+	return base + way, victim, evicted
 }
 
-// fill puts key in way free of set, or, when free is negative (a full
-// set), in its least-recent way, and makes that way the most recent. It
-// returns the slot and the key it evicted, if any.
-func (s *Sets) fill(set uint64, free int, key uint64) (slot int, victim uint64, evicted bool) {
-	base := int(set) * s.ways
-	if free >= 0 {
-		s.keys[base+free] = key
-		s.use(set, free)
-		return base + free, 0, false
-	}
-	w := s.recency[set]
-	way := int(w >> (4 * (s.ways - 1)) & 0xf)
-	victim, s.keys[base+way] = s.keys[base+way], key
-	s.recency[set] = (w<<4 | uint64(way)) & s.wordMask()
-	return base + way, victim, true
+// lru returns the least-recent way of a set with recency word w: its last
+// way.
+func (s *Sets) lru(w uint64) int { return int(w >> (4 * uint(s.ways-1)) & 0xf) }
+
+// setTag makes tag the tag byte of way in w, the tag word that holds it.
+func setTag(w *uint64, way int, tag uint64) {
+	shift := 8 * uint(way&7)
+	*w = *w&^(0xff<<shift) | tag<<shift
 }
 
-// use moves way to the front of set's recency word; a way already in
-// front writes nothing. A branch-free nibble search finds the way's
-// position p: nibbles 0..p-1 shift up by one and way takes nibble 0.
-func (s *Sets) use(set uint64, way int) {
-	w := s.recency[set]
-	if w&0xf == uint64(way) {
-		return
-	}
+// use moves way to the front of the recency word *r. A branch-free nibble
+// search finds the way's position p: nibbles 0..p-1 shift up by one and
+// way takes nibble 0. For the least-recent way (the last nibble) that is
+// an eviction's shift. For the front way (p = 0) it stores the word back
+// unchanged: a test for the front way would be a branch that a stream of
+// hits mispredicts.
+func use(r *uint64, way int) {
+	w := *r
 	x := w ^ uint64(way)*nibbles // zero in way's nibble
 	low := (x - nibbles) &^ x & (nibbles << 3)
 	low &= -low           // top bit of the first zero nibble
 	through := low<<1 - 1 // nibbles 0..p
-	s.recency[set] = w&^through | w<<4&through | uint64(way)
+	*r = w&^through | w<<4&through | uint64(way)
 }
 
 // Invalidate empties the first way of key's set that holds key. Like every
 // invalidation it leaves the recency word alone.
 func (s *Sets) Invalidate(key uint64) {
-	base := int(s.set(key)) * s.ways
-	for i, k := range s.keys[base : base+s.ways] {
-		if k == key {
-			s.keys[base+i] = invalid
-			return
+	set := s.set(key)
+	keys, meta := s.keys, s.meta
+	base, b := int(set)*s.ways, int(set)*s.metaWords
+	tag := tagOf(key)
+	for i, w := range meta[b+1 : b+s.metaWords] {
+		for c := matches(w, tag); c != 0; c &= c - 1 {
+			if way := i<<3 | bits.TrailingZeros64(c)>>3; keys[base+way] == key {
+				keys[base+way] = invalid
+				setTag(&meta[b+1+i], way, 0)
+				return
+			}
 		}
 	}
 }
@@ -318,6 +395,8 @@ func (s *Sets) InvalidateWhere(drop func(key uint64) bool) {
 	for i, k := range s.keys {
 		if k != invalid && drop(k) {
 			s.keys[i] = invalid
+			set, way := i/s.ways, i%s.ways
+			setTag(&s.meta[set*s.metaWords+1+way>>3], way, 0)
 		}
 	}
 }
@@ -326,6 +405,9 @@ func (s *Sets) InvalidateWhere(drop func(key uint64) bool) {
 func (s *Sets) Flush() {
 	for i := range s.keys {
 		s.keys[i] = invalid
+	}
+	for b := 0; b < len(s.meta); b += s.metaWords {
+		clear(s.meta[b+1 : b+s.metaWords])
 	}
 }
 

@@ -183,6 +183,65 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
+// TestSetsProbeComparesKeys drives one set whose keys all share one tag
+// byte, so every probe meets several candidates and only the key compare
+// tells them apart. The probes must act on the first way, in way order,
+// that holds the key, and Insert must stop at the first empty way.
+func TestSetsProbeComparesKeys(t *testing.T) {
+	s := NewSets(4*8, 8, false) // 4 sets of 8 ways
+	var k []uint64
+	for key := uint64(0); len(k) < 4; key += 4 { // set 0's keys
+		if tagOf(key) == tagOf(0) {
+			k = append(k, key)
+		}
+	}
+	lookup := func(key uint64, want int) {
+		t.Helper()
+		if got := s.Lookup(key); got != want {
+			t.Fatalf("Lookup(%#x) = %d, want %d", key, got, want)
+		}
+	}
+	emptied := func(way int) {
+		t.Helper()
+		if s.keys[way] != invalid || s.tagByte(0, way) != 0 {
+			t.Fatalf("way %d holds %#x with tag byte %#x, want empty", way, s.keys[way], s.tagByte(0, way))
+		}
+	}
+	for way, key := range k[:3] {
+		if slot, _, evicted := s.Insert(key); slot != way || evicted {
+			t.Fatalf("Insert(%#x) into slot %d (evicted %v), want way %d", key, slot, evicted, way)
+		}
+	}
+	lookup(k[2], 2)
+	lookup(k[1], 1)
+	lookup(k[3], -1)
+	if !s.Access(k[1]) || s.Access(k[3]) {
+		t.Fatal("Access hit a missing key or missed a resident one")
+	}
+	lookup(k[3], 3)
+
+	s.Invalidate(k[1])
+	emptied(1)
+	lookup(k[1], -1)
+	lookup(k[2], 2)
+	// A copy of k[2] sits behind the hole at way 1: Insert fills the hole
+	// and leaves the copy, and probes then find the first of the two.
+	if slot, _, evicted := s.Insert(k[2]); slot != 1 || evicted {
+		t.Fatalf("Insert(%#x) behind a hole into slot %d (evicted %v), want the hole", k[2], slot, evicted)
+	}
+	lookup(k[2], 1)
+	s.Invalidate(k[2])
+	emptied(1)
+	lookup(k[2], 2)
+
+	s.InvalidateWhere(func(key uint64) bool { return key == k[0] })
+	emptied(0)
+	if s.Access(k[0]) {
+		t.Fatalf("Access(%#x) hit after InvalidateWhere", k[0])
+	}
+	lookup(k[0], 0)
+}
+
 func BenchmarkAccessHit(b *testing.B) {
 	h := NewHierarchy(DefaultConfig(1))
 	h.Access(0, 0x1000)

@@ -157,16 +157,28 @@ type level struct {
 	ref  *refBank
 }
 
-// sameState fails unless every slot of l holds its reference's key and
-// every set's recency word is a permutation of the set's ways that lists
-// its occupied ways in the reference's stamp order, most recent first.
-// Stamps of occupied ways are distinct (each came from its own tick), and
-// empty ways' stamps are stale, so they are not ranked. The fuzz target
-// runs it after every op, so it neither allocates nor calls t.Helper.
+// sameState fails unless every slot of l holds its reference's key, every
+// way's tag byte is 0 for an empty way and tagOf its key otherwise (the
+// bytes past the last way 0), and every set's recency word is a
+// permutation of the set's ways that lists its occupied ways in the
+// reference's stamp order, most recent first. Stamps of occupied ways are
+// distinct (each came from its own tick), and empty ways' stamps are
+// stale, so they are not ranked. The fuzz target runs it after every op,
+// so it neither allocates nor calls t.Helper.
 func (l level) sameState(t *testing.T, op int) {
 	ways := l.s.ways
-	for set, word := range l.s.recency {
-		if word&^l.s.wordMask() != 0 {
+	for set := 0; set <= int(l.s.setMask); set++ {
+		for way := 0; way < 8*(l.s.metaWords-1); way++ {
+			want := uint64(0)
+			if way < ways && l.s.keys[set*ways+way] != invalid {
+				want = tagOf(l.s.keys[set*ways+way])
+			}
+			if got := l.s.tagByte(uint64(set), way); got != want {
+				t.Fatalf("op %d: %s set %d way %d has tag byte %#x, want %#x", op, l.name, set, way, got, want)
+			}
+		}
+		word := l.s.meta[set*l.s.metaWords]
+		if word>>(4*ways) != 0 {
 			t.Fatalf("op %d: %s set %d recency word %#x has nibbles beyond its %d ways", op, l.name, set, word, ways)
 		}
 		var seen uint32
@@ -191,6 +203,11 @@ func (l level) sameState(t *testing.T, op int) {
 			newer = l.ref.age[i]
 		}
 	}
+}
+
+// tagByte returns the tag byte of way in set.
+func (s *Sets) tagByte(set uint64, way int) uint64 {
+	return s.meta[int(set)*s.metaWords+1+way>>3] >> (8 * (way & 7)) & 0xff
 }
 
 // fuzzConfig is a two-CPU hierarchy small enough that sets fill after a

@@ -95,6 +95,8 @@ func FuzzGuestOps(f *testing.F) {
 					}
 					if err == nil {
 						procs = append(procs, child)
+					} else if live := k.Processes(); len(live) != len(procs) {
+						t.Fatalf("op %d: %d live processes after a failed fork, %d held", step, len(live), len(procs))
 					}
 				}
 			case 7: // exit
@@ -107,9 +109,7 @@ func FuzzGuestOps(f *testing.F) {
 			}
 			checkInvariants(t, k, step)
 		}
-		// A fork that ran out of memory leaves its child alive but
-		// unlisted in procs; the kernel's own list has it.
-		for _, p := range k.Processes() {
+		for _, p := range procs {
 			p.Exit()
 		}
 		k.SetBalloonTarget(0)

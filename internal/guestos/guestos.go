@@ -794,7 +794,9 @@ func (p *Process) Munmap(va arch.VirtAddr) error {
 // Fork creates a copy-on-write child (§4.4). Mapped pages are shared
 // read-only with COW; the parent's reservations are not copied — the child
 // consults them on fault and claims unmapped pages from them, but cannot
-// create reservations in the parent's map.
+// create reservations in the parent's map. A fork that runs out of memory
+// exits the child before it returns the error; the parent's pages it
+// already marked COW stay COW.
 func (p *Process) Fork(name string) (*Process, error) {
 	k := p.kernel
 	child, err := k.Spawn(name, p.memLimit)
@@ -813,6 +815,7 @@ func (p *Process) Fork(name string) (*Process, error) {
 	})
 	for _, va := range largeVAs {
 		if _, err := p.demoteIfLarge(va); err != nil {
+			child.Exit()
 			return nil, err
 		}
 	}
@@ -828,6 +831,7 @@ func (p *Process) Fork(name string) (*Process, error) {
 		return true
 	})
 	if mapErr != nil {
+		child.Exit()
 		return nil, mapErr
 	}
 	return child, nil

@@ -568,6 +568,41 @@ func TestExitWithForkKeepsSharedFrames(t *testing.T) {
 	}
 }
 
+// TestFailedForkExitsChild forks with one free frame left: Spawn takes it
+// for the child's root node, and the copy loop finds none for the next
+// node. The child must not outlive the failed fork.
+func TestFailedForkExitsChild(t *testing.T) {
+	k := NewKernel(Config{MemBytes: 4 << 20, Policy: PolicyDefault, Seed: 1})
+	parent := mustSpawn(t, k, "parent")
+	va := mustMmap(t, parent, 1<<20)
+	if _, err := parent.Touch(va); err != nil {
+		t.Fatal(err)
+	}
+	var held []arch.PhysAddr
+	for {
+		pa, ok := k.Memory().AllocFrame(physmem.KindKernel)
+		if !ok {
+			break
+		}
+		held = append(held, pa)
+	}
+	k.Memory().FreeBlock(held[len(held)-1])
+	held = held[:len(held)-1]
+	if child, err := parent.Fork("child"); err == nil {
+		t.Fatalf("fork with one free frame = %v, want an out-of-memory error", child)
+	}
+	if procs := k.Processes(); len(procs) != 1 || procs[0] != parent {
+		t.Errorf("%d live processes after the failed fork, want only the parent", len(procs))
+	}
+	for _, pa := range held {
+		k.Memory().FreeBlock(pa)
+	}
+	parent.Exit()
+	if used := k.Memory().UsedFrames(); used != 0 {
+		t.Errorf("%d frames leak after the parent exits", used)
+	}
+}
+
 func TestSparseAdversaryReservationWaste(t *testing.T) {
 	// §6.2's adversarial pattern: touch only every 8th page. Unused
 	// reserved pages reach 7× the footprint.
