@@ -62,18 +62,17 @@ fuzz:
 # fault path's buddy allocator: page and group alloc/free, and the bytes
 # New spends per frame.
 # BENCH_pipeline.json is committed so future changes have a perf
-# trajectory to diff against.
+# trajectory to diff against. Every package in PIPELINE_PKGS keeps at least
+# one Pipeline benchmark.
+PIPELINE_PKGS = ./internal/workload ./internal/cache ./internal/tlb ./internal/pagetable ./internal/nested ./internal/vm ./internal/buddy .
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='Pipeline' -benchtime=2s -run=^$$ -json \
-		./internal/workload ./internal/cache ./internal/tlb ./internal/pagetable ./internal/nested ./internal/vm ./internal/buddy . \
-		> BENCH_pipeline.json
+	$(GO) test -bench='Pipeline' -benchtime=2s -run=^$$ -json $(PIPELINE_PKGS) > BENCH_pipeline.json
 
 # Compile-and-run rot check for the bench harness; single iteration, no
-# timing claims. Every package listed keeps at least one Pipeline benchmark.
+# timing claims.
 bench-smoke:
-	$(GO) test -bench='Pipeline' -benchtime=1x -run=^$$ \
-		./internal/workload ./internal/cache ./internal/tlb ./internal/pagetable ./internal/nested ./internal/vm ./internal/buddy .
+	$(GO) test -bench='Pipeline' -benchtime=1x -run=^$$ $(PIPELINE_PKGS)
 
 experiments:
 	$(GO) run ./cmd/experiments -quick

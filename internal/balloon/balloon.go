@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 
-	"ptemagnet/internal/arch"
 	"ptemagnet/internal/guestos"
 	"ptemagnet/internal/hostos"
 	"ptemagnet/internal/obs"
@@ -107,14 +106,12 @@ func (s Stats) Delta(prev Stats) Stats {
 }
 
 // tenant is the controller's view of one guest: the host-side VM, the
-// guest kernel whose balloon driver it drives, a TLB-invalidation hook
-// for swapped-out pages, and the last working-set estimate.
+// guest kernel whose balloon driver it drives, and the last working-set
+// estimate.
 type tenant struct {
-	vm            *hostos.VM
-	kernel        *guestos.Kernel
-	invalidate    func(asid uint32, va arch.VirtAddr)
-	invalidateGPA func(gpa arch.PhysAddr)
-	ws            uint64
+	vm     *hostos.VM
+	kernel *guestos.Kernel
+	ws     uint64
 }
 
 // Controller is the host pressure controller. It implements
@@ -148,14 +145,12 @@ func (c *Controller) RegisterObs(r *obs.Registry, prefix string) {
 }
 
 // Attach registers a guest with the controller and enables the VM's
-// dirty logging so working-set samples have something to drain.
-// invalidate, when non-nil, is called for every page the guest's balloon
-// driver swaps out, so the embedding layer can drop stale TLB entries;
-// invalidateGPA likewise for every guest-physical frame the controller
-// unbacks (nested-TLB entries for unbacked frames are stale).
-func (c *Controller) Attach(vm *hostos.VM, kernel *guestos.Kernel, invalidate func(asid uint32, va arch.VirtAddr), invalidateGPA func(gpa arch.PhysAddr)) {
+// dirty logging so working-set samples have something to drain. The
+// guest kernel shoots down the pages its driver swaps out, and vm.Unback
+// the frames the controller unbacks.
+func (c *Controller) Attach(vm *hostos.VM, kernel *guestos.Kernel) {
 	vm.EnableDirtyLogging(0)
-	c.tenants = append(c.tenants, &tenant{vm: vm, kernel: kernel, invalidate: invalidate, invalidateGPA: invalidateGPA})
+	c.tenants = append(c.tenants, &tenant{vm: vm, kernel: kernel})
 }
 
 // Detach removes the guest attached as vm. Its balloon is left as-is
@@ -276,20 +271,12 @@ func (c *Controller) inflateVictim(t *tenant, goalFree uint64) uint64 {
 	for mem.FreeFrames() < goalFree {
 		c.stats.Inflations++
 		delta := t.kernel.SetBalloonTarget(t.kernel.BalloonPages() + chunkPages)
-		for _, rec := range delta.SwappedOut {
-			c.stats.SwappedPages++
-			if t.invalidate != nil {
-				t.invalidate(rec.ASID, rec.VA)
-			}
-		}
+		c.stats.SwappedPages += delta.SwappedPages
 		for _, gpa := range delta.Inflated {
 			c.stats.InflatedPages++
 			if t.vm.Unback(gpa) {
 				c.stats.UnbackedFrames++
 				freed++
-				if t.invalidateGPA != nil {
-					t.invalidateGPA(gpa)
-				}
 			}
 		}
 		if len(delta.Inflated) == 0 {

@@ -56,7 +56,7 @@ func newRig(t *testing.T, hostBytes, guestBytes, touchBytes uint64, n int, back 
 				}
 			}
 		}
-		r.ctl.Attach(vm, gk, nil, nil)
+		r.ctl.Attach(vm, gk)
 		r.vms = append(r.vms, vm)
 		r.kernels = append(r.kernels, gk)
 	}

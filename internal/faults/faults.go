@@ -348,9 +348,9 @@ func (p *Plan) CancelAtRound(round int) error {
 	return &Error{Site: SiteMigrateCancel, Seq: uint64(round), Transient: true}
 }
 
-// NoteAbsorbedHostOOM records that an injected host OOM was absorbed
-// in-run by the host's pressure reliever. hostos discovers the method by
-// type assertion, so the OOMInjector interface stays unchanged.
+// NoteAbsorbedHostOOM implements the rest of hostos.OOMInjector: it
+// records that an injected host OOM was absorbed in-run by the host's
+// pressure reliever.
 func (p *Plan) NoteAbsorbedHostOOM() {
 	if p == nil {
 		return

@@ -27,24 +27,16 @@ import (
 	"ptemagnet/internal/physmem"
 )
 
-// SwapRecord identifies one guest page the balloon driver swapped out:
-// the owning address space and the virtual page. The embedding layer
-// uses it to invalidate stale TLB entries for the evicted translation.
-type SwapRecord struct {
-	ASID uint32
-	VA   arch.VirtAddr
-}
-
 // BalloonDelta reports the page movements one SetBalloonTarget call
 // performed, each slice in event order. Inflated frames are candidates
-// for the host to unback; swapped-out pages need TLB invalidation.
+// for the host to unback; each swapped-out page was shot down by SwapOut.
 type BalloonDelta struct {
 	// Inflated lists guest-physical frames newly added to the balloon.
 	Inflated []arch.PhysAddr
 	// Deflated lists guest-physical frames returned to the guest buddy.
 	Deflated []arch.PhysAddr
-	// SwappedOut lists pages evicted to satisfy inflation.
-	SwappedOut []SwapRecord
+	// SwappedPages counts pages evicted to satisfy inflation.
+	SwappedPages uint64
 }
 
 // BalloonTarget returns the current host-requested balloon size in pages.
@@ -97,8 +89,8 @@ func (k *Kernel) balloonAlloc() (arch.PhysAddr, bool) {
 }
 
 // inflateOnePage produces one frame for the balloon, escalating from
-// free frames through reservation reclaim to swap-out. Swap records are
-// appended to delta as they happen.
+// free frames through reservation reclaim to swap-out, and counts the
+// pages it swaps out in delta.
 func (k *Kernel) inflateOnePage(delta *BalloonDelta) (arch.PhysAddr, bool) {
 	pa, ok := k.balloonAlloc()
 	if ok {
@@ -111,11 +103,10 @@ func (k *Kernel) inflateOnePage(delta *BalloonDelta) (arch.PhysAddr, bool) {
 		return pa, true
 	}
 	for {
-		rec, swapped := k.swapOutColdPage()
-		if !swapped {
+		if !k.swapOutColdPage() {
 			return arch.NoPhysAddr, false
 		}
-		delta.SwappedOut = append(delta.SwappedOut, rec)
+		delta.SwappedPages++
 		// A swap of a COW-shared frame frees nothing (the sharer keeps
 		// it); keep evicting until a frame materialises or nothing is
 		// left to evict.
@@ -149,12 +140,12 @@ func (k *Kernel) deflateOnOOM(physmem.FrameKind) bool {
 
 // swapOutColdPage evicts the next page under the balloon driver's FIFO
 // cursor: processes in spawn order, ascending virtual addresses, each
-// mapped page visited at most once per call. It reports the evicted
-// page, or ok=false when no process has an evictable page left.
-func (k *Kernel) swapOutColdPage() (SwapRecord, bool) {
+// mapped page visited at most once per call. It reports whether a page
+// was evicted; false means no process has an evictable page left.
+func (k *Kernel) swapOutColdPage() bool {
 	live := k.Processes()
 	if len(live) == 0 {
-		return SwapRecord{}, false
+		return false
 	}
 	if k.swapProc >= len(live) {
 		k.swapProc, k.swapVA = 0, 0
@@ -179,12 +170,12 @@ func (k *Kernel) swapOutColdPage() (SwapRecord, bool) {
 			}
 			k.swapProc, k.swapVA = idx, va+arch.PageSize
 			if p.SwapOut(va) {
-				return SwapRecord{ASID: p.asid, VA: va}, true
+				return true
 			}
 			start = va + arch.PageSize
 		}
 	}
-	return SwapRecord{}, false
+	return false
 }
 
 // nextMappedPage returns the lowest mapped page at or above start, in

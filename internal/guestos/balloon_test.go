@@ -8,15 +8,39 @@ import (
 	"ptemagnet/internal/physmem"
 )
 
+// shootdown is one call a kernel made on its TLB.
+type shootdown struct {
+	op         string
+	asid       uint32
+	start, end arch.VirtAddr
+}
+
+// recordingTLB is a TLB that records every shootdown in call order.
+type recordingTLB struct{ calls []shootdown }
+
+func (r *recordingTLB) InvalidateRange(asid uint32, start, end arch.VirtAddr) {
+	r.calls = append(r.calls, shootdown{"range", asid, start, end})
+}
+
+func (r *recordingTLB) InvalidateASID(asid uint32) {
+	r.calls = append(r.calls, shootdown{op: "asid", asid: asid})
+}
+
+func (r *recordingTLB) InvalidateGuestPWC(asid uint32, va arch.VirtAddr) {
+	r.calls = append(r.calls, shootdown{op: "pwc", asid: asid, start: va})
+}
+
 func TestBalloonInflateFromFreeFrames(t *testing.T) {
 	k := defaultKernel(t)
+	tlb := &recordingTLB{}
+	k.SetTLB(tlb)
 	delta := k.SetBalloonTarget(10)
 	if got := len(delta.Inflated); got != 10 {
 		t.Fatalf("inflated %d pages, want 10", got)
 	}
-	if len(delta.SwappedOut) != 0 || len(delta.Deflated) != 0 {
-		t.Errorf("free-frame inflation swapped %d / deflated %d pages, want none",
-			len(delta.SwappedOut), len(delta.Deflated))
+	if delta.SwappedPages != 0 || len(tlb.calls) != 0 || len(delta.Deflated) != 0 {
+		t.Errorf("free-frame inflation swapped %d pages (%d shootdowns) / deflated %d, want none",
+			delta.SwappedPages, len(tlb.calls), len(delta.Deflated))
 	}
 	if k.BalloonPages() != 10 || k.BalloonTarget() != 10 {
 		t.Errorf("balloon holds %d pages toward target %d, want 10/10", k.BalloonPages(), k.BalloonTarget())
@@ -42,6 +66,8 @@ func TestBalloonInflationBreaksReservations(t *testing.T) {
 	}
 	freeBefore := k.Memory().FreeFrames()
 	target := freeBefore + 100 // cannot be met from free frames alone
+	tlb := &recordingTLB{}
+	k.SetTLB(tlb)
 	delta := k.SetBalloonTarget(target)
 	s := k.Snapshot()
 	if s.ReclaimedReservations == 0 || s.ReclaimedPages == 0 {
@@ -52,43 +78,54 @@ func TestBalloonInflationBreaksReservations(t *testing.T) {
 		t.Errorf("inflated only %d pages with %d free before — reclaim contributed nothing",
 			len(delta.Inflated), freeBefore)
 	}
-	if len(delta.SwappedOut) != 0 {
-		t.Errorf("swapped %d pages while reservations were still reclaimable", len(delta.SwappedOut))
+	if delta.SwappedPages != 0 || len(tlb.calls) != 0 {
+		t.Errorf("swapped %d pages (%d shootdowns) while reservations were still reclaimable",
+			delta.SwappedPages, len(tlb.calls))
 	}
 }
 
 // TestBalloonSwapOutLastResort pins escalation source 3 and its
 // determinism: with nothing free and nothing reserved, inflation evicts
-// mapped pages under the FIFO cursor, and two identical kernels evict the
-// identical sequence.
+// mapped pages under the FIFO cursor, shoots each down once as it goes,
+// and two identical kernels evict and shoot down the identical sequence.
 func TestBalloonSwapOutLastResort(t *testing.T) {
-	build := func() (*Kernel, *Process, arch.VirtAddr) {
+	const span = 600 << 10
+	build := func() (*Kernel, *Process, arch.VirtAddr, *recordingTLB) {
 		k := NewKernel(Config{MemBytes: 1 << 20, Policy: PolicyDefault, Seed: 1})
 		p := mustSpawn(t, k, "a")
-		va := mustMmap(t, p, 600<<10)
-		for off := uint64(0); off < 600<<10; off += arch.PageSize {
+		va := mustMmap(t, p, span)
+		for off := uint64(0); off < span; off += arch.PageSize {
 			if _, err := p.HandlePageFault(va+arch.VirtAddr(off), true); err != nil {
 				t.Fatalf("fault at %#x: %v", off, err)
 			}
 		}
-		return k, p, va
+		tlb := &recordingTLB{}
+		k.SetTLB(tlb)
+		return k, p, va, tlb
 	}
-	k1, p1, _ := build()
+	k1, p1, va1, tlb1 := build()
 	target := k1.Memory().FreeFrames() + 40
 	d1 := k1.SetBalloonTarget(target)
-	if len(d1.SwappedOut) == 0 {
+	if d1.SwappedPages == 0 {
 		t.Fatal("inflation past free+reclaimable frames swapped nothing out")
 	}
-	k2, _, _ := build()
-	d2 := k2.SetBalloonTarget(target)
-	if !reflect.DeepEqual(d1, d2) {
-		t.Errorf("identical kernels produced different balloon deltas:\n%+v\n%+v", d1, d2)
-	}
-	// Swapped pages must really be gone: their translations are dropped.
-	for _, rec := range d1.SwappedOut {
-		if _, ok := p1.Translate(rec.VA); ok {
-			t.Errorf("swapped-out page %#x still mapped", uint64(rec.VA))
+	// The evicted pages are the ones no longer mapped; the cursor takes
+	// them in ascending address order, and each is shot down once.
+	var evicted []shootdown
+	for off := uint64(0); off < span; off += arch.PageSize {
+		page := va1 + arch.VirtAddr(off)
+		if _, ok := p1.Translate(page); !ok {
+			evicted = append(evicted, shootdown{"range", p1.ASID(), page, page + arch.PageSize})
 		}
+	}
+	if uint64(len(evicted)) != d1.SwappedPages || !reflect.DeepEqual(tlb1.calls, evicted) {
+		t.Errorf("%d pages swapped, %d unmapped, %d shootdowns; want one one-page shootdown per evicted page, in eviction order",
+			d1.SwappedPages, len(evicted), len(tlb1.calls))
+	}
+	k2, _, _, tlb2 := build()
+	d2 := k2.SetBalloonTarget(target)
+	if !reflect.DeepEqual(d1, d2) || !reflect.DeepEqual(tlb1.calls, tlb2.calls) {
+		t.Errorf("identical kernels produced different balloon deltas or shootdowns:\n%+v\n%+v", d1, d2)
 	}
 	checkInvariants(t, k1, 0)
 }

@@ -237,10 +237,28 @@ type Process struct {
 	alive    bool
 }
 
+// TLB is the shootdown interface of the translation caches that hold the
+// kernel's mappings (nested.Walker implements it). The kernel calls it in
+// each routine that changes a mapping, so no entry point can leave a
+// stale translation behind.
+type TLB interface {
+	InvalidateRange(asid uint32, start, end arch.VirtAddr)
+	InvalidateASID(asid uint32)
+	InvalidateGuestPWC(asid uint32, va arch.VirtAddr)
+}
+
+// noTLB is the TLB of a kernel that no machine runs: nothing is cached.
+type noTLB struct{}
+
+func (noTLB) InvalidateRange(uint32, arch.VirtAddr, arch.VirtAddr) {}
+func (noTLB) InvalidateASID(uint32)                                {}
+func (noTLB) InvalidateGuestPWC(uint32, arch.VirtAddr)             {}
+
 // Kernel is the guest OS kernel.
 type Kernel struct {
 	cfg  Config
 	mem  *physmem.Memory
+	tlb  TLB
 	rng  *rand.Rand
 	next int // next pid
 	// procs holds live processes in spawn order.
@@ -279,6 +297,7 @@ func NewKernel(cfg Config) *Kernel {
 	k := &Kernel{
 		cfg:    cfg,
 		mem:    physmem.New(cfg.MemBytes),
+		tlb:    noTLB{},
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		next:   1,
 		shared: make(map[arch.PhysAddr]int),
@@ -292,6 +311,10 @@ func NewKernel(cfg Config) *Kernel {
 
 // Memory exposes guest-physical memory for inspection.
 func (k *Kernel) Memory() *physmem.Memory { return k.mem }
+
+// SetTLB installs the translation caches of the vCPUs that run the
+// kernel's processes; every later mapping change shoots down through t.
+func (k *Kernel) SetTLB(t TLB) { k.tlb = t }
 
 // Config returns the kernel configuration.
 func (k *Kernel) Config() Config { return k.cfg }
@@ -605,6 +628,8 @@ func (p *Process) thpFault(page arch.VirtAddr) (FaultKind, bool, error) {
 		}
 		return 0, true, err
 	}
+	// MapLarge may have freed a leaf node a walk cached for the region.
+	k.tlb.InvalidateGuestPWC(p.asid, base)
 	k.stats.Faults[FaultTHP]++
 	k.checkPressure()
 	return FaultTHP, true, nil
@@ -644,21 +669,20 @@ func (k *Kernel) allocUserFrame() (arch.PhysAddr, bool) {
 
 func (p *Process) copyOnWrite(page arch.VirtAddr, oldPA arch.PhysAddr) (FaultKind, error) {
 	k := p.kernel
-	refs := k.frameRefs(oldPA)
-	if refs == 1 {
+	if k.frameRefs(oldPA) == 1 {
 		// Last sharer: just make it writable again.
 		p.pt.SetFlags(page, pagetable.FlagWritable)
-		k.stats.Faults[FaultCOW]++
-		return FaultCOW, nil
+	} else {
+		newPA, ok := k.allocUserFrame()
+		if !ok {
+			return 0, ErrOutOfMemory
+		}
+		k.putFrame(oldPA)
+		if err := p.pt.Map(page, newPA, pagetable.FlagWritable); err != nil {
+			return 0, err
+		}
 	}
-	newPA, ok := k.allocUserFrame()
-	if !ok {
-		return 0, ErrOutOfMemory
-	}
-	k.putFrame(oldPA)
-	if err := p.pt.Map(page, newPA, pagetable.FlagWritable); err != nil {
-		return 0, err
-	}
+	k.tlb.InvalidateRange(p.asid, page, page+arch.PageSize)
 	k.stats.Faults[FaultCOW]++
 	return FaultCOW, nil
 }
@@ -711,6 +735,8 @@ func (p *Process) Free(va arch.VirtAddr, bytes uint64) error {
 	for page := start; page < end; page += arch.PageSize {
 		p.freePage(page)
 	}
+	// One call for the whole span, never split (tlb.TLB.InvalidateRange).
+	p.kernel.tlb.InvalidateRange(p.asid, start, end)
 	return nil
 }
 
@@ -769,6 +795,7 @@ func (p *Process) SwapOut(va arch.VirtAddr) bool {
 	if !ok {
 		return false
 	}
+	k.tlb.InvalidateRange(p.asid, page, page+arch.PageSize)
 	if p.part != nil {
 		p.part.DissolveGroup(page, func(groupPA arch.PhysAddr) { k.mem.FreeBlock(groupPA) })
 	}
@@ -830,6 +857,8 @@ func (p *Process) Fork(name string) (*Process, error) {
 		k.getFrame(pa)
 		return true
 	})
+	// The parent's next write to a write-protected page must fault.
+	k.tlb.InvalidateASID(p.asid)
 	if mapErr != nil {
 		child.Exit()
 		return nil, mapErr

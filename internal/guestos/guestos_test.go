@@ -2,6 +2,7 @@ package guestos
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -300,6 +301,51 @@ func TestMunmap(t *testing.T) {
 	}
 	if err := p.Munmap(va); !errors.Is(err, ErrBadRange) {
 		t.Errorf("double munmap: %v", err)
+	}
+}
+
+// TestShootdownShapes pins the TLB call each mapping change makes, in
+// order: a free shoots down its whole span in one range, never split
+// (tlb.TLB.InvalidateRange says why), a fork the parent's ASID, a COW
+// break and a swap-out one page each, and an munmap its region in one
+// range.
+func TestShootdownShapes(t *testing.T) {
+	k := defaultKernel(t)
+	p := mustSpawn(t, k, "a")
+	va := mustMmap(t, p, 16*arch.PageSize)
+	page := func(i int) arch.VirtAddr { return va + arch.VirtAddr(i*arch.PageSize) }
+	for i := 0; i < 16; i++ {
+		if _, err := p.HandlePageFault(page(i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tlb := &recordingTLB{}
+	k.SetTLB(tlb)
+	if err := p.Free(page(1)+100, 5*arch.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Fork("child"); err != nil {
+		t.Fatal(err)
+	}
+	if kind, err := p.HandlePageFault(page(8), true); err != nil || kind != FaultCOW {
+		t.Fatalf("write after fork resolved as %v (%v), want %v", kind, err, FaultCOW)
+	}
+	if !p.SwapOut(page(9)) {
+		t.Fatal("nothing swapped out")
+	}
+	if err := p.Munmap(va); err != nil {
+		t.Fatal(err)
+	}
+	asid := p.ASID()
+	want := []shootdown{
+		{"range", asid, page(1), page(7)},
+		{op: "asid", asid: asid},
+		{"range", asid, page(8), page(9)},
+		{"range", asid, page(9), page(10)},
+		{"range", asid, va, page(16)},
+	}
+	if !reflect.DeepEqual(tlb.calls, want) {
+		t.Errorf("shootdowns\n%+v\nwant\n%+v", tlb.calls, want)
 	}
 }
 

@@ -63,9 +63,12 @@ func (e *OOMError) Unwrap() error { return e.Err }
 // OOMInjector injects host-level allocation failures for deterministic
 // fault testing (faults.Plan implements it). InjectHostOOM is consulted
 // once per fault-time frame allocation; a non-nil return fails the
-// allocation with that cause wrapped in an *OOMError.
+// allocation with that cause wrapped in an *OOMError. When a pressure
+// reliever absorbs the injected failure instead, NoteAbsorbedHostOOM is
+// called, so the injector can tell degradation from recovery by retry.
 type OOMInjector interface {
 	InjectHostOOM() error
+	NoteAbsorbedHostOOM()
 }
 
 // DirtyLogInjector forces dirty-log overflows for deterministic fault
@@ -85,14 +88,6 @@ type DirtyLogInjector interface {
 // surfaces only when ballooning genuinely cannot satisfy the request.
 type PressureReliever interface {
 	RelieveFor(vm int, need uint64) (summary string, ok bool)
-}
-
-// oomAbsorber is the optional faults.Plan extension hostos discovers by
-// type assertion: when an injected host OOM is absorbed in-run by the
-// pressure reliever instead of failing the attempt, the plan is told so
-// its counters can distinguish degradation from recovery-by-retry.
-type oomAbsorber interface {
-	NoteAbsorbedHostOOM()
 }
 
 // Kernel is the host kernel, owner of host-physical memory.
@@ -146,11 +141,17 @@ type VM struct {
 	// dlogInject, when non-nil, can force dirty-log overflows (fault
 	// injection; nil on the production path).
 	dlogInject DirtyLogInjector
+	// invalidateGPA, when non-nil, is Unback's nested-TLB shootdown.
+	invalidateGPA func(gpa arch.PhysAddr)
 }
 
 // SetDirtyLogInjector installs h (nil removes it); every subsequent
 // logged dirty transition consults it.
 func (vm *VM) SetDirtyLogInjector(h DirtyLogInjector) { vm.dlogInject = h }
+
+// SetInvalidateGPA installs the nested-TLB shootdown of the vCPUs that run
+// the VM (nil removes it); Unback calls it for every page it unmaps.
+func (vm *VM) SetInvalidateGPA(f func(gpa arch.PhysAddr)) { vm.invalidateGPA = f }
 
 // CreateVM registers a VM with the given guest-physical memory size. The
 // guest-physical space [0, guestMemBytes) is the VM process's eagerly
@@ -243,9 +244,7 @@ func (vm *VM) HandleFault(gpa arch.PhysAddr) error {
 			if !ok {
 				return &OOMError{VM: vm.id, NeedPages: 1, Err: cause, Balloon: summary}
 			}
-			if a, can := k.oomInject.(oomAbsorber); can {
-				a.NoteAbsorbedHostOOM()
-			}
+			k.oomInject.NoteAbsorbedHostOOM()
 		}
 	}
 	return vm.backPage(page)
@@ -451,17 +450,21 @@ func (vm *VM) MapMigratedPage(gpa arch.PhysAddr) error {
 }
 
 // Unback drops the host backing of the guest-physical page containing
-// gpa: the EPT mapping is removed and the host frame returns to the host
-// buddy allocator, where it can coalesce with its buddies. It reports
-// whether a frame was actually freed (false when the page never had host
-// backing). The balloon controller calls it for every guest-ballooned
-// page; the next guest access to the page re-faults and re-allocates
-// lazily, exactly like first touch.
+// gpa: the EPT mapping is removed, its cached gPA→hPA translation is shot
+// down, and the host frame returns to the host buddy allocator, where it
+// can coalesce with its buddies. It reports whether a frame was actually
+// freed (false when the page never had host backing). The balloon
+// controller calls it for every guest-ballooned page; the next guest
+// access to the page re-faults and re-allocates lazily, exactly like
+// first touch.
 func (vm *VM) Unback(gpa arch.PhysAddr) bool {
 	page := arch.VirtAddr(gpa).PageBase()
 	hpa, _, ok := vm.pt.Unmap(page)
 	if !ok {
 		return false
+	}
+	if vm.invalidateGPA != nil {
+		vm.invalidateGPA(gpa)
 	}
 	vm.kernel.mem.FreeBlock(hpa)
 	return true

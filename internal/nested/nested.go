@@ -470,31 +470,26 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 	}
 }
 
-// InvalidatePage drops the translation for (asid, page of va) from the main
-// TLB. The guest kernel's unmap/COW paths call this, mirroring INVLPG.
-func (w *Walker) InvalidatePage(asid uint32, va arch.VirtAddr) {
-	w.tlb.InvalidatePage(asid, va.PageNumber())
-}
-
 // InvalidateGuestPWC drops the guest page-walk-cache entry for va's 2MB
-// region. A THP fault calls it: the region's new large mapping freed the
-// empty leaf node an earlier 4KB walk may have cached, so a walk starting
-// there would read a node the table no longer has.
+// region. The guest kernel's THP fault calls it: the region's new large
+// mapping freed the empty leaf node an earlier 4KB walk may have cached,
+// so a walk starting there would read a node the table no longer has.
 func (w *Walker) InvalidateGuestPWC(asid uint32, va arch.VirtAddr) {
 	w.gpwc.InvalidatePage(asid, pwcKey(uint64(va)))
 }
 
 // InvalidateGPA drops the nested-TLB translation for gpa's frame. The
-// balloon controller calls this when it unbacks a ballooned guest page:
-// the host frame returns to the buddy allocator, so a cached gPA→hPA
-// entry would resolve to memory the guest no longer owns.
+// host VM calls it when it unbacks a guest page (hostos.VM.Unback): the
+// host frame returns to the buddy allocator, so a cached gPA→hPA entry
+// would resolve to memory the guest no longer owns.
 func (w *Walker) InvalidateGPA(gpa arch.PhysAddr) {
 	w.ntlb.InvalidatePage(0, gpa.FrameNumber())
 }
 
 // InvalidateRange drops the translations for every page of [start, end)
-// from the main TLB — the shootdown behind a ranged free. end must be
-// page-aligned. State-identical to per-page InvalidatePage calls.
+// from the main TLB: the guest kernel's shootdown for a free, a COW break
+// and a swap-out. end must be page-aligned. Like tlb.TLB.InvalidateRange,
+// it matches per-page invalidation only while each set holds a key once.
 func (w *Walker) InvalidateRange(asid uint32, start, end arch.VirtAddr) {
 	if end <= start {
 		return
@@ -502,7 +497,7 @@ func (w *Walker) InvalidateRange(asid uint32, start, end arch.VirtAddr) {
 	w.tlb.InvalidateRange(asid, start.PageNumber(), end.PageNumber())
 }
 
-// InvalidateASID drops all of a process's translations (process exit).
+// InvalidateASID drops all of a process's translations (fork).
 func (w *Walker) InvalidateASID(asid uint32) {
 	w.tlb.InvalidateASID(asid)
 	w.gpwc.InvalidateASID(asid)

@@ -134,6 +134,8 @@ func (o *oneHostOOM) InjectHostOOM() error {
 	return errors.New("injected host OOM")
 }
 
+func (o *oneHostOOM) NoteAbsorbedHostOOM() {}
+
 // relieveBy is a pressure reliever whose relief is a function call.
 type relieveBy func()
 
@@ -217,7 +219,7 @@ func TestWriteToReadOnlyFaults(t *testing.T) {
 	}
 	// After the kernel "handles COW" (remap writable), writes succeed.
 	r.mapGuest(t, va, 0x200000, pagetable.FlagWritable)
-	r.w.InvalidatePage(1, va)
+	r.w.InvalidateRange(1, va, va+arch.PageSize)
 	if out := r.w.Translate(0, 1, r.gpt, va, true); !out.Ok {
 		t.Fatalf("write after COW resolve: %+v", out)
 	}

@@ -38,8 +38,9 @@ func equalSnapshots(t *testing.T, name string, a, b map[[2]uint64]bool) {
 	}
 }
 
-// TestInvalidateRangeMatchesPerPage pins that InvalidateRange leaves the TLB
-// in exactly the state a per-page InvalidatePage sweep would — for both the
+// TestInvalidateRangeMatchesPerPage pins that, while each key is held once
+// (fillPattern inserts every key once), InvalidateRange leaves the TLB in
+// exactly the state a per-page InvalidatePage sweep would — for both the
 // narrow (per-set probe) and wide (full-scan) implementations.
 func TestInvalidateRangeMatchesPerPage(t *testing.T) {
 	cases := []struct {

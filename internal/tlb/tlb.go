@@ -77,11 +77,12 @@ func (t *TLB) InvalidatePage(asid uint32, vpn uint64) {
 }
 
 // InvalidateRange drops every translation of asid with a VPN in
-// [first, limit) — the batched shootdown behind large frees. Only validity
-// is cleared; the LRU order is untouched, so the resulting state is
-// identical to per-page InvalidatePage calls. For
-// ranges wider than the TLB itself one scan over the entries replaces the
-// per-page set probes.
+// [first, limit), leaving the LRU order untouched. A range at least as
+// wide as the TLB is one scan, which clears every copy of a key; a
+// narrower one is per-page InvalidatePage calls, which clear the first
+// copy only. They agree only while each set holds a key once (ROADMAP
+// item 1): until then, splitting or merging ranges changes what stays
+// cached, so guestos.Process.Free makes exactly one call per free.
 func (t *TLB) InvalidateRange(asid uint32, first, limit uint64) {
 	if limit-first >= uint64(len(t.pa)) {
 		t.sets.InvalidateWhere(func(k uint64) bool {

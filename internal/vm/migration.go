@@ -85,8 +85,9 @@ func (m *Machine) AttachGuest(g *Guest, hostVM *hostos.VM) error {
 	g.hostVM = hostVM
 	g.alive = true
 	g.walker.Rebind(m.hier, hostVM)
+	hostVM.SetInvalidateGPA(g.walker.InvalidateGPA)
 	if m.balloon != nil {
-		m.balloon.Attach(hostVM, g.kernel, g.walker.InvalidatePage, g.walker.InvalidateGPA)
+		m.balloon.Attach(hostVM, g.kernel)
 	}
 	for i, t := range g.tasks {
 		t.cpu = (g.index + i) % m.cfg.NumCPUs

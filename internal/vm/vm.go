@@ -249,13 +249,10 @@ const (
 
 // Task is a scheduled workload bound to a guest process and vCPU.
 type Task struct {
-	prog workload.Program
-	role Role
-	// env is the program's view of its guest process, boxed once at
-	// AddTask. guest and proc move with the task on migration, so it stays
-	// valid across AttachGuest.
-	env   workload.Env
+	prog  workload.Program
+	role  Role
 	guest *Guest
+	// proc is also the program's workload.Env.
 	proc  *guestos.Process
 	cpu   int
 	index int
@@ -303,25 +300,6 @@ func (t *Task) Process() *guestos.Process { return t.proc }
 
 // GuestIndex returns the index of the guest the task runs in.
 func (t *Task) GuestIndex() int { return t.guest.index }
-
-// env adapts a guest process to the workload.Env interface, wiring TLB
-// shootdowns (against the owning guest's private walker) into frees.
-type env struct {
-	g    *Guest
-	proc *guestos.Process
-}
-
-func (e env) Mmap(bytes uint64) (arch.VirtAddr, error) { return e.proc.Mmap(bytes) }
-
-func (e env) Free(va arch.VirtAddr, bytes uint64) error {
-	if err := e.proc.Free(va, bytes); err != nil {
-		return err
-	}
-	start := va.PageBase()
-	end := arch.VirtAddr(arch.AlignUp(uint64(va)+bytes, arch.PageSize))
-	e.g.walker.InvalidateRange(e.proc.ASID(), start, end)
-	return nil
-}
 
 // AccessRecord is one executed memory access as delivered to a Tracer.
 // Seq is the machine-global access sequence number (1-based).
@@ -513,11 +491,12 @@ func (m *Machine) addGuest(gc GuestConfig) (*Guest, error) {
 		walker: nested.New(m.cfg.Walker, m.hier, hostVM),
 		alive:  true,
 	}
+	// Guest kernel and host VM each shoot down their own mappings.
+	kernel.SetTLB(g.walker)
+	hostVM.SetInvalidateGPA(g.walker.InvalidateGPA)
 	m.guests = append(m.guests, g)
 	if m.balloon != nil {
-		// The invalidation hook drops TLB entries for pages the guest's
-		// balloon driver swaps out under host pressure.
-		m.balloon.Attach(hostVM, kernel, g.walker.InvalidatePage, g.walker.InvalidateGPA)
+		m.balloon.Attach(hostVM, kernel)
 	}
 	return g, nil
 }
@@ -627,13 +606,12 @@ func (g *Guest) AddTask(prog workload.Program, role Role) (*Task, error) {
 	t := &Task{
 		prog:  prog,
 		role:  role,
-		env:   env{g: g, proc: proc},
 		guest: g,
 		proc:  proc,
 		cpu:   (g.index + len(g.tasks)) % m.cfg.NumCPUs,
 		index: len(m.tasks),
 	}
-	if err := prog.Setup(t.env); err != nil {
+	if err := prog.Setup(proc); err != nil {
 		return nil, err
 	}
 	g.tasks = append(g.tasks, t)
@@ -859,12 +837,12 @@ func (m *Machine) primariesInitDone() bool {
 func (m *Machine) runQuantum(t *Task) error {
 	var (
 		prog   = t.prog
-		env    = t.env
+		proc   = t.proc
 		walker = t.guest.walker
 		hier   = m.hier
 		tracer = m.tracer
-		asid   = t.proc.ASID()
-		gpt    = t.proc.PageTable()
+		asid   = proc.ASID()
+		gpt    = proc.PageTable()
 		cpu    = t.cpu
 		hostVM = t.guest.hostVM
 		// dirtyLog is hoisted so the common (non-migrating) case pays one
@@ -875,7 +853,7 @@ func (m *Machine) runQuantum(t *Task) error {
 	var err error
 quantum:
 	for n := 0; n < m.cfg.Quantum; n++ {
-		acc, done := prog.Step(env)
+		acc, done := prog.Step(proc)
 		if done {
 			t.done = true
 			break
@@ -917,7 +895,7 @@ quantum:
 				err = fmt.Errorf("vm: fault loop at %#x (task %s)", uint64(acc.VA), t.Name())
 				break quantum
 			}
-			kind, ferr := t.proc.HandlePageFault(acc.VA, acc.Write)
+			kind, ferr := proc.HandlePageFault(acc.VA, acc.Write)
 			if ferr != nil {
 				err = fmt.Errorf("vm: task %s: %w", t.Name(), ferr)
 				break quantum
@@ -930,16 +908,6 @@ quantum:
 					recs = recs[:0]
 				}
 				tracer.Fault(t.index, acc.VA, uint8(kind), seq)
-			}
-			switch kind {
-			case guestos.FaultCOW:
-				// COW remaps change the translation; drop any stale TLB
-				// entry.
-				walker.InvalidatePage(asid, acc.VA)
-			case guestos.FaultTHP:
-				// The large mapping freed the region's leaf node; drop
-				// the guest PWC entry that may still name it.
-				walker.InvalidateGuestPWC(asid, acc.VA)
 			}
 			t.FaultCycles += faultCost(kind)
 		}
