@@ -94,7 +94,10 @@ func TestIntegrationTranslationCoherence(t *testing.T) {
 			// pages the workload only faulted): skip.
 			return true
 		}
-		out := g.Walker().Translate(0, proc.ASID(), proc.PageTable(), va, false)
+		out, hit := g.Walker().TranslateFast(proc.ASID(), va, false)
+		if !hit {
+			out = g.Walker().TranslateSlow(0, proc.ASID(), proc.PageTable(), va, false)
+		}
 		if !out.Ok {
 			t.Errorf("va %#x mapped but walker failed: %+v", uint64(va), out)
 			return false

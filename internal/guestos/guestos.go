@@ -453,6 +453,15 @@ func (p *Process) Translate(va arch.VirtAddr) (arch.PhysAddr, bool) {
 // is a store (relevant for COW). It returns the fault kind for cost
 // accounting.
 func (p *Process) HandlePageFault(va arch.VirtAddr, write bool) (FaultKind, error) {
+	return p.HandleFaultAt(va, write, pagetable.Stop{})
+}
+
+// HandleFaultAt is HandlePageFault for a fault a walk of va has just
+// taken, where stop is where that walk ended in the process's page table
+// (nested.Walker.FaultStop). While stop is current, va's entry is read
+// where the walk ended, with no descent, and the fault's maps descend from
+// there; a stale or zero stop makes it HandlePageFault.
+func (p *Process) HandleFaultAt(va arch.VirtAddr, write bool, stop pagetable.Stop) (FaultKind, error) {
 	if !p.alive {
 		return 0, fmt.Errorf("guestos: fault in dead process %d", p.pid)
 	}
@@ -460,13 +469,13 @@ func (p *Process) HandlePageFault(va arch.VirtAddr, write bool) (FaultKind, erro
 		return 0, fmt.Errorf("%w: pid %d va %#x", ErrNoVMA, p.pid, uint64(va))
 	}
 	page := va.PageBase()
-	if pa, flags, ok := p.pt.Translate(page); ok {
+	if pa, flags, ok := p.pt.TranslateAt(stop, page); ok {
 		if write && flags&pagetable.FlagCOW != 0 {
-			return p.copyOnWrite(page, pa.PageBase())
+			return p.copyOnWrite(page, pa.PageBase(), stop)
 		}
 		return FaultAlreadyMapped, nil
 	}
-	return p.allocatePage(page)
+	return p.allocatePage(page, stop)
 }
 
 // Touch faults va in (read access) if needed. Convenience for tests and
@@ -475,13 +484,16 @@ func (p *Process) Touch(va arch.VirtAddr) (FaultKind, error) {
 	return p.HandlePageFault(va, false)
 }
 
-func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
+// allocatePage maps a frame at the unmapped page. Its page-table reads
+// and maps start at stop, where the fault's walk ended
+// (pagetable.Table.MapAt).
+func (p *Process) allocatePage(page arch.VirtAddr, stop pagetable.Stop) (FaultKind, error) {
 	k := p.kernel
 
 	// §4.4 fork path: consult the parent's reservation map first.
 	if p.parent != nil && p.parent.alive && p.parent.part != nil {
 		if pa, ok := p.parent.part.ClaimFromParent(page); ok {
-			if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+			if err := p.pt.MapAt(stop, page, pa, pagetable.FlagWritable); err != nil {
 				k.unclaim(p.parent.part, page, pa)
 				return 0, err
 			}
@@ -491,7 +503,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 	}
 
 	if p.part != nil {
-		if kind, ok, err := p.magnetFault(page); ok || err != nil {
+		if kind, ok, err := p.magnetFault(page, stop); ok || err != nil {
 			return kind, err
 		}
 		// Fall through to the default path (partial group, OOM, …).
@@ -499,7 +511,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 	}
 
 	if k.cfg.Policy == PolicyTHP {
-		if kind, ok, err := p.thpFault(page); ok || err != nil {
+		if kind, ok, err := p.thpFault(page, stop); ok || err != nil {
 			return kind, err
 		}
 		k.stats.THPFallbacks++
@@ -507,7 +519,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 
 	if k.cfg.Policy == PolicyCAPaging {
 		if pa, ok := p.caPlacement(page); ok {
-			if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+			if err := p.pt.MapAt(stop, page, pa, pagetable.FlagWritable); err != nil {
 				k.mem.FreeBlock(pa)
 				return 0, err
 			}
@@ -521,7 +533,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
-	if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+	if err := p.pt.MapAt(stop, page, pa, pagetable.FlagWritable); err != nil {
 		k.mem.FreeBlock(pa)
 		return 0, err
 	}
@@ -532,7 +544,7 @@ func (p *Process) allocatePage(page arch.VirtAddr) (FaultKind, error) {
 // magnetFault attempts the PTEMagnet path with one PaRT call, which claims
 // the page from its group's live reservation or reserves the group. ok=false
 // means the caller should use the default path instead.
-func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
+func (p *Process) magnetFault(page arch.VirtAddr, stop pagetable.Stop) (FaultKind, bool, error) {
 	k := p.kernel
 	part := p.part
 	pages := part.Config().GroupPages
@@ -547,7 +559,7 @@ func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	// failed group allocation is retried after reclaim, outside the PaRT.
 	var allocFailed bool
 	pa, res := part.HandleFault(page, func() (arch.PhysAddr, bool) {
-		if p.pt.AnyMapped(part.GroupBase(page), pages) {
+		if p.pt.AnyMappedAt(stop, part.GroupBase(page), pages) {
 			return arch.NoPhysAddr, false
 		}
 		k.stats.BuddyCalls++
@@ -565,7 +577,7 @@ func (p *Process) magnetFault(page arch.VirtAddr) (FaultKind, bool, error) {
 	if res == core.FaultNoMemory || res == core.FaultClaimed {
 		return 0, false, nil
 	}
-	if err := p.pt.Map(page, pa, pagetable.FlagWritable); err != nil {
+	if err := p.pt.MapAt(stop, page, pa, pagetable.FlagWritable); err != nil {
 		k.unclaim(part, page, pa)
 		return 0, true, err
 	}
@@ -605,7 +617,7 @@ func (p *Process) caPlacement(page arch.VirtAddr) (arch.PhysAddr, bool) {
 // thpFault attempts to promote the fault into a 2MB mapping: the region
 // must be empty, fully covered by one VMA, and an aligned 512-frame block
 // must be available. ok=false means the caller should take the 4KB path.
-func (p *Process) thpFault(page arch.VirtAddr) (FaultKind, bool, error) {
+func (p *Process) thpFault(page arch.VirtAddr, stop pagetable.Stop) (FaultKind, bool, error) {
 	k := p.kernel
 	base := page &^ arch.VirtAddr(pagetable.LargePageMask)
 	region, found := p.findVMA(base)
@@ -613,7 +625,7 @@ func (p *Process) thpFault(page arch.VirtAddr) (FaultKind, bool, error) {
 		return 0, false, nil
 	}
 	const hugePages = pagetable.LargePageBytes / arch.PageSize
-	if p.pt.AnyMapped(base, hugePages) {
+	if p.pt.AnyMappedAt(stop, base, hugePages) {
 		return 0, false, nil
 	}
 	k.stats.BuddyCalls++
@@ -667,7 +679,7 @@ func (k *Kernel) allocUserFrame() (arch.PhysAddr, bool) {
 	return pa, ok
 }
 
-func (p *Process) copyOnWrite(page arch.VirtAddr, oldPA arch.PhysAddr) (FaultKind, error) {
+func (p *Process) copyOnWrite(page arch.VirtAddr, oldPA arch.PhysAddr, stop pagetable.Stop) (FaultKind, error) {
 	k := p.kernel
 	if k.frameRefs(oldPA) == 1 {
 		// Last sharer: just make it writable again.
@@ -678,7 +690,7 @@ func (p *Process) copyOnWrite(page arch.VirtAddr, oldPA arch.PhysAddr) (FaultKin
 			return 0, ErrOutOfMemory
 		}
 		k.putFrame(oldPA)
-		if err := p.pt.Map(page, newPA, pagetable.FlagWritable); err != nil {
+		if err := p.pt.MapAt(stop, page, newPA, pagetable.FlagWritable); err != nil {
 			return 0, err
 		}
 	}

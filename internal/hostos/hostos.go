@@ -222,13 +222,23 @@ func (vm *VM) Translate(gpa arch.PhysAddr) (arch.PhysAddr, bool) {
 // HandleFault resolves a host page fault for gpa: allocates one
 // host-physical frame through the default buddy path and maps it. It is the
 // hypervisor-side analogue of the guest's default allocator — the host runs
-// stock allocation; PTEMagnet changes only the guest (§4).
+// stock allocation; PTEMagnet changes only the guest (§4). A page that is
+// already backed is left as it is.
 func (vm *VM) HandleFault(gpa arch.PhysAddr) error {
+	return vm.HandleFaultAt(gpa, pagetable.Stop{})
+}
+
+// HandleFaultAt is HandleFault for the EPT violation a walk of gpa has
+// just taken, where stop is where that walk ended in the host table. While
+// stop is current, the backed-page check reads the one entry the walk
+// ended on and the map descends from there; a stale stop makes it
+// HandleFault.
+func (vm *VM) HandleFaultAt(gpa arch.PhysAddr, stop pagetable.Stop) error {
 	if uint64(gpa) >= vm.guestMemBytes {
 		return fmt.Errorf("hostos: guest-physical address %#x beyond VM memory %d", uint64(gpa), vm.guestMemBytes)
 	}
 	page := arch.VirtAddr(gpa).PageBase()
-	if _, _, ok := vm.pt.Translate(page); ok {
+	if _, _, ok := vm.pt.TranslateAt(stop, page); ok {
 		return nil
 	}
 	k := vm.kernel
@@ -247,13 +257,14 @@ func (vm *VM) HandleFault(gpa arch.PhysAddr) error {
 			k.oomInject.NoteAbsorbedHostOOM()
 		}
 	}
-	return vm.backPage(page)
+	return vm.backPage(page, stop)
 }
 
-// backPage allocates one host frame and maps it at page, taking the
-// reliever's balloon-then-retry path when either the frame or a
-// page-table node allocation fails. A failed mapping frees its frame.
-func (vm *VM) backPage(page arch.VirtAddr) error {
+// backPage allocates one host frame and maps it at page, descending from
+// stop (pagetable.Table.MapAt), and takes the reliever's balloon-then-retry
+// path when either the frame or a page-table node allocation fails. A
+// failed mapping frees its frame.
+func (vm *VM) backPage(page arch.VirtAddr, stop pagetable.Stop) error {
 	k := vm.kernel
 	var summary string
 	hpa, ok := k.mem.AllocFrame(physmem.KindUser)
@@ -264,11 +275,13 @@ func (vm *VM) backPage(page arch.VirtAddr) error {
 	if !ok {
 		return &OOMError{VM: vm.id, NeedPages: 1, Balloon: summary}
 	}
-	err := vm.pt.Map(page, hpa, pagetable.FlagWritable)
+	// Relief unbacks pages, so a stop it outdated leaves MapAt to
+	// descend from the root.
+	err := vm.pt.MapAt(stop, page, hpa, pagetable.FlagWritable)
 	if err != nil && errors.Is(err, pagetable.ErrNoMemory) && k.reliever != nil {
 		// Node-allocation exhaustion gets one relief-and-retry too; Map
-		// leaves a consistent tree on ErrNoMemory, so re-walking it only
-		// allocates the nodes still missing.
+		// leaves a consistent tree on ErrNoMemory, so re-walking it from
+		// the root only allocates the nodes still missing.
 		var relieved bool
 		summary, relieved = k.reliever.RelieveFor(vm.id, 1)
 		if relieved {
@@ -446,7 +459,7 @@ func (vm *VM) MapMigratedPage(gpa arch.PhysAddr) error {
 	if _, _, ok := vm.pt.Translate(page); ok {
 		return nil
 	}
-	return vm.backPage(page)
+	return vm.backPage(page, pagetable.Stop{})
 }
 
 // Unback drops the host backing of the guest-physical page containing

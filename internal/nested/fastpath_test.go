@@ -1,7 +1,6 @@
 package nested
 
 import (
-	"reflect"
 	"testing"
 
 	"ptemagnet/internal/arch"
@@ -15,50 +14,8 @@ func mapThrough(t testing.TB, r *rig, va arch.VirtAddr, gpa arch.PhysAddr, flags
 	if err := r.gpt.Map(va, gpa, flags); err != nil {
 		t.Fatal(err)
 	}
-	if out := r.w.Translate(0, 1, r.gpt, va, false); !out.Ok {
+	if out := translate(r.w, 0, 1, r.gpt, va, false); !out.Ok {
 		t.Fatalf("warm translate of %#x failed", uint64(va))
-	}
-}
-
-// TestTranslateFastThenSlowMatchesTranslate pins the counter contract the
-// batched machine loop relies on: for any address, TranslateFast followed
-// (on miss) by TranslateSlow advances every walker and TLB counter exactly
-// as the monolithic Translate does, and returns the same outcome.
-func TestTranslateFastThenSlowMatchesTranslate(t *testing.T) {
-	mkRig := func() *rig {
-		r := newRig(t, tinyTLBConfig())
-		for i := 0; i < 8; i++ {
-			mapThrough(t, r, arch.VirtAddr(0x400000+i*arch.PageSize),
-				arch.PhysAddr(0x100000+i*arch.PageSize), pagetable.FlagWritable)
-		}
-		return r
-	}
-	// Probe a mix of hot (just-walked), cold (mapped, TLB-evicted) and
-	// unmapped addresses on both rigs.
-	probes := []struct {
-		va    arch.VirtAddr
-		write bool
-	}{
-		{0x400000 + 7*arch.PageSize, false}, // hottest
-		{0x400000, false},                   // evicted by the tiny TLB
-		{0x400000 + 3*arch.PageSize, true},
-		{0x900000, false}, // unmapped → guest fault
-		{0x400000 + 7*arch.PageSize, true},
-	}
-	mono, split := mkRig(), mkRig()
-	for i, p := range probes {
-		wantOut := mono.w.Translate(0, 1, mono.gpt, p.va, p.write)
-		gotOut, hit := split.w.TranslateFast(1, p.va, p.write)
-		if !hit {
-			gotOut = split.w.TranslateSlow(0, 1, split.gpt, p.va, p.write)
-		}
-		if wantOut != gotOut {
-			t.Errorf("probe %d (%#x): outcome %+v, want %+v", i, uint64(p.va), gotOut, wantOut)
-		}
-		if !reflect.DeepEqual(mono.w.Snapshot(), split.w.Snapshot()) {
-			t.Fatalf("probe %d (%#x): walker stats diverge:\nmono:  %+v\nsplit: %+v",
-				i, uint64(p.va), mono.w.Snapshot(), split.w.Snapshot())
-		}
 	}
 }
 
@@ -77,14 +34,15 @@ func BenchmarkPipelineWalkerFastPath(b *testing.B) {
 }
 
 // BenchmarkPipelineWalkerFullTranslate measures the same hit through the
-// monolithic entry point, for comparison with the fast path.
+// machine loop's whole translation step (translate: TranslateFast, then
+// TranslateSlow on a miss), for comparison with the bare fast path.
 func BenchmarkPipelineWalkerFullTranslate(b *testing.B) {
 	r := newRig(b, DefaultConfig())
 	va := arch.VirtAddr(0x400000)
 	mapThrough(b, r, va, 0x100000, pagetable.FlagWritable)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := r.w.Translate(0, 1, r.gpt, va, false); !out.Ok {
+		if out := translate(r.w, 0, 1, r.gpt, va, false); !out.Ok {
 			b.Fatal("translate failed on a warm TLB")
 		}
 	}

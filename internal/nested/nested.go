@@ -225,6 +225,9 @@ type Walker struct {
 	// walks, reused so a walk allocates nothing. They are separate because
 	// host walks run while the guest walk's entries are being read.
 	guestBuf, hostBuf []pagetable.Access
+	// fault is where the guest walk of the last walk that ended in a guest
+	// fault stopped (FaultStop).
+	fault pagetable.Stop
 }
 
 // writableBit marks writable translations inside TLB payload addresses.
@@ -282,26 +285,14 @@ func (w *Walker) TLB() *tlb.TwoLevel { return w.tlb }
 // node (everything above the leaf index — 2MB regions).
 func pwcKey(a uint64) uint64 { return a >> (arch.PageShift + arch.PTIndexBits) }
 
-// Translate resolves the guest-virtual address va of the process with the
-// given ASID and guest page table, on behalf of cpu. write marks stores so
-// read-only (COW) mappings fault.
-func (w *Walker) Translate(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAddr, write bool) Outcome {
-	if out, ok := w.TranslateFast(asid, va, write); ok {
-		return out
-	}
-	return w.TranslateSlow(cpu, asid, gpt, va, write)
-}
-
-// TranslateFast is the main-TLB fast path: it probes the TLB and, on a hit
-// with sufficient permissions, returns the completed Outcome without
-// touching any of the 2D-walk machinery (guest page table, PWCs, nested
-// TLB, caches). ok=false means the caller must take TranslateSlow — either
-// a plain miss, or a write to a cached read-only translation (the stale
-// entry is dropped so the walk reaches the guest fault path).
-//
-// TranslateFast followed by TranslateSlow performs exactly the probe and
-// counter updates of Translate; the machine's access loop relies on that
-// equivalence.
+// TranslateFast is the main-TLB fast path for the guest-virtual address va
+// of the process with the given ASID; write marks stores, so read-only
+// (COW) mappings fault. On a hit with sufficient permissions it returns
+// the completed Outcome without touching any of the 2D-walk machinery
+// (guest page table, PWCs, nested TLB, caches). ok=false means the caller
+// must take TranslateSlow — either a plain miss, or a write to a cached
+// read-only translation (the stale entry is dropped so the walk reaches
+// the guest fault path).
 func (w *Walker) TranslateFast(asid uint32, va arch.VirtAddr, write bool) (Outcome, bool) {
 	w.stats.Lookups++
 	vpn := va.PageNumber()
@@ -321,10 +312,11 @@ func (w *Walker) TranslateFast(asid uint32, va arch.VirtAddr, write bool) (Outco
 	return Outcome{}, false
 }
 
-// TranslateSlow performs the full 2D walk after a failed TranslateFast.
-// Callers must have tried TranslateFast first — the pair preserves the
-// stats contract of Translate (every walk is preceded by one counted
-// lookup).
+// TranslateSlow performs the full 2D walk through the guest page table gpt
+// on behalf of cpu, after a failed TranslateFast. Callers must have tried
+// TranslateFast first: every walk is preceded by one counted lookup. A
+// walk that ends in a guest fault leaves where its guest walk stopped in
+// FaultStop.
 func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAddr, write bool) Outcome {
 	w.stats.Walks++
 	var cycles uint64
@@ -338,6 +330,7 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 		startNode = nodeGPA
 		w.stats.PWCHits[DimGuest]++
 	}
+	changes := gpt.Changes()
 	accesses, gpa, flags, found := gpt.WalkAppend(w.guestBuf[:0], va, startLevel, startNode)
 	w.guestBuf = accesses
 	// A walk that ended on a level-1 entry read va's leaf node, which is
@@ -346,7 +339,6 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 	if last := accesses[len(accesses)-1]; last.Level == 1 {
 		leafNode = last.EntryAddr.PageBase()
 	}
-	hostFaults := w.stats.HostFaults
 	for _, a := range accesses {
 		// Each guest PT entry lives at a guest-physical address that the
 		// hardware must translate through the host dimension before the
@@ -362,35 +354,31 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 		w.stats.Cycles[DimGuest] += lat
 		cycles += lat
 	}
-	if w.stats.HostFaults != hostFaults {
-		// A host fault served above can run balloon relief, which may
-		// swap out guest pages and rewrite the guest table the walk just
-		// read: the leaf is re-read as it stands now, and a page dropped
+	if gpt.Changes() != changes {
+		// A host fault served above ran balloon relief, which swapped out
+		// guest pages and so rewrote the guest table the walk just read:
+		// the leaf is re-read as it stands now, and a page dropped
 		// meanwhile faults like one never mapped.
 		gpa, flags, found, leafNode = gpt.Lookup(va)
 	}
-	if !found {
-		return w.guestFault(cycles)
-	}
-	if write && flags&pagetable.FlagWritable == 0 {
-		return w.guestFault(cycles)
+	if !found || write && flags&pagetable.FlagWritable == 0 {
+		return w.guestFault(cycles, gpt.StopAt(va, accesses, changes))
 	}
 	if startLevel != 1 && leafNode != arch.NoPhysAddr {
 		w.gpwc.Insert(asid, pwcKey(uint64(va)), leafNode)
 	}
 
 	// Host dimension for the data page.
-	hostFaults = w.stats.HostFaults
 	hpaPage, c, err := w.translateGPA(cpu, gpa.PageBase())
 	cycles += c
 	if err != nil {
 		return Outcome{Cycles: cycles, Err: err}
 	}
-	if w.stats.HostFaults != hostFaults {
+	if gpt.Changes() != changes {
 		// The data page's own host fault can run balloon relief too: a
 		// page dropped meanwhile faults, and the TLB never caches it.
 		if _, _, found, _ = gpt.Lookup(va); !found {
-			return w.guestFault(cycles)
+			return w.guestFault(cycles, gpt.StopAt(va, accesses, changes))
 		}
 	}
 	hpa := hpaPage + arch.PhysAddr(gpa.PageOffset())
@@ -406,14 +394,22 @@ func (w *Walker) TranslateSlow(cpu int, asid uint32, gpt *pagetable.Table, va ar
 }
 
 // guestFault ends a walk that found no present mapping for va, or a
-// read-only one for a write: the caller runs the guest fault handler and
-// retries.
-func (w *Walker) guestFault(cycles uint64) Outcome {
+// read-only one for a write, at the guest walk's stop: the caller runs the
+// guest fault handler and retries.
+func (w *Walker) guestFault(cycles uint64, stop pagetable.Stop) Outcome {
+	w.fault = stop
 	w.stats.GuestFaults++
 	w.stats.WalkCycles += cycles
 	w.stats.WalkHist[histBucket(cycles)]++
 	return Outcome{GuestFault: true, Cycles: cycles}
 }
+
+// FaultStop returns where the guest walk of the last TranslateSlow that
+// ended in a guest fault stopped, for guestos.Process.HandleFaultAt: the
+// stop holds va's entry as the walk read it, absent or read-only. It is
+// the zero Stop when balloon relief rewrote the guest table during that
+// walk, so the handler looks the page up from the root.
+func (w *Walker) FaultStop() pagetable.Stop { return w.fault }
 
 // translateGPA resolves a guest-physical address to host-physical, charging
 // all host PT accesses to the host dimension. Host faults are handled
@@ -436,6 +432,7 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			startNode = nodeHPA
 			w.stats.PWCHits[DimHost]++
 		}
+		changes := hpt.Changes()
 		accesses, hpa, _, found := hpt.WalkAppend(w.hostBuf[:0], hva, startLevel, startNode)
 		w.hostBuf = accesses
 		for _, a := range accesses {
@@ -460,7 +457,7 @@ func (w *Walker) translateGPA(cpu int, gpa arch.PhysAddr) (arch.PhysAddr, uint64
 			// unmapped.
 			return 0, cycles, fmt.Errorf("nested: host fault at gpa %#x left the page unmapped", uint64(gpa))
 		}
-		if err := w.vm.HandleFault(gpa); err != nil {
+		if err := w.vm.HandleFaultAt(gpa, hpt.StopAt(hva, accesses, changes)); err != nil {
 			// %w keeps the typed chain (hostos.OOMError, injected-fault
 			// markers) reachable for errors.Is classification.
 			return 0, cycles, fmt.Errorf("nested: host fault failed: %w", err)

@@ -38,6 +38,15 @@ func newRig(t testing.TB, cfg Config) *rig {
 	return &rig{guestMem: guestMem, gpt: gpt, host: host, vm: vm, hier: hier, w: New(cfg, hier, vm)}
 }
 
+// translate runs one access as the machine loop does: TranslateFast, then
+// TranslateSlow on a miss.
+func translate(w *Walker, cpu int, asid uint32, gpt *pagetable.Table, va arch.VirtAddr, write bool) Outcome {
+	if out, ok := w.TranslateFast(asid, va, write); ok {
+		return out
+	}
+	return w.TranslateSlow(cpu, asid, gpt, va, write)
+}
+
 // tinyTLBConfig forces main-TLB misses by shrinking the TLB to 4 entries.
 func tinyTLBConfig() Config {
 	cfg := DefaultConfig()
@@ -59,7 +68,7 @@ func (r *rig) mapGuest(t *testing.T, va arch.VirtAddr, gpa arch.PhysAddr, flags 
 
 func TestTranslateUnmappedIsGuestFault(t *testing.T) {
 	r := newRig(t, DefaultConfig())
-	out := r.w.Translate(0, 1, r.gpt, 0x1000, false)
+	out := translate(r.w, 0, 1, r.gpt, 0x1000, false)
 	if out.Ok || !out.GuestFault {
 		t.Fatalf("outcome = %+v, want guest fault", out)
 	}
@@ -72,7 +81,7 @@ func TestTranslateThenTLBHit(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagWritable)
-	out := r.w.Translate(0, 1, r.gpt, va+0x123, false)
+	out := translate(r.w, 0, 1, r.gpt, va+0x123, false)
 	if !out.Ok || out.TLBHit {
 		t.Fatalf("first translate: %+v", out)
 	}
@@ -83,7 +92,7 @@ func TestTranslateThenTLBHit(t *testing.T) {
 	if out.HPA != hpa+0x123 {
 		t.Errorf("HPA = %#x, want %#x", out.HPA, hpa+0x123)
 	}
-	out2 := r.w.Translate(0, 1, r.gpt, va+0x456, false)
+	out2 := translate(r.w, 0, 1, r.gpt, va+0x456, false)
 	if !out2.Ok || !out2.TLBHit {
 		t.Fatalf("second translate: %+v", out2)
 	}
@@ -99,7 +108,7 @@ func TestHostFaultsAreTransparent(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagWritable)
-	out := r.w.Translate(0, 1, r.gpt, va, false)
+	out := translate(r.w, 0, 1, r.gpt, va, false)
 	if !out.Ok {
 		t.Fatalf("translate failed: %+v", out)
 	}
@@ -117,7 +126,7 @@ func TestHostFaultsAreTransparent(t *testing.T) {
 	// for PT nodes (already mapped).
 	r.mapGuest(t, va+arch.PageSize, 0x101000, pagetable.FlagWritable)
 	before := r.w.Snapshot().HostFaults
-	r.w.Translate(0, 1, r.gpt, va+arch.PageSize, false)
+	translate(r.w, 0, 1, r.gpt, va+arch.PageSize, false)
 	if got := r.w.Snapshot().HostFaults - before; got != 1 { // data page only
 		t.Errorf("second translate took %d host faults, want 1", got)
 	}
@@ -158,18 +167,48 @@ func TestPageDroppedMidWalkFaults(t *testing.T) {
 	// walked page out.
 	r.host.SetOOMInjector(&oneHostOOM{})
 	r.host.SetPressureReliever(relieveBy(func() { r.gpt.Unmap(va) }))
-	out := r.w.Translate(0, 1, r.gpt, va, false)
+	out := translate(r.w, 0, 1, r.gpt, va, false)
 	if out.Ok || !out.GuestFault || out.Err != nil {
 		t.Fatalf("outcome = %+v, want a guest fault", out)
 	}
 	if s := r.w.Snapshot(); s.HostFaults == 0 || s.GuestFaults != 1 {
 		t.Fatalf("host faults %d, guest faults %d; want some and 1", s.HostFaults, s.GuestFaults)
 	}
+	if r.w.FaultStop() != (pagetable.Stop{}) {
+		t.Error("the fault's stop survived the relief that rewrote the guest table")
+	}
 	if _, hit := r.w.TranslateFast(1, va, false); hit {
 		t.Error("main TLB caches the dropped page")
 	}
 	if _, ok := r.vm.Translate(gpa); ok {
 		t.Error("the dropped page's guest frame got host backing")
+	}
+}
+
+// TestGuestFaultLeavesItsStop: a walk that ends in a guest fault leaves
+// where its guest walk stopped, current while the table is unchanged: at
+// an absent page, a map from the stop installs it; at a read-only page
+// written, a translation from the stop reads the entry the walk read.
+func TestGuestFaultLeavesItsStop(t *testing.T) {
+	r := newRig(t, tinyTLBConfig())
+	va := arch.VirtAddr(0x7f0000000000)
+	r.mapGuest(t, va, 0x100000, pagetable.FlagCOW)
+	absent := va + 3*arch.PageSize
+	if out := translate(r.w, 0, 1, r.gpt, absent, false); !out.GuestFault {
+		t.Fatalf("absent page: %+v, want a guest fault", out)
+	}
+	nodes := r.gpt.NodeCount()
+	if err := r.gpt.MapAt(r.w.FaultStop(), absent, 0x200000, pagetable.FlagWritable); err != nil {
+		t.Fatal(err)
+	}
+	if out := translate(r.w, 0, 1, r.gpt, absent, true); !out.Ok || r.gpt.NodeCount() != nodes {
+		t.Fatalf("after MapAt from the fault's stop: %+v with %d nodes, want a translation with %d", out, r.gpt.NodeCount(), nodes)
+	}
+	if out := translate(r.w, 0, 1, r.gpt, va, true); !out.GuestFault {
+		t.Fatalf("write to a COW page: %+v, want a guest fault", out)
+	}
+	if gpa, flags, ok := r.gpt.TranslateAt(r.w.FaultStop(), va); !ok || gpa != 0x100000 || flags != pagetable.FlagCOW {
+		t.Errorf("TranslateAt from the fault's stop = %#x,%v,%v, want the COW entry", uint64(gpa), flags, ok)
 	}
 }
 
@@ -190,12 +229,15 @@ func TestPageDroppedByDataPageFaultFaults(t *testing.T) {
 	}
 	r.host.SetOOMInjector(&oneHostOOM{})
 	r.host.SetPressureReliever(relieveBy(func() { r.gpt.Unmap(va) }))
-	out := r.w.Translate(0, 1, r.gpt, va, false)
+	out := translate(r.w, 0, 1, r.gpt, va, false)
 	if out.Ok || !out.GuestFault || out.Err != nil {
 		t.Fatalf("outcome = %+v, want a guest fault", out)
 	}
 	if s := r.w.Snapshot(); s.HostFaults != 1 || s.GuestFaults != 1 {
 		t.Fatalf("host faults %d, guest faults %d; want 1 and 1", s.HostFaults, s.GuestFaults)
+	}
+	if r.w.FaultStop() != (pagetable.Stop{}) {
+		t.Error("the fault's stop survived the relief that rewrote the guest table")
 	}
 	if _, hit := r.w.TranslateFast(1, va, false); hit {
 		t.Error("main TLB caches the dropped page")
@@ -210,17 +252,17 @@ func TestWriteToReadOnlyFaults(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagCOW) // not writable
-	if out := r.w.Translate(0, 1, r.gpt, va, false); !out.Ok {
+	if out := translate(r.w, 0, 1, r.gpt, va, false); !out.Ok {
 		t.Fatalf("read translate failed: %+v", out)
 	}
-	out := r.w.Translate(0, 1, r.gpt, va, true)
+	out := translate(r.w, 0, 1, r.gpt, va, true)
 	if out.Ok || !out.GuestFault {
 		t.Fatalf("write to RO page: %+v, want guest fault", out)
 	}
 	// After the kernel "handles COW" (remap writable), writes succeed.
 	r.mapGuest(t, va, 0x200000, pagetable.FlagWritable)
 	r.w.InvalidateRange(1, va, va+arch.PageSize)
-	if out := r.w.Translate(0, 1, r.gpt, va, true); !out.Ok {
+	if out := translate(r.w, 0, 1, r.gpt, va, true); !out.Ok {
 		t.Fatalf("write after COW resolve: %+v", out)
 	}
 }
@@ -232,7 +274,7 @@ func TestReadOnlyWriteWalkIsBucketed(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagCOW)
-	if out := r.w.Translate(0, 1, r.gpt, va, true); !out.GuestFault {
+	if out := translate(r.w, 0, 1, r.gpt, va, true); !out.GuestFault {
 		t.Fatalf("write to COW page: %+v, want guest fault", out)
 	}
 	s := r.w.Snapshot()
@@ -251,8 +293,8 @@ func TestWriteHittingReadOnlyTLBEntryFaults(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagCOW)
-	r.w.Translate(0, 1, r.gpt, va, false) // installs RO entry
-	out := r.w.Translate(0, 1, r.gpt, va, true)
+	translate(r.w, 0, 1, r.gpt, va, false) // installs RO entry
+	out := translate(r.w, 0, 1, r.gpt, va, true)
 	if out.Ok || !out.GuestFault {
 		t.Fatalf("write via RO TLB entry: %+v", out)
 	}
@@ -262,14 +304,14 @@ func TestASIDIsolationInWalker(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagWritable)
-	r.w.Translate(0, 1, r.gpt, va, false)
+	translate(r.w, 0, 1, r.gpt, va, false)
 	// A different ASID with a different (empty) table must not hit the
 	// first process's TLB entry.
 	gpt2, err := pagetable.New(r.guestMem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := r.w.Translate(0, 2, gpt2, va, false)
+	out := translate(r.w, 0, 2, gpt2, va, false)
 	if out.Ok {
 		t.Fatal("ASID 2 translated through ASID 1's TLB entry")
 	}
@@ -279,9 +321,9 @@ func TestInvalidateASID(t *testing.T) {
 	r := newRig(t, DefaultConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagWritable)
-	r.w.Translate(0, 1, r.gpt, va, false)
+	translate(r.w, 0, 1, r.gpt, va, false)
 	r.w.InvalidateASID(1)
-	out := r.w.Translate(0, 1, r.gpt, va, false)
+	out := translate(r.w, 0, 1, r.gpt, va, false)
 	if out.TLBHit {
 		t.Error("TLB entry survived InvalidateASID")
 	}
@@ -291,7 +333,7 @@ func TestWalkAccessAttribution(t *testing.T) {
 	r := newRig(t, tinyTLBConfig())
 	va := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, va, 0x100000, pagetable.FlagWritable)
-	out := r.w.Translate(0, 1, r.gpt, va, false)
+	out := translate(r.w, 0, 1, r.gpt, va, false)
 	if !out.Ok {
 		t.Fatalf("translate: %+v", out)
 	}
@@ -323,13 +365,13 @@ func TestPWCsShortenWarmWalks(t *testing.T) {
 		r.mapGuest(t, base+arch.VirtAddr(i*arch.PageSize), arch.PhysAddr(0x100000+i*arch.PageSize), pagetable.FlagWritable)
 	}
 	// Warm up PWCs with the first page.
-	r.w.Translate(0, 1, r.gpt, base, false)
+	translate(r.w, 0, 1, r.gpt, base, false)
 	before := r.w.Snapshot()
 	// The TLB has 4 entries; translating 16 pages round-robin misses
 	// plenty. Warm walks should take ~1 guest access each (leaf only).
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 16; i++ {
-			r.w.Translate(0, 1, r.gpt, base+arch.VirtAddr(i*arch.PageSize), false)
+			translate(r.w, 0, 1, r.gpt, base+arch.VirtAddr(i*arch.PageSize), false)
 		}
 	}
 	after := r.w.Snapshot()
@@ -363,7 +405,7 @@ func TestWalkAllocatesNothing(t *testing.T) {
 	before := r.w.Snapshot()
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		r.w.Translate(0, 1, r.gpt, va(i), false)
+		translate(r.w, 0, 1, r.gpt, va(i), false)
 		i++
 	})
 	d := r.w.Snapshot().Delta(before)
@@ -401,7 +443,7 @@ func TestContiguityReducesHostPTEFootprint(t *testing.T) {
 		}
 		for round := 0; round < 3; round++ {
 			for i := 0; i < 64; i++ {
-				out := w.Translate(0, 1, gpt, base+arch.VirtAddr(i*arch.PageSize), false)
+				out := translate(w, 0, 1, gpt, base+arch.VirtAddr(i*arch.PageSize), false)
 				if !out.Ok {
 					t.Fatalf("translate failed: %+v", out)
 				}
@@ -445,10 +487,10 @@ func BenchmarkTranslateTLBHit(b *testing.B) {
 	hier := cache.NewHierarchy(cache.DefaultConfig(1))
 	w := New(DefaultConfig(), hier, vm)
 	gpt.Map(0x1000, 0x100000, pagetable.FlagWritable)
-	w.Translate(0, 1, gpt, 0x1000, false)
+	translate(w, 0, 1, gpt, 0x1000, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Translate(0, 1, gpt, 0x1000, false)
+		translate(w, 0, 1, gpt, 0x1000, false)
 	}
 }
 
@@ -467,7 +509,7 @@ func BenchmarkTranslateWalk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Translate(0, 1, gpt, arch.VirtAddr(i%pages)<<arch.PageShift, false)
+		translate(w, 0, 1, gpt, arch.VirtAddr(i%pages)<<arch.PageShift, false)
 	}
 }
 
@@ -479,7 +521,7 @@ func TestWalkHistogram(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 32; i++ {
-			r.w.Translate(0, 1, r.gpt, base+arch.VirtAddr(i*arch.PageSize), false)
+			translate(r.w, 0, 1, r.gpt, base+arch.VirtAddr(i*arch.PageSize), false)
 		}
 	}
 	s := r.w.Snapshot()
@@ -508,9 +550,9 @@ func TestStatsDeltaIncludesHistogram(t *testing.T) {
 	r := newRig(t, tinyTLBConfig())
 	base := arch.VirtAddr(0x7f0000000000)
 	r.mapGuest(t, base, 0x100000, pagetable.FlagWritable)
-	r.w.Translate(0, 1, r.gpt, base, false)
+	translate(r.w, 0, 1, r.gpt, base, false)
 	snap := r.w.Snapshot()
-	r.w.Translate(0, 1, r.gpt, base, false) // TLB hit, no walk
+	translate(r.w, 0, 1, r.gpt, base, false) // TLB hit, no walk
 	d := r.w.Snapshot().Delta(snap)
 	var total uint64
 	for _, c := range d.WalkHist {

@@ -40,9 +40,17 @@ func (m *model) translate(va arch.VirtAddr) (modelPage, bool) {
 // TestDescentMatchesModel drives random operations over a few 2MB regions
 // of 4- and 5-level tables and, after each one, checks every query built on
 // the table's single descent against the model: Lookup and Translate for
-// every page, a root-started WalkAppend against Lookup, AnyMapped for every
+// every page, a root-started WalkAppend against Lookup, AnyMappedAt for every
 // 8-page group and region, the three visitors, and the node count against
 // the memory's page-table frames.
+//
+// A twin table takes the same operations, except that where the table
+// maps through a stop (MapAt with the stop of a root walk of va, with or
+// without one more operation between the walk and the map) the twin maps
+// with plain Map. Both must match the model, hold as many nodes, and put
+// every page's leaf entry at the same address: a map from a current stop
+// allocates exactly the nodes a root descent would, and one from an
+// outdated stop descends from the root.
 func TestDescentMatchesModel(t *testing.T) {
 	for _, levels := range []int{4, 5} {
 		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
@@ -50,31 +58,90 @@ func TestDescentMatchesModel(t *testing.T) {
 			if levels == 5 {
 				regions = append(regions, 0x1ab7f0000000000)
 			}
-			tbl, err := NewWithLevels(physmem.New(16<<20), levels)
-			if err != nil {
-				t.Fatal(err)
+			newTable := func() (*Table, *model) {
+				tbl, err := NewWithLevels(physmem.New(16<<20), levels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tbl, &model{pages: map[arch.VirtAddr]modelPage{}, large: map[arch.VirtAddr]modelPage{}}
 			}
-			m := &model{pages: map[arch.VirtAddr]modelPage{}, large: map[arch.VirtAddr]modelPage{}}
+			tbl, m := newTable()
+			twin, twinModel := newTable()
 			rng := rand.New(rand.NewSource(int64(levels)))
+			// The table and its twin draw their operations from two
+			// generators with one seed, so they make the same draws.
+			opRng := rand.New(rand.NewSource(int64(levels) + 100))
+			twinRng := rand.New(rand.NewSource(int64(levels) + 100))
+			both := func(region, va arch.VirtAddr, flags Flags) string {
+				op := applyRandomOp(t, tbl, m, opRng, region, va, flags)
+				applyRandomOp(t, twin, twinModel, twinRng, region, va, flags)
+				return op
+			}
 			// A few pages per region, so operations collide; 511 sits at
 			// the far end of a leaf node.
 			slots := []int{0, 1, 2, 7, 8, 9, 63, 64, 511}
-			var promoted, demoted int
+			pick := func(region arch.VirtAddr) arch.VirtAddr {
+				return region + arch.VirtAddr(slots[rng.Intn(len(slots))]<<arch.PageShift)
+			}
+			var promoted, demoted, fromStop, fromRoot int
 			for step := 0; step < 300; step++ {
 				region := regions[rng.Intn(len(regions))]
-				va := region + arch.VirtAddr(slots[rng.Intn(len(slots))]<<arch.PageShift)
+				va := pick(region)
 				large := len(m.large)
-				op := applyRandomOp(t, tbl, m, rng, region, va, Flags(rng.Intn(4)))
+				op := both(region, va, Flags(rng.Intn(4)))
 				switch {
 				case len(m.large) > large:
 					promoted++
 				case len(m.large) < large:
 					demoted++
 				}
-				checkAgainstModel(t, tbl, m, regions, fmt.Sprintf("step %d (%s %#x)", step, op, uint64(va)))
+				if rng.Intn(2) == 0 {
+					va = pick(region)
+					stop := stopOf(tbl, va)
+					op += ", walk"
+					if rng.Intn(2) == 0 {
+						op += ", " + both(region, pick(region), Flags(rng.Intn(4)))
+					}
+					if stop.changes == tbl.Changes() && stop.level < levels {
+						fromStop++
+					} else {
+						fromRoot++
+					}
+					_, isLarge := m.large[region]
+					pa := arch.PhysAddr(1+rng.Intn(1<<20)) << arch.PageShift
+					flags := Flags(rng.Intn(4))
+					err, twinErr := tbl.MapAt(stop, va, pa, flags), twin.Map(va, pa, flags)
+					if (err != nil) != isLarge || (twinErr != nil) != isLarge {
+						t.Fatalf("step %d: MapAt(%#x) err = %v, Map err = %v, large region %v", step, uint64(va), err, twinErr, isLarge)
+					}
+					if !isLarge {
+						m.pages[va] = modelPage{pa: pa, flags: flags}
+						twinModel.pages[va] = modelPage{pa: pa, flags: flags}
+					}
+					op += ", MapAt"
+				}
+				where := fmt.Sprintf("step %d (%s %#x)", step, op, uint64(va))
+				checkAgainstModel(t, tbl, m, regions, where)
+				checkAgainstModel(t, twin, twinModel, regions, where+" twin")
+				if tbl.NodeCount() != twin.NodeCount() {
+					t.Fatalf("%s: NodeCount = %d, twin %d", where, tbl.NodeCount(), twin.NodeCount())
+				}
+				for _, region := range regions {
+					for i := 0; i < arch.PTEntriesPerNode; i++ {
+						page := region + arch.VirtAddr(i<<arch.PageShift)
+						ea, ok := tbl.LeafEntryAddr(page)
+						twinEA, twinOK := twin.LeafEntryAddr(page)
+						if ea != twinEA || ok != twinOK {
+							t.Fatalf("%s: LeafEntryAddr(%#x) = %#x,%v, twin %#x,%v", where, uint64(page), ea, ok, twinEA, twinOK)
+						}
+					}
+				}
 			}
 			if promoted == 0 || demoted == 0 {
 				t.Errorf("op mix made %d large mappings and demoted %d; want both", promoted, demoted)
+			}
+			if fromStop == 0 || fromRoot == 0 {
+				t.Errorf("MapAt started %d times below the root at a current stop and %d times at the root; want both", fromStop, fromRoot)
 			}
 		})
 	}
@@ -210,12 +277,12 @@ func checkAgainstModel(t *testing.T, tbl *Table, m *model, regions []arch.VirtAd
 		}
 		for g := 0; g < arch.PTEntriesPerNode; g += 8 {
 			va := region + arch.VirtAddr(g<<arch.PageShift)
-			if got, want := tbl.AnyMapped(va, 8), anyIn(va, 8); got != want {
-				t.Fatalf("%s: AnyMapped(%#x, 8) = %v, want %v", where, uint64(va), got, want)
+			if got, want := tbl.AnyMappedAt(Stop{}, va, 8), anyIn(va, 8); got != want {
+				t.Fatalf("%s: AnyMappedAt(%#x, 8) = %v, want %v", where, uint64(va), got, want)
 			}
 		}
-		if got, want := tbl.AnyMapped(region, arch.PTEntriesPerNode), anyIn(region, arch.PTEntriesPerNode); got != want {
-			t.Fatalf("%s: AnyMapped(region %#x) = %v, want %v", where, uint64(region), got, want)
+		if got, want := tbl.AnyMappedAt(Stop{}, region, arch.PTEntriesPerNode), anyIn(region, arch.PTEntriesPerNode); got != want {
+			t.Fatalf("%s: AnyMappedAt(region %#x) = %v, want %v", where, uint64(region), got, want)
 		}
 	}
 

@@ -114,6 +114,25 @@ type Table struct {
 	mapped uint64
 	// largeMapped counts present large (2MB) mappings.
 	largeMapped uint64
+	// changes counts the entry writes a walk can observe: each Map,
+	// MapLarge and Demote, and each Unmap and SetFlags that found its
+	// entry. The dirty bit is not counted; no walk reads it.
+	changes uint64
+}
+
+// Stop is where one walk for an address ended: the node and level of the
+// last entry it read, stamped with the table's change count at the time.
+// While the count has not moved, the stop is current: every entry above
+// it was present when the walk read it and is unchanged since, so a
+// translation or map of an address under the stop's node may start its
+// descent there instead of at the root and read, or allocate, exactly
+// what a root descent would. The zero Stop is never current.
+type Stop struct {
+	table   *Table
+	va      arch.VirtAddr
+	node    arch.PhysAddr
+	level   int
+	changes uint64
 }
 
 // New allocates a four-level page table with an empty root node in mem.
@@ -149,6 +168,20 @@ func (t *Table) NodeCount() int { return len(t.nodes) }
 
 // MappedPages returns the number of present leaf entries.
 func (t *Table) MappedPages() uint64 { return t.mapped }
+
+// Changes returns the table's change count, which moves with every entry
+// write a walk can observe (Stop).
+func (t *Table) Changes() uint64 { return t.changes }
+
+// start returns the node and level a descent for va begins at: s's, when
+// s is a current stop of t whose node lies on va's path, else the root's.
+// s is a pointer so that inlining start copies no Stop.
+func (t *Table) start(s *Stop, va arch.VirtAddr) (arch.PhysAddr, int) {
+	if s.table == t && s.changes == t.changes && (uint64(s.va)^uint64(va))>>(arch.PageShift+s.level*arch.PTIndexBits) == 0 {
+		return s.node, s.level
+	}
+	return t.root, t.levels
+}
 
 func (t *Table) allocNode() (arch.PhysAddr, error) {
 	pa, ok := t.mem.AllocFrame(physmem.KindPageTable)
@@ -187,7 +220,14 @@ func (t *Table) node(pa arch.PhysAddr) *node {
 // Mapping a 4KB page inside a region covered by a large (2MB) mapping is an
 // error; demote the large mapping first.
 func (t *Table) Map(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error {
-	n, err := t.reserve(va, 1)
+	return t.MapAt(Stop{}, va, pa, flags)
+}
+
+// MapAt is Map for an address a walk has just read: its allocating
+// descent starts at s while s is current (Stop), and at the root
+// otherwise. Either way it allocates the same nodes in the same order.
+func (t *Table) MapAt(s Stop, va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error {
+	n, err := t.reserve(s, va, 1)
 	if err != nil {
 		return err
 	}
@@ -206,7 +246,7 @@ func (t *Table) MapLarge(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error 
 	if uint64(va)&LargePageMask != 0 || uint64(pa)&LargePageMask != 0 {
 		return fmt.Errorf("pagetable: MapLarge of unaligned %#x → %#x", uint64(va), uint64(pa))
 	}
-	n, err := t.reserve(va, 2)
+	n, err := t.reserve(Stop{}, va, 2)
 	if err != nil {
 		return err
 	}
@@ -232,11 +272,19 @@ func (t *Table) MapLarge(va arch.VirtAddr, pa arch.PhysAddr, flags Flags) error 
 	return nil
 }
 
-// reserve descends from the root to va's node at level stop (1 or 2),
-// allocating each missing node on the way down.
-func (t *Table) reserve(va arch.VirtAddr, stop int) (*node, error) {
-	n := t.node(t.root)
-	for level := t.levels; level > stop; level-- {
+// reserve descends to va's node at level stop (1 or 2), allocating each
+// missing node on the way down. It starts at s when s is current and no
+// deeper than stop, else at the root. It moves the change count before it
+// allocates anything, so a map that fails after linking a node still
+// outdates every earlier stop.
+func (t *Table) reserve(s Stop, va arch.VirtAddr, stop int) (*node, error) {
+	pa, level := t.start(&s, va)
+	if level < stop {
+		pa, level = t.root, t.levels
+	}
+	t.changes++
+	n := t.node(pa)
+	for ; level > stop; level-- {
 		idx := va.PTIndex(level)
 		e := n.entries[idx]
 		if e.large() {
@@ -328,6 +376,19 @@ func (t *Table) Translate(va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
 	return pa, flags, ok
 }
 
+// TranslateAt is Translate for an address a walk has just read: while s
+// is current (Stop) the descent starts at s, so for the walk's own page it
+// reads only the entry the walk ended on; otherwise it descends from the
+// root.
+func (t *Table) TranslateAt(s Stop, va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
+	pa, level := t.start(&s, va)
+	n, _, level := t.descend(va, level, pa, nil)
+	if e := n.entries[va.PTIndex(level)]; e.present() {
+		return e.target(va), e.flags(), true
+	}
+	return arch.NoPhysAddr, 0, false
+}
+
 // LeafEntryAddr returns the physical address of the leaf (level-1) PTE that
 // maps va, and whether the leaf node exists. The fragmentation metric is
 // computed over these addresses: adjacent virtual pages whose leaf entries
@@ -360,12 +421,30 @@ func (t *Table) WalkAppend(dst []Access, va arch.VirtAddr, startLevel int, nodeP
 	return dst, arch.NoPhysAddr, 0, false
 }
 
-// AnyMapped reports whether any page of the pages-long run of 4KB pages
+// StopAt returns where a walk of va ended, for a fault handler to
+// translate and map from (TranslateAt, MapAt, AnyMappedAt): walk is the
+// entries WalkAppend returned, and changes the table's change count when
+// the walk ran. A table changed since, or a walk whose last entry is not
+// va's, gives the zero Stop, which is never current.
+func (t *Table) StopAt(va arch.VirtAddr, walk []Access, changes uint64) Stop {
+	if len(walk) == 0 || changes != t.changes {
+		return Stop{}
+	}
+	last := walk[len(walk)-1]
+	if uint64(last.EntryAddr)&arch.PageMask != uint64(va.PTIndex(last.Level)*arch.PTEBytes) {
+		return Stop{}
+	}
+	return Stop{table: t, va: va, node: last.EntryAddr.PageBase(), level: last.Level, changes: changes}
+}
+
+// AnyMappedAt reports whether any page of the pages-long run of 4KB pages
 // starting at the page-aligned va is mapped, by a 4KB entry or a large
 // mapping. The run must lie in one 2MB region: THP promotion asks about a
-// whole region, PTEMagnet about one reservation group.
-func (t *Table) AnyMapped(va arch.VirtAddr, pages int) bool {
-	n, _, level := t.descend(va, t.levels, t.root, nil)
+// whole region, PTEMagnet about one reservation group. The descent starts
+// at s while s is current (Stop), and at the root otherwise.
+func (t *Table) AnyMappedAt(s Stop, va arch.VirtAddr, pages int) bool {
+	pa, level := t.start(&s, va)
+	n, _, level := t.descend(va, level, pa, nil)
 	idx := va.PTIndex(level)
 	if level != 1 {
 		// A large mapping, or no leaf node at all.
@@ -391,6 +470,7 @@ func (t *Table) Unmap(va arch.VirtAddr) (arch.PhysAddr, Flags, bool) {
 	n.entries[idx] = 0
 	n.live--
 	t.mapped--
+	t.changes++
 	return e.addr(), e.flags(), true
 }
 
@@ -402,6 +482,7 @@ func (t *Table) SetFlags(va arch.VirtAddr, flags Flags) bool {
 		return false
 	}
 	n.entries[idx] = makePTE(n.entries[idx].addr(), flags)
+	t.changes++
 	return true
 }
 
@@ -455,6 +536,7 @@ func (t *Table) Demote(va arch.VirtAddr) error {
 		return fmt.Errorf("pagetable: no large mapping at %#x", uint64(va))
 	}
 	e := n.entries[idx]
+	t.changes++
 	leafPA, err := t.allocNode()
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 
 	"ptemagnet/internal/arch"
 	"ptemagnet/internal/guestos"
+	"ptemagnet/internal/nested"
 	"ptemagnet/internal/workload"
 )
 
@@ -50,6 +51,12 @@ func TestGuestKernelShootsDownItsOwnMappings(t *testing.T) {
 				t.Fatal(err)
 			}
 			w, p := m.Guests()[0].Walker(), task.Process()
+			translate := func(va arch.VirtAddr, write bool) nested.Outcome {
+				if out, hit := w.TranslateFast(p.ASID(), va, write); hit {
+					return out
+				}
+				return w.TranslateSlow(0, p.ASID(), p.PageTable(), va, write)
+			}
 			va, err := p.Mmap(arch.GroupBytes)
 			if err != nil {
 				t.Fatal(err)
@@ -57,7 +64,7 @@ func TestGuestKernelShootsDownItsOwnMappings(t *testing.T) {
 			if _, err := p.HandlePageFault(va, true); err != nil {
 				t.Fatal(err)
 			}
-			if out := w.Translate(0, p.ASID(), p.PageTable(), va, true); !out.Ok {
+			if out := translate(va, true); !out.Ok {
 				t.Fatalf("write to the mapped page: %+v", out)
 			}
 			if _, hit := w.TranslateFast(p.ASID(), va, true); !hit {
@@ -66,7 +73,7 @@ func TestGuestKernelShootsDownItsOwnMappings(t *testing.T) {
 			if err := tc.change(p, va); err != nil {
 				t.Fatal(err)
 			}
-			out := w.Translate(0, p.ASID(), p.PageTable(), va, tc.write)
+			out := translate(va, tc.write)
 			if out.Ok || out.TLBHit || !out.GuestFault {
 				t.Fatalf("access after %s: Ok=%v TLBHit=%v GuestFault=%v, want a guest fault",
 					tc.name, out.Ok, out.TLBHit, out.GuestFault)

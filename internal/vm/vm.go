@@ -865,9 +865,8 @@ quantum:
 		var accServed cache.Level
 		var accTLBHit bool
 		for attempt := 0; ; attempt++ {
-			// TranslateFast followed on a miss by TranslateSlow performs
-			// exactly the probes of the monolithic Translate, so every TLB
-			// and walker counter advances identically.
+			// The TLB probe, then on a miss the 2D walk, which leaves
+			// where a guest fault's walk stopped for the fault handler.
 			out, hit := walker.TranslateFast(asid, acc.VA, acc.Write)
 			if !hit {
 				out = walker.TranslateSlow(cpu, asid, gpt, acc.VA, acc.Write)
@@ -895,7 +894,7 @@ quantum:
 				err = fmt.Errorf("vm: fault loop at %#x (task %s)", uint64(acc.VA), t.Name())
 				break quantum
 			}
-			kind, ferr := proc.HandlePageFault(acc.VA, acc.Write)
+			kind, ferr := proc.HandleFaultAt(acc.VA, acc.Write, walker.FaultStop())
 			if ferr != nil {
 				err = fmt.Errorf("vm: task %s: %w", t.Name(), ferr)
 				break quantum
